@@ -59,10 +59,15 @@ print("same pair, timelike nesting, passes:", check_causality(nested, 1e-8).pass
 print("and the nesting respects isotony:", check_isotony(nested, 1e-8).passed)
 
 # the CLI wraps the same checks; exit code 0 means every command passed
+import json
 import pathlib
+import tempfile
 
 golden = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "light_cones.json"
 if golden.exists():
     print("\nrunning the bundled light-cone scenario:")
-    code = run_scenario(str(golden), "/tmp/light_cones_report.json")
-    print("exit status:", code, "(report written to /tmp/light_cones_report.json)")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "light_cones_report.json"
+        code = run_scenario(str(golden), str(out))
+        verdict = json.loads(out.read_text())["pass"]
+    print("exit status:", code, "report pass:", verdict)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .category import Arrow, Context, interchange_residuals
-from .commutant import HomSubspace, subspace_contains
+from .commutant import HomSubspace, group_by_hom, subspace_contains
 
 __all__ = [
     "Event",
@@ -135,13 +135,6 @@ class CausalityReport:
     violations: tuple = ()  # (cone a, cone b, residual) above tolerance
 
 
-def _spans_by_hom(arrows):
-    table = {}
-    for a in arrows:
-        table.setdefault((a.dom, a.cod), []).append(a)
-    return table
-
-
 def check_isotony(net: CausalNet, tol: float = 1e-9) -> IsotonyReport:
     """Nested cones must carry nested generator spans, hom pair by hom pair."""
     cones = net.cones()
@@ -151,8 +144,8 @@ def check_isotony(net: CausalNet, tol: float = 1e-9) -> IsotonyReport:
         for outer in cones:
             if inner is outer or not events[inner] <= events[outer]:
                 continue
-            inner_spans = _spans_by_hom(net.assignments[inner])
-            outer_spans = _spans_by_hom(net.assignments[outer])
+            inner_spans = group_by_hom(net.assignments[inner])
+            outer_spans = group_by_hom(net.assignments[outer])
             for key, arrows in inner_spans.items():
                 dom, cod = key
                 small = HomSubspace(dom, cod, tuple(arrows))

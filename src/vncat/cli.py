@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -27,15 +26,11 @@ from .commutant import (
 from .causal import check_causality, check_isotony
 from .crossed import CrossedContext, covariance_residual, crossed_product
 from .linalg import identity_factor_defect
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, _matrix_json, load_scenario
 
 __all__ = ["main", "run_scenario"]
 
 _DEFAULT_TOL = 1e-9
-
-
-def _matrix_json(m) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
 def _dims_json(cat: FinPremonCat) -> list:
@@ -63,13 +58,9 @@ def _attach_cat(entry: dict, cat: FinPremonCat, emit: str):
         entry["bases"] = _bases_json(cat)
 
 
-def _close_flag(sc: Scenario) -> bool:
-    return sc.dagger_close
-
-
-def _cmd_centre(sc: Scenario, tol: float, emit: str, workers: int) -> dict:
+def _cmd_centre(sc: Scenario, tol: float, emit: str) -> dict:
     family = pair_swap_family(sc.ctx)
-    cat = commutant(family, sc.universe, tol, workers=workers)
+    cat = commutant(family, sc.universe, tol)
     h = sc.ctx.hdim
     defect = 0.0
     ok = True
@@ -82,27 +73,23 @@ def _cmd_centre(sc: Scenario, tol: float, emit: str, workers: int) -> dict:
     return entry
 
 
-def _cmd_commutant(sc: Scenario, tol: float, emit: str, workers: int) -> dict:
-    cat = commutant(
-        sc.generators, sc.universe, tol, auto_close=_close_flag(sc), workers=workers
-    )
+def _cmd_commutant(sc: Scenario, tol: float, emit: str) -> dict:
+    cat = commutant(sc.generators, sc.universe, tol, auto_close=sc.dagger_close)
     entry = {"command": "commutant", "pass": True}
     _attach_cat(entry, cat, emit)
     return entry
 
 
-def _cmd_double_commutant(sc: Scenario, tol: float, emit: str, workers: int) -> dict:
-    cat = double_commutant(
-        sc.generators, sc.universe, tol, auto_close=_close_flag(sc), workers=workers
-    )
+def _cmd_double_commutant(sc: Scenario, tol: float, emit: str) -> dict:
+    cat = double_commutant(sc.generators, sc.universe, tol, auto_close=sc.dagger_close)
     entry = {"command": "double-commutant", "pass": True}
     _attach_cat(entry, cat, emit)
     return entry
 
 
-def _cmd_vn_check(sc: Scenario, tol: float, emit: str, workers: int) -> dict:
+def _cmd_vn_check(sc: Scenario, tol: float, emit: str) -> dict:
     cat = span_category(sc.generators, sc.universe, tol)
-    report = is_von_neumann(cat, tol, workers=workers)
+    report = is_von_neumann(cat, tol)
     entry = {
         "command": "vn-check",
         "pass": report.passed,
@@ -115,10 +102,8 @@ def _cmd_vn_check(sc: Scenario, tol: float, emit: str, workers: int) -> dict:
     return entry
 
 
-def _cmd_endo_algebra(sc: Scenario, tol: float, emit: str, workers: int) -> dict:
-    cat = double_commutant(
-        sc.generators, sc.universe, tol, auto_close=_close_flag(sc), workers=workers
-    )
+def _cmd_endo_algebra(sc: Scenario, tol: float, emit: str) -> dict:
+    cat = double_commutant(sc.generators, sc.universe, tol, auto_close=sc.dagger_close)
     basis = endo_algebra(cat)
     entry = {"command": "endo-algebra", "pass": True, "dim": len(basis)}
     if emit == "full":
@@ -126,7 +111,7 @@ def _cmd_endo_algebra(sc: Scenario, tol: float, emit: str, workers: int) -> dict
     return entry
 
 
-def _cmd_cstar_check(sc: Scenario, tol: float, emit: str, workers: int) -> dict:
+def _cmd_cstar_check(sc: Scenario, tol: float, emit: str) -> dict:
     gens = sc.generators
     pairs = [(s, t) for s in gens for t in gens if t.cod == s.dom]
     if not pairs:
@@ -144,15 +129,8 @@ def _cmd_cstar_check(sc: Scenario, tol: float, emit: str, workers: int) -> dict:
     return {"command": "cstar-check", "pass": ok, "max_residuals": worst}
 
 
-def _cmd_crossed_product(sc: Scenario, tol: float, emit: str, workers: int) -> dict:
-    cat = crossed_product(
-        sc.generators,
-        sc.rep,
-        sc.universe,
-        tol,
-        auto_close=_close_flag(sc),
-        workers=workers,
-    )
+def _cmd_crossed_product(sc: Scenario, tol: float, emit: str) -> dict:
+    cat = crossed_product(sc.generators, sc.rep, sc.universe, tol, auto_close=sc.dagger_close)
     entry = {
         "command": "crossed-product",
         "pass": True,
@@ -162,7 +140,7 @@ def _cmd_crossed_product(sc: Scenario, tol: float, emit: str, workers: int) -> d
     return entry
 
 
-def _cmd_covariance(sc: Scenario, tol: float, emit: str, workers: int) -> dict:
+def _cmd_covariance(sc: Scenario, tol: float, emit: str) -> dict:
     cc = CrossedContext(sc.ctx, sc.group)
     worst = 0.0
     scale = 1.0
@@ -181,7 +159,7 @@ def _cone_json(cone) -> list:
     return [[cone.lo.t, cone.lo.x], [cone.hi.t, cone.hi.x]]
 
 
-def _cmd_causality(sc: Scenario, tol: float, emit: str, workers: int) -> dict:
+def _cmd_causality(sc: Scenario, tol: float, emit: str) -> dict:
     iso = check_isotony(sc.net, tol)
     cau = check_causality(sc.net, tol)
     worst = None
@@ -233,17 +211,19 @@ def run_scenario(
     threads: int = 1,
     timings: bool = False,
 ) -> int:
-    """Run a scenario file and write the report; returns the exit status."""
+    """Run a scenario file and write the report; returns the exit status.
+
+    ``threads`` is accepted for compatibility and has no effect.
+    """
     try:
         sc = load_scenario(input_path)
         effective_tol = tol if tol is not None else (sc.tol if sc.tol is not None else _DEFAULT_TOL)
-        workers = threads if threads > 0 else (os.cpu_count() or 1)
 
         results = []
         for cmd in sc.commands:
             start = time.perf_counter()
             try:
-                entry = _RUNNERS[cmd](sc, effective_tol, emit_bases, workers)
+                entry = _RUNNERS[cmd](sc, effective_tol, emit_bases)
             except ValueError as e:
                 # engine-level input rejection (e.g. generators not dagger-closed)
                 raise ScenarioError(f"$.commands[{sc.commands.index(cmd)}]", str(e)) from None
@@ -288,7 +268,7 @@ def main(argv=None) -> int:
         "--threads",
         type=int,
         default=1,
-        help="hom-pair solver threads; 0 picks the cpu count (default: 1)",
+        help="accepted for compatibility; no effect",
     )
     ap.add_argument(
         "--timings",

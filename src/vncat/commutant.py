@@ -1,30 +1,35 @@
 """Commutants and double commutants over a finite object universe.
 
-The commutant of a set of generator arrows consists of every arrow whose
-two interchange defects against every generator vanish.  Both defects are
-linear in the unknown arrow, so each hom pair reduces to the kernel of a
-stacked constraint matrix, found by SVD.  Hom-space bases are orthonormal
-in the trace inner product, ordered by the SVD and phase-normalized so the
-largest-magnitude entry of each basis vector is real positive; identical
-inputs therefore produce identical bases.
+An arrow B -> D is a dD x dB grid of hidden blocks F_db in End(H).  Both
+bracketings of F with a generator g: X -> Y are block matrices whose
+((d, y), (b, x)) entries are F_db g_yx and g_yx F_db, so F interchanges
+with g exactly when every block of F commutes with every block of g.  The
+commutant of a generator set is therefore M_{dD x dB} (x) S' at every hom
+pair, where S is the set of all generator blocks and S' its classical
+commutant in End(H); the double commutant is M_{dD x dB} (x) S''.  S' is
+the kernel of one stacked linear system, found by SVD.
+
+Bases of S' are orthonormal in the trace inner product, ordered by the SVD
+and phase-normalized so the largest-magnitude entry of each basis matrix is
+real positive; the basis of hom(B, D) is kron(E_db, s) over the matrix
+units E_db (row-major) and the basis elements s.  Identical inputs
+therefore produce identical bases.
 
 Generator sets must be closed under dagger.  Closure is checked at the
-level of spans (the constraints only see the span), so a computed basis of
+level of spans (the commutant only sees the span), so a computed basis of
 a dagger-closed subspace passes even when no individual basis arrow is the
 dagger of another.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .category import Arrow, Context, Obj, dagger
-from .linalg import as_matrix, kron, nullspace, swap_perm
+from .linalg import as_matrix, kron, nullspace
 
 __all__ = [
     "ObjectUniverse",
@@ -45,10 +50,6 @@ __all__ = [
     "classical_commutant",
     "generated_star_algebra",
 ]
-
-# Row budget before the accumulated constraint stack is collapsed onto the
-# surviving kernel; bounds memory without changing the result.
-_ROW_BUDGET = 8192
 
 
 @dataclass(frozen=True)
@@ -78,11 +79,8 @@ class ObjectUniverse:
 
 def span_category(gens: Sequence[Arrow], universe: ObjectUniverse, tol: float = 1e-9) -> FinPremonCat:
     """Category whose hom spaces are the spans of the given arrows."""
-    by_pair: dict = {}
-    for g in gens:
-        if g.ctx != universe.ctx:
-            raise ValueError("generator context differs from the universe context")
-        by_pair.setdefault((g.dom, g.cod), []).append(g)
+    _check_context(gens, universe)
+    by_pair = group_by_hom(gens)
     homs = {}
     for d, c in universe.pairs():
         arrows = by_pair.get((d, c), [])
@@ -182,31 +180,39 @@ def span_basis(mats: Sequence[np.ndarray], tol: float = 1e-9) -> list[np.ndarray
     return [_unvec(_phase_normalize(u[:, i]), *shape) for i in range(int(keep.sum()))]
 
 
-# -- dagger closure of generator sets -----------------------------------------
+def _in_span(basis: Sequence[np.ndarray], m: np.ndarray, tol: float) -> bool:
+    """Whether ``m`` lies in the span of the orthonormal ``basis``.
+
+    The residual left after projecting out each basis matrix in turn must
+    be within ``tol * max(1, ||m||)`` (Frobenius norms).
+    """
+    v = _vec(m)
+    r = v.copy()
+    for b in basis:
+        bv = _vec(b)
+        r = r - bv * (bv.conj() @ r)
+    return np.linalg.norm(r) <= tol * max(1.0, np.linalg.norm(v))
 
 
-def _group_by_hom(gens: Sequence[Arrow]) -> dict:
+def group_by_hom(arrows: Sequence[Arrow]) -> dict:
+    """{(dom, cod): [arrows of that hom pair, in input order]}."""
     table: dict = {}
-    for g in gens:
-        table.setdefault((g.dom, g.cod), []).append(g)
+    for a in arrows:
+        table.setdefault((a.dom, a.cod), []).append(a)
     return table
 
 
+# -- dagger closure of generator sets -----------------------------------------
+
+
 def _missing_daggers(gens: Sequence[Arrow], tol: float) -> list[Arrow]:
-    table = _group_by_hom(gens)
     spans = {
-        key: span_basis([g.mat for g in lst], tol) for key, lst in table.items()
+        key: span_basis([g.mat for g in lst], tol) for key, lst in group_by_hom(gens).items()
     }
     missing = []
     for g in gens:
         gd = dagger(g)
-        basis = spans.get((gd.dom, gd.cod), [])
-        v = _vec(gd.mat)
-        r = v.copy()
-        for b in basis:
-            bv = _vec(b)
-            r = r - bv * (bv.conj() @ r)
-        if np.linalg.norm(r) > tol * max(1.0, np.linalg.norm(v)):
+        if not _in_span(spans.get((gd.dom, gd.cod), []), gd.mat, tol):
             missing.append(gd)
     return missing
 
@@ -221,105 +227,75 @@ def star_closure(gens: Sequence[Arrow], tol: float = 1e-9) -> list[Arrow]:
     return list(gens) + _missing_daggers(gens, tol)
 
 
-# -- constraint assembly -------------------------------------------------------
-#
-# Every term of both interchange defects has the shape F -> CL (I_k (x) F) CR.
-# On column-stacked F (p x q) that linear map has the dense matrix
-#   M[(b*m + a), (y*p + x)] = sum_u CL[a, u*p + x] * CR[u*q + y, b],
-# assembled below with one einsum per term.
+# -- the hidden algebra ---------------------------------------------------------
 
 
-def _sandwich(cl: np.ndarray, cr: np.ndarray, k: int, p: int, q: int) -> np.ndarray:
-    m = cl.shape[0]
-    n = cr.shape[1]
-    cl3 = cl.reshape(m, k, p)
-    cr3 = cr.reshape(k, q, n)
-    out = np.einsum("aux,uyb->bayx", cl3, cr3)
-    return np.ascontiguousarray(out).reshape(n * m, q * p)
-
-
-@lru_cache(maxsize=None)
-def _swap_eye(m: int, n: int, h: int) -> np.ndarray:
-    """swap_perm(m, n) (x) eye(h), cached read-only."""
-    s = kron(swap_perm(m, n), np.eye(h))
-    s.setflags(write=False)
-    return s
-
-
-@lru_cache(maxsize=None)
-def _eye(n: int) -> np.ndarray:
-    e = np.eye(n, dtype=np.complex128)
-    e.setflags(write=False)
-    return e
-
-
-def _eye_kron(k: int, g: np.ndarray) -> np.ndarray:
-    """eye(k) (x) g by direct block writes; np.kron is slow at this size."""
-    m, n = g.shape
-    out = np.zeros((k * m, k * n), dtype=np.complex128)
-    idx = np.arange(k)
-    out.reshape(k, m, k, n)[idx, :, idx, :] = g
-    return out
-
-
-def _whisker_right_mat(gmat: np.ndarray, dx: int, dy: int, da: int, h: int) -> np.ndarray:
-    return _swap_eye(da, dy, h) @ _eye_kron(da, gmat) @ _swap_eye(dx, da, h)
-
-
-def _constraint_blocks(g: Arrow, dom: Obj, cod: Obj):
-    """Constraint matrices (zeta, eta) that a candidate dom -> cod must kill."""
-    h = g.ctx.hdim
-    dx, dy = g.dom.dim, g.cod.dim
-    db, dd = dom.dim, cod.dim
-    p, q = dd * h, db * h
-    gm = np.asarray(g.mat)
-
-    wrb = _whisker_right_mat(gm, dx, dy, db, h)
-    wrd = _whisker_right_mat(gm, dx, dy, dd, h)
-    zeta = _sandwich(_eye(dy * p), wrb, dy, p, q) - _sandwich(wrd, _eye(dx * q), dx, p, q)
-
-    cl3 = _eye_kron(dd, gm) @ _swap_eye(dx, dd, h)
-    cr3 = _swap_eye(db, dx, h)
-    cl4 = _swap_eye(dy, dd, h)
-    cr4 = _swap_eye(db, dy, h) @ _eye_kron(db, gm)
-    eta = _sandwich(cl3, cr3, dx, p, q) - _sandwich(cl4, cr4, dy, p, q)
-    return zeta, eta
-
-
-def _solve_pair(gens: Sequence[Arrow], dom: Obj, cod: Obj, ctx: Context, tol: float) -> HomSubspace:
-    h = ctx.hdim
-    n = (dom.dim * h) * (cod.dim * h)
-    basis_cols = np.eye(n, dtype=np.complex128)
-
-    pending: list[np.ndarray] = []
-    pending_rows = 0
-
-    def collapse():
-        nonlocal basis_cols, pending, pending_rows
-        if not pending:
-            return
-        stack = np.vstack(pending)
-        pending = []
-        pending_rows = 0
-        k = stack @ basis_cols
-        kern = nullspace(k, tol, atol=tol)
-        basis_cols = basis_cols @ kern
-
+def _check_context(gens: Sequence[Arrow], universe: ObjectUniverse):
     for g in gens:
-        if basis_cols.shape[1] == 0:
-            break
-        zeta, eta = _constraint_blocks(g, dom, cod)
-        pending.extend((zeta, eta))
-        pending_rows += zeta.shape[0] + eta.shape[0]
-        if pending_rows >= _ROW_BUDGET:
-            collapse()
-    collapse()
+        if g.ctx != universe.ctx:
+            raise ValueError("generator context differs from the universe context")
 
-    arrows = tuple(
-        Arrow(dom, cod, ctx, _unvec(_phase_normalize(basis_cols[:, i]), cod.dim * h, dom.dim * h))
-        for i in range(basis_cols.shape[1])
-    )
-    return HomSubspace(dom, cod, arrows)
+
+def _blocks(gens: Sequence[Arrow], h: int) -> np.ndarray:
+    """Every nonzero h x h hidden block of every generator, as a (k, h, h) stack."""
+    parts = [
+        g.mat.reshape(g.cod.dim, h, g.dom.dim, h).transpose(0, 2, 1, 3).reshape(-1, h, h)
+        for g in gens
+    ]
+    if not parts:
+        return np.zeros((0, h, h), dtype=np.complex128)
+    blocks = np.concatenate(parts)
+    return blocks[blocks.any(axis=(1, 2))]
+
+
+def _hidden_commutant(mats: np.ndarray, h: int, tol: float) -> np.ndarray:
+    """Basis (k, h, h) of {s in End(H) : s m = m s for every m in ``mats``}.
+
+    On column-stacked s, vec(s m) = (m.T (x) I) vec(s) and vec(m s) =
+    (I (x) m) vec(s); the basis is the kernel of those rows stacked over
+    every m, with no rows at all leaving the whole of End(H).  The stack is
+    taken h matrices at a time and kept as its triangular QR factor, which
+    has the stack's singular values and kernel in at most h^2 rows, so
+    memory stays O(h^5) however many matrices come in.
+    """
+    eye = np.eye(h)
+    r = np.zeros((0, h * h), dtype=np.complex128)
+    for start in range(0, len(mats), h):
+        chunk = mats[start : start + h]
+        rows = np.einsum("kba,ij->kaibj", chunk, eye) - np.einsum("ab,kij->kaibj", eye, chunk)
+        r = np.linalg.qr(np.vstack([r, rows.reshape(-1, h * h)]), mode="r")
+    kern = nullspace(r, tol, atol=tol)
+    return np.array(
+        [_unvec(_phase_normalize(kern[:, i]), h, h) for i in range(kern.shape[1])]
+    ).reshape(-1, h, h)
+
+
+def _generator_commutant(gens, universe: ObjectUniverse, tol: float, auto_close: bool) -> np.ndarray:
+    """S' for the blocks S of ``gens``, after the context and dagger checks."""
+    gens = list(gens)
+    _check_context(gens, universe)
+    if auto_close:
+        gens = star_closure(gens, tol)
+    elif not is_star_closed(gens, tol):
+        raise ValueError("generator set is not dagger-closed; pass auto_close=True to extend it")
+    h = universe.ctx.hdim
+    return _hidden_commutant(_blocks(gens, h), h, tol)
+
+
+def _tensor_view(universe: ObjectUniverse, algebra: np.ndarray) -> FinPremonCat:
+    """Category with hom(B, D) = M_{dD x dB} (x) span(algebra) at every pair."""
+    ctx = universe.ctx
+    h = ctx.hdim
+    homs = {}
+    for dom, cod in universe.pairs():
+        db, dd = dom.dim, cod.dim
+        d = np.repeat(np.arange(dd), db)
+        b = np.tile(np.arange(db), dd)
+        mats = np.zeros((dd, db, len(algebra), dd, h, db, h), dtype=np.complex128)
+        mats[d, b, :, d, :, b, :] = algebra
+        basis = tuple(Arrow(dom, cod, ctx, m) for m in mats.reshape(-1, dd * h, db * h))
+        homs[(dom, cod)] = HomSubspace(dom, cod, basis)
+    return FinPremonCat(universe, homs)
 
 
 def commutant(
@@ -334,30 +310,10 @@ def commutant(
 
     ``gens`` must be dagger-closed up to span; pass ``auto_close=True`` to
     have the missing daggers appended instead of rejected.  The empty set
-    yields the full hom space at every pair.
+    yields the full hom space at every pair.  ``workers`` is accepted for
+    compatibility and has no effect.
     """
-    gens = list(gens)
-    for g in gens:
-        if g.ctx != universe.ctx:
-            raise ValueError("generator context differs from the universe context")
-    if auto_close:
-        gens = star_closure(gens, tol)
-    elif not is_star_closed(gens, tol):
-        raise ValueError("generator set is not dagger-closed; pass auto_close=True to extend it")
-
-    pairs = universe.pairs()
-
-    def solve(pair):
-        d, c = pair
-        return _solve_pair(gens, d, c, universe.ctx, tol)
-
-    if workers == 1:
-        solved = [solve(p) for p in pairs]
-    else:
-        max_workers = workers if workers > 0 else None
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            solved = list(pool.map(solve, pairs))
-    return FinPremonCat(universe, {pair: sub for pair, sub in zip(pairs, solved)})
+    return _tensor_view(universe, _generator_commutant(gens, universe, tol, auto_close))
 
 
 def double_commutant(
@@ -368,9 +324,14 @@ def double_commutant(
     auto_close: bool = False,
     workers: int = 1,
 ) -> FinPremonCat:
-    """Commutant of the commutant; always contains the span of ``gens``."""
-    first = commutant(gens, universe, tol, auto_close=auto_close, workers=workers)
-    return commutant(first.all_arrows(), universe, tol, workers=workers)
+    """Commutant of the commutant; always contains the span of ``gens``.
+
+    S' of a dagger-closed set is dagger-closed, so S'' is taken straight
+    from the basis of S'.  ``workers`` has no effect.
+    """
+    first = _generator_commutant(gens, universe, tol, auto_close)
+    h = universe.ctx.hdim
+    return _tensor_view(universe, _hidden_commutant(first, h, tol))
 
 
 @dataclass(frozen=True)
@@ -385,11 +346,9 @@ def is_von_neumann(cat: FinPremonCat, tol: float = 1e-9, workers: int = 1) -> Vn
 
     The category's hom bases are dagger-closed automatically before the
     closure is taken, so non-self-adjoint spans are probed rather than
-    rejected; they simply fail the comparison.
+    rejected; they simply fail the comparison.  ``workers`` has no effect.
     """
-    closure = double_commutant(
-        cat.all_arrows(), cat.universe, tol, auto_close=True, workers=workers
-    )
+    closure = double_commutant(cat.all_arrows(), cat.universe, tol, auto_close=True)
     failures = []
     for d, c in cat.universe.pairs():
         a = cat.homs[(d, c)]
@@ -409,15 +368,7 @@ def subspace_contains(a: HomSubspace, b: HomSubspace, tol: float = 1e-9) -> bool
     if b.dim == 0:
         return True
     abasis = span_basis([f.mat for f in a.basis], tol)
-    for f in b.basis:
-        v = _vec(f.mat)
-        r = v.copy()
-        for bb in abasis:
-            bv = _vec(bb)
-            r = r - bv * (bv.conj() @ r)
-        if np.linalg.norm(r) > tol * max(1.0, np.linalg.norm(v)):
-            return False
-    return True
+    return all(_in_span(abasis, f.mat, tol) for f in b.basis)
 
 
 def subspace_equal(a: HomSubspace, b: HomSubspace, tol: float = 1e-9) -> bool:

@@ -61,31 +61,26 @@ class FiniteGroup:
             raise ValueError("group element labels must be distinct")
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise ValueError("multiplication table must be square of the element count")
-        for r in self.table:
-            if any(not (0 <= v < n) for v in r):
-                raise ValueError("multiplication table entries must index elements")
-        ident = None
-        for e in range(n):
-            if all(self.table[e][j] == j and self.table[j][e] == j for j in range(n)):
-                ident = e
-                break
-        if ident is None:
+        t = np.array(self.table, dtype=np.int64).reshape(n, n)
+        if t.min() < 0 or t.max() >= n:
+            raise ValueError("multiplication table entries must index elements")
+        ar = np.arange(n)
+        two_sided = (t == ar[None, :]).all(axis=1) & (t == ar[:, None]).all(axis=0)
+        if not two_sided.any():
             raise ValueError("multiplication table has no two-sided identity")
+        ident = int(np.argmax(two_sided))
         object.__setattr__(self, "_identity", ident)
-        inv = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if self.table[i][j] == ident and self.table[j][i] == ident:
-                    inv[i] = j
-                    break
-            if inv[i] is None:
-                raise ValueError(f"element {self.elements[i]!r} has no inverse")
-        object.__setattr__(self, "_inverse", tuple(inv))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.table[self.table[i][j]][k] != self.table[i][self.table[j][k]]:
-                        raise ValueError("multiplication table is not associative")
+        inverts = (t == ident) & (t.T == ident)
+        lacking = np.flatnonzero(~inverts.any(axis=1))
+        if lacking.size:
+            raise ValueError(f"element {self.elements[lacking[0]]!r} has no inverse")
+        object.__setattr__(self, "_inverse", tuple(int(j) for j in inverts.argmax(axis=1)))
+        # Light's test: (x a) y = x (a y) for every x, y and every a of a
+        # generating set makes the whole table associative, because the
+        # elements a passing it are closed under multiplication
+        for a in _generating_set(t, ident):
+            if not np.array_equal(t[t[:, a]], t[:, t[a]]):
+                raise ValueError("multiplication table is not associative")
 
     @property
     def order(self) -> int:
@@ -130,13 +125,37 @@ def symmetric_group(n: int) -> FiniteGroup:
     """Permutations of n points; composition applies the right factor first."""
     if not 1 <= n <= 6:
         raise ValueError("symmetric group supported for 1 <= n <= 6")
-    perms = sorted(permutations(range(n)))
-    idx = {p: i for i, p in enumerate(perms)}
+    perms = np.array(sorted(permutations(range(n))), dtype=np.int64).reshape(-1, n)
     labels = tuple("".join(str(v) for v in p) for p in perms)
-    table = tuple(
-        tuple(idx[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms
-    )
-    return FiniteGroup(labels, table)
+    # (p q)(i) = p(q(i)) for every pair; a permutation's base-n code is
+    # increasing in the lexicographic order of the sorted list
+    products = perms[:, perms]
+    weights = n ** np.arange(n - 1, -1, -1)
+    table = np.searchsorted(perms @ weights, products @ weights)
+    return FiniteGroup(labels, table.tolist())
+
+
+def _generating_set(t: np.ndarray, ident: int) -> list[int]:
+    """Greedy generators of the table: each element not yet reached by products.
+
+    The identity passes Light's test by itself, so it counts as reached.
+    """
+    reached = np.zeros(len(t), dtype=bool)
+    reached[ident] = True
+    gens = []
+    for a in range(len(t)):
+        if reached[a]:
+            continue
+        gens.append(a)
+        reached[a] = True
+        while True:
+            idx = np.flatnonzero(reached)
+            grown = reached.copy()
+            grown[t[np.ix_(idx, idx)]] = True
+            if (grown == reached).all():
+                break
+            reached = grown
+    return gens
 
 
 @dataclass(frozen=True)
@@ -256,14 +275,13 @@ def pi_embed(f: Arrow, rep: UnitaryRep, cc: CrossedContext) -> Arrow:
         raise ValueError("representation group differs from the crossed group")
     n = cc.group.order
     h = cc.base.hdim
-    out = np.zeros(
-        (f.cod.dim * h * n, f.dom.dim * h * n), dtype=np.complex128
-    )
-    for k in range(n):
-        acted = act(cc.group.inverse(k), f, rep).mat
-        ekk = np.zeros((n, n), dtype=np.complex128)
-        ekk[k, k] = 1.0
-        out += kron(acted, ekk)
+    dc, db = f.cod.dim, f.dom.dim
+    u = np.stack([rep.mats[cc.group.inverse(k)] for k in range(n)])[:, None, None]
+    blocks = f.mat.reshape(dc, h, db, h).transpose(0, 2, 1, 3)
+    acted = (u @ blocks @ u.conj().swapaxes(-1, -2)).transpose(0, 1, 3, 2, 4)
+    out = np.zeros((dc * h * n, db * h * n), dtype=np.complex128)
+    k = np.arange(n)
+    out.reshape(dc * h, n, db * h, n)[:, k, :, k] = acted.reshape(n, dc * h, db * h)
     return Arrow(f.dom, f.cod, cc.tilde, out)
 
 
@@ -293,13 +311,11 @@ def crossed_product(
     """Double commutant of the twisted generators plus all group translations.
 
     Returns a category over the enlarged context; its universe carries the
-    same objects as the input universe.
+    same objects as the input universe.  ``workers`` has no effect.
     """
     _check_rep(rep, universe.ctx)
     cc = CrossedContext(universe.ctx, rep.group)
     tilde_universe = ObjectUniverse(universe.objects, cc.tilde)
     embedded = [pi_embed(f, rep, cc) for f in gens]
     embedded += [lambda_embed(g, cc) for g in range(rep.group.order)]
-    return double_commutant(
-        embedded, tilde_universe, tol, auto_close=auto_close, workers=workers
-    )
+    return double_commutant(embedded, tilde_universe, tol, auto_close=auto_close)

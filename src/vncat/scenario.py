@@ -122,7 +122,8 @@ def _parse_matrix(v, rows, cols, path) -> np.ndarray:
 
 
 def _matrix_json(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
+    m = np.asarray(m, dtype=np.complex128)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def parse_scenario(doc) -> Scenario:

@@ -16,7 +16,9 @@ from vncat import (
     generated_star_algebra,
     is_star_closed,
     is_von_neumann,
+    ltimes,
     pair_swap_family,
+    rtimes,
     span_basis,
     span_category,
     standard_universe,
@@ -287,3 +289,79 @@ def test_span_category_groups_by_hom():
     assert cat.homs[(I, x)].dim == 1
     assert cat.homs[(x, I)].dim == 0
     assert len(cat.all_arrows()) == 1
+
+
+# -- the block lemma behind the commutant kernel -------------------------------
+
+
+def _hidden_blocks(f):
+    """f's hidden blocks, indexed [cod index, dom index] -> h x h matrix."""
+    h = f.ctx.hdim
+    return f.mat.reshape(f.cod.dim, h, f.dom.dim, h).transpose(0, 2, 1, 3)
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_interchange_defect_is_block_commutator(h):
+    # ltimes(F, g) - rtimes(F, g) : B (x) X -> D (x) Y has ((d, y), (b, x))
+    # entry g_yx F_db - F_db g_yx, read straight off the arrows' matrices
+    ctx = Context(h)
+    r = np.random.default_rng(20 + h)
+    for _ in range(6):
+        db, dd, dx, dy = (int(v) for v in r.integers(1, 4, size=4))
+        F = random_arrow(r, Obj("B", db), Obj("D", dd), ctx)
+        g = random_arrow(r, Obj("X", dx), Obj("Y", dy), ctx)
+        fb, gb = _hidden_blocks(F), _hidden_blocks(g)
+        want = np.zeros((dd, dy, h, db, dx, h), dtype=complex)
+        for d in range(dd):
+            for b in range(db):
+                for y in range(dy):
+                    for x in range(dx):
+                        want[d, y, :, b, x, :] = gb[y, x] @ fb[d, b] - fb[d, b] @ gb[y, x]
+        got = ltimes(F, g).mat - rtimes(F, g).mat
+        assert_allclose(got, want.reshape(got.shape), atol=1e-12)
+
+
+# (hdim, blocks (n_k, m_k) of A = (+)_k M_{n_k} (x) I_{m_k}); then
+# dim A' = sum m_k^2 and dim A'' = dim A = sum n_k^2
+BLOCK_ALGEBRAS = [
+    (2, [(2, 1)]),
+    (2, [(1, 2)]),
+    (3, [(1, 1), (2, 1)]),
+    (3, [(1, 1), (1, 2)]),
+    (3, [(1, 1), (1, 1), (1, 1)]),
+]
+
+
+def _algebra_element(r, blocks, u):
+    h = sum(n * m for n, m in blocks)
+    out = np.zeros((h, h), dtype=complex)
+    at = 0
+    for n, m in blocks:
+        out[at : at + n * m, at : at + n * m] = np.kron(
+            r.standard_normal((n, n)) + 1j * r.standard_normal((n, n)), np.eye(m)
+        )
+        at += n * m
+    return u @ out @ u.conj().T
+
+
+@pytest.mark.parametrize("h,blocks", BLOCK_ALGEBRAS)
+def test_commutant_dims_follow_block_structure(h, blocks):
+    ctx = Context(h)
+    uni = standard_universe(ctx)
+    r = np.random.default_rng(40 + len(blocks) + h)
+    q, _ = np.linalg.qr(r.standard_normal((h, h)) + 1j * r.standard_normal((h, h)))
+    x, y = Obj("X", 2), Obj("Y", 3)
+    gens = []
+    for dom, cod in ((x, y), (uni.unit, x)):
+        # the leading block is the identity, so only the other blocks carry A
+        grid = [[_algebra_element(r, blocks, q) for _ in range(dom.dim)] for _ in range(cod.dim)]
+        grid[0][0] = np.eye(h)
+        mat = np.block(grid)
+        g = Arrow(dom, cod, ctx, mat)
+        gens.extend((g, dagger(g)))
+    first = commutant(gens, uni)
+    second = double_commutant(gens, uni)
+    for d, c, n in first.dims():
+        assert n == d.dim * c.dim * sum(m * m for _, m in blocks)
+    for d, c, n in second.dims():
+        assert n == d.dim * c.dim * sum(k * k for k, _ in blocks)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -55,6 +57,65 @@ def test_group_table_validation():
         FiniteGroup(
             ("e", "a", "b"), ((0, 1, 2), (1, 0, 0), (2, 0, 0))
         )
+    with pytest.raises(ValueError):
+        # a * a = b * b = e and a, b absorb each other; (a b) b != a (b b),
+        # and no failing triple has the first generator a in the middle
+        FiniteGroup(
+            ("e", "a", "b"), ((0, 1, 2), (1, 0, 2), (2, 2, 0))
+        )
+
+
+def test_symmetric_group_six_builds_quickly():
+    start = time.perf_counter()
+    s6 = symmetric_group(6)
+    assert time.perf_counter() - start < 3.0
+    assert s6.order == 720
+    assert s6.elements[s6.identity] == "012345"
+    # spot-check composition: the right factor acts first
+    p, q = s6.index("102345"), s6.index("120345")
+    assert s6.elements[s6.mul(p, q)] == "021345"
+    assert all(s6.mul(g, s6.inverse(g)) == s6.identity for g in range(720))
+
+
+def test_associativity_check_matches_brute_force():
+    # Light's test over a generating set against the full O(n^3) loop, on
+    # random tables that already have a two-sided identity and inverses
+    r = np.random.default_rng(11)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        n = int(r.integers(2, 5))
+        t = r.integers(0, n, size=(n, n))
+        t[0] = np.arange(n)
+        t[:, 0] = np.arange(n)
+        if not ((t == 0) & (t.T == 0)).any(axis=1).all():
+            continue
+        assoc = all(
+            t[t[i, j], k] == t[i, t[j, k]]
+            for i in range(n)
+            for j in range(n)
+            for k in range(n)
+        )
+        labels = tuple(f"g{i}" for i in range(n))
+        try:
+            FiniteGroup(labels, t.tolist())
+            built = True
+        except ValueError:
+            built = False
+        assert built == assoc
+        seen[assoc] += 1
+    assert seen[True] and seen[False]
+
+
+def test_symmetric_group_table_matches_composition_loop():
+    from itertools import permutations
+
+    for n in (3, 4):
+        perms = sorted(permutations(range(n)))
+        idx = {p: i for i, p in enumerate(perms)}
+        want = tuple(
+            tuple(idx[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms
+        )
+        assert symmetric_group(n).table == want
 
 
 def test_group_constructors():
@@ -159,6 +220,22 @@ def test_pi_matches_fibrewise_formula():
             for b in range(2):
                 want[a * 2 + k, b * 2 + k] = acted[a, b]
     assert_allclose(got, want, atol=1e-12)
+
+
+def test_pi_matches_kron_sum_on_non_unit_objects():
+    # pi(f) = sum_k act(k^-1, f) (x) E_kk, with f: B -> D of dims 2 -> 3
+    r = np.random.default_rng(4)
+    s3 = symmetric_group(3)
+    rep = conjugated_regular_rep(s3, r)
+    base = Context(6)
+    cc = CrossedContext(base, s3)
+    f = random_arrow(r, Obj("B", 2), Obj("D", 3), base)
+    want = np.zeros((3 * 6 * 6, 2 * 6 * 6), dtype=complex)
+    for k in range(6):
+        ekk = np.zeros((6, 6))
+        ekk[k, k] = 1.0
+        want += np.kron(act(s3.inverse(k), f, rep).mat, ekk)
+    assert_allclose(pi_embed(f, rep, cc).mat, want, atol=1e-12)
 
 
 def test_pi_preserves_compose_and_dagger():
