@@ -22,7 +22,6 @@ from .category import (
     Arrow,
     unit_obj,
     tensor_obj,
-    arrow,
     identity_arrow,
     central_arrow,
     compose,

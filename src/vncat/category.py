@@ -28,7 +28,6 @@ __all__ = [
     "Arrow",
     "unit_obj",
     "tensor_obj",
-    "arrow",
     "identity_arrow",
     "central_arrow",
     "compose",
@@ -126,10 +125,6 @@ class Arrow:
 def _same_hom(f: Arrow, g: Arrow):
     if f.ctx != g.ctx or f.dom != g.dom or f.cod != g.cod:
         raise ValueError("arrows live in different hom spaces")
-
-
-def arrow(dom: Obj, cod: Obj, ctx: Context, mat) -> Arrow:
-    return Arrow(dom, cod, ctx, as_matrix(mat))
 
 
 def identity_arrow(a: Obj, ctx: Context) -> Arrow:

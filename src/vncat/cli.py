@@ -14,7 +14,7 @@ import json
 import sys
 import time
 
-from .category import identity_arrow, central_factor, cstar_residuals, pair_swap_family
+from .category import identity_arrow, cstar_residuals, pair_swap_family
 from .commutant import (
     FinPremonCat,
     commutant,
@@ -65,9 +65,9 @@ def _cmd_centre(sc: Scenario, tol: float, emit: str) -> dict:
     defect = 0.0
     ok = True
     for f in cat.all_arrows():
-        defect = max(defect, identity_factor_defect(f.mat, f.dom.dim, f.cod.dim, h))
-        if central_factor(f, tol) is None:
-            ok = False
+        d = identity_factor_defect(f.mat, f.dom.dim, f.cod.dim, h)
+        defect = max(defect, d)
+        ok = ok and d <= tol * max(1.0, f.norm())
     entry = {"command": "centre", "pass": ok, "max_factor_defect": defect}
     _attach_cat(entry, cat, emit)
     return entry

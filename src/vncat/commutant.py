@@ -304,14 +304,12 @@ def commutant(
     tol: float = 1e-9,
     *,
     auto_close: bool = False,
-    workers: int = 1,
 ) -> FinPremonCat:
     """Arrows between universe objects that interchange with every generator.
 
     ``gens`` must be dagger-closed up to span; pass ``auto_close=True`` to
     have the missing daggers appended instead of rejected.  The empty set
-    yields the full hom space at every pair.  ``workers`` is accepted for
-    compatibility and has no effect.
+    yields the full hom space at every pair.
     """
     return _tensor_view(universe, _generator_commutant(gens, universe, tol, auto_close))
 
@@ -322,12 +320,11 @@ def double_commutant(
     tol: float = 1e-9,
     *,
     auto_close: bool = False,
-    workers: int = 1,
 ) -> FinPremonCat:
     """Commutant of the commutant; always contains the span of ``gens``.
 
     S' of a dagger-closed set is dagger-closed, so S'' is taken straight
-    from the basis of S'.  ``workers`` has no effect.
+    from the basis of S'.
     """
     first = _generator_commutant(gens, universe, tol, auto_close)
     h = universe.ctx.hdim
@@ -341,12 +338,12 @@ class VnReport:
     closure: FinPremonCat
 
 
-def is_von_neumann(cat: FinPremonCat, tol: float = 1e-9, workers: int = 1) -> VnReport:
+def is_von_neumann(cat: FinPremonCat, tol: float = 1e-9) -> VnReport:
     """Whether ``cat`` equals its own double commutant pair by pair.
 
     The category's hom bases are dagger-closed automatically before the
     closure is taken, so non-self-adjoint spans are probed rather than
-    rejected; they simply fail the comparison.  ``workers`` has no effect.
+    rejected; they simply fail the comparison.
     """
     closure = double_commutant(cat.all_arrows(), cat.universe, tol, auto_close=True)
     failures = []

@@ -186,20 +186,23 @@ class UnitaryRep:
         object.__setattr__(self, "mats", tuple(frozen))
         if self.validate:
             eye = np.eye(d)
-            for lbl, m in zip(self.group.elements, self.mats):
-                if operator_norm(m.conj().T @ m - eye) > 1e-10 * max(1.0, operator_norm(m)):
-                    raise ValueError(f"matrix for {lbl!r} is not unitary")
+            stack = np.stack(self.mats)
+            # ord 2 over axes (1, 2) is the operator norm of each matrix
+            bound = 1e-10 * np.maximum(1.0, np.linalg.norm(stack, 2, axis=(1, 2)))
+            gram = stack.conj().transpose(0, 2, 1) @ stack - eye
+            bad = np.flatnonzero(np.linalg.norm(gram, 2, axis=(1, 2)) > bound)
+            if bad.size:
+                raise ValueError(f"matrix for {self.group.elements[bad[0]]!r} is not unitary")
             if operator_norm(self.mats[self.group.identity] - eye) > 1e-10:
                 raise ValueError("identity element must map to the identity matrix")
-            for i in range(self.group.order):
-                for j in range(self.group.order):
-                    want = self.mats[self.group.mul(i, j)]
-                    got = self.mats[i] @ self.mats[j]
-                    if operator_norm(got - want) > 1e-10 * max(1.0, operator_norm(want)):
-                        raise ValueError(
-                            "matrices do not respect the multiplication table at "
-                            f"({self.group.elements[i]!r}, {self.group.elements[j]!r})"
-                        )
+            for i, row in enumerate(np.array(self.group.table)):
+                err = np.linalg.norm(stack[i] @ stack - stack[row], 2, axis=(1, 2))
+                bad = np.flatnonzero(err > bound[row])
+                if bad.size:
+                    raise ValueError(
+                        "matrices do not respect the multiplication table at "
+                        f"({self.group.elements[i]!r}, {self.group.elements[bad[0]]!r})"
+                    )
 
     @property
     def hdim(self) -> int:
@@ -306,12 +309,11 @@ def crossed_product(
     tol: float = 1e-9,
     *,
     auto_close: bool = False,
-    workers: int = 1,
 ) -> FinPremonCat:
     """Double commutant of the twisted generators plus all group translations.
 
     Returns a category over the enlarged context; its universe carries the
-    same objects as the input universe.  ``workers`` has no effect.
+    same objects as the input universe.
     """
     _check_rep(rep, universe.ctx)
     cc = CrossedContext(universe.ctx, rep.group)

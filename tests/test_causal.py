@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from vncat import (
     pair_swap,
     spacelike,
 )
+from vncat import HomSubspace, causal, subspace_contains
+from vncat.commutant import group_by_hom
 
 CTX = Context(2)
 I = Obj("I", 1)
@@ -184,3 +188,108 @@ def test_causality_scale_is_relative():
     b = DoubleCone(Event(0, 3), Event(1, 3))
     net = CausalNet(BOUNDS, CTX, {a: [big], b: [big]})
     assert check_causality(net, 1e-8).passed
+
+
+def lattice_cones(tmax, xmax):
+    events = all_events(range(tmax + 1), range(xmax + 1))
+    return [DoubleCone(lo, hi) for lo in events for hi in events if causal_leq(lo, hi)]
+
+
+def brute_spacelike(c1, c2):
+    e2 = cone_events(c2)
+    return not any(causal_leq(p, q) or causal_leq(q, p) for p in cone_events(c1) for q in e2)
+
+
+def test_endpoint_rules_match_event_enumeration():
+    cones = lattice_cones(4, 6)
+    assert len(cones) == 315
+    events = {c: set(cone_events(c)) for c in cones}
+    spacelike_pairs = nested_pairs = 0
+    for a in cones:
+        for b in cones:
+            apart = not any(
+                causal_leq(p, q) or causal_leq(q, p) for p in events[a] for q in events[b]
+            )
+            assert spacelike(a, b) == apart, (a, b)
+            inside = causal_leq(b.lo, a.lo) and causal_leq(a.hi, b.hi)
+            assert inside == (events[a] <= events[b]), (a, b)
+            spacelike_pairs += apart
+            nested_pairs += inside
+    assert (spacelike_pairs, nested_pairs) == (16856, 4300)
+
+
+def causality_by_brute_force(net, tol):
+    """Every arrow pair of every spacelike cone pair, measured afresh."""
+    worst = None
+    violations = []
+    for ca, cb in combinations(net.cones(), 2):
+        if not brute_spacelike(ca, cb):
+            continue
+        top = 0.0
+        for f in net.assignments[ca]:
+            for g in net.assignments[cb]:
+                za, zb = causal.interchange_residuals(f, g)
+                scale = max(1.0, f.norm() * g.norm())
+                top = max(top, za / scale, zb / scale)
+        if worst is None or top > worst[2]:
+            worst = (ca, cb, top)
+        if top > tol:
+            violations.append((ca, cb, top))
+    return causal.CausalityReport(not violations, worst, tuple(violations))
+
+
+def isotony_by_brute_force(net, tol):
+    """Containment of event sets decides which cone pairs are nested."""
+    events = {c: set(cone_events(c)) for c in net.cones()}
+    violations = []
+    for inner in net.cones():
+        for outer in net.cones():
+            if inner is outer or not events[inner] <= events[outer]:
+                continue
+            outer_spans = group_by_hom(net.assignments[outer])
+            for (dom, cod), arrows in group_by_hom(net.assignments[inner]).items():
+                small = HomSubspace(dom, cod, tuple(arrows))
+                big = HomSubspace(dom, cod, tuple(outer_spans.get((dom, cod), ())))
+                if not subspace_contains(big, small, tol):
+                    violations.append((inner, outer, dom.name, cod.name))
+    return causal.IsotonyReport(not violations, tuple(violations))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_net_checks_match_brute_force_on_random_nets(seed):
+    r = np.random.default_rng(seed)
+    palette = [central(r.standard_normal((1, 1))) for _ in range(2)]
+    palette += [Arrow(I, I, CTX, np.diag(r.standard_normal(2))) for _ in range(2)]
+    palette += [Arrow(I, I, CTX, r.standard_normal((2, 2)) * 10.0 ** r.integers(-1, 3))]
+    cones = lattice_cones(4, 8)
+    picks = r.choice(len(cones), size=12, replace=False)
+    assignments = {}
+    for k in picks:
+        lo, hi = cones[k].lo, cones[k].hi
+        cone = DoubleCone(Event(lo.t, lo.x - 4), Event(hi.t, hi.x - 4))
+        chosen = r.choice(len(palette), size=r.integers(1, 4), replace=False)
+        assignments[cone] = [palette[j] for j in chosen]
+    net = CausalNet(BOUNDS, CTX, assignments)
+    for tol in (1e-9, 0.5):
+        assert check_causality(net, tol) == causality_by_brute_force(net, tol)
+    assert check_isotony(net) == isotony_by_brute_force(net, 1e-9)
+
+
+def test_causality_measures_each_arrow_pair_once(monkeypatch):
+    calls = []
+    measure = causal.interchange_residuals
+
+    def counted(f, g):
+        calls.append((f, g))
+        return measure(f, g)
+
+    monkeypatch.setattr(causal, "interchange_residuals", counted)
+    f = pair_swap(0, 1, CTX)
+    g = central([[2.0]])
+    # unit cones two steps apart are pairwise spacelike
+    cones = [DoubleCone(Event(0, 2 * k), Event(1, 2 * k)) for k in range(30)]
+    assignments = {c: [(f, g)[k % 2]] for k, c in enumerate(cones)}
+    net = CausalNet(LatticeBounds(0, 1, 0, 60), CTX, assignments)
+    rep = check_causality(net, 1e-8)
+    assert not rep.passed and len(rep.violations) == 15 * 14 // 2
+    assert 1 <= len(calls) <= 4

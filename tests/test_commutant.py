@@ -241,18 +241,6 @@ def test_classical_double_commutant_cross_check():
     assert len(span_basis(alg + dc)) == len(alg)
 
 
-def test_workers_match_serial():
-    r = np.random.default_rng(9)
-    gens = random_closed_set(r, UNI, 1)
-    a = commutant(gens, UNI)
-    b = commutant(gens, UNI, workers=2)
-    for pair in UNI.pairs():
-        ba, bb = a.homs[pair].basis, b.homs[pair].basis
-        assert len(ba) == len(bb)
-        for x, y in zip(ba, bb):
-            assert np.array_equal(x.mat, y.mat)
-
-
 def test_commutant_runs_are_byte_identical():
     r = np.random.default_rng(10)
     gens = random_closed_set(r, UNI, 1)

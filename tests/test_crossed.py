@@ -22,6 +22,7 @@ from vncat import (
     double_commutant,
     generated_star_algebra,
     lambda_embed,
+    operator_norm,
     pi_embed,
     regular_rep,
     span_basis,
@@ -158,6 +159,60 @@ def test_rep_validation():
     # the escape hatch for negative controls
     bad = UnitaryRep(Z2, (np.eye(2), np.diag([1.0, 1j])), validate=False)
     assert bad.hdim == 2
+
+
+def test_rep_validation_names_first_failing_pair():
+    # a tiny phase on r2 keeps every matrix unitary but breaks r1 * r1 = r2,
+    # the first failing pair in row-major order
+    c3 = cyclic_group(3)
+    mats = list(regular_rep(c3).mats)
+    mats[2] = mats[2] * np.exp(1e-6j)
+    with pytest.raises(ValueError, match=r"table at \('r1', 'r1'\)"):
+        UnitaryRep(c3, tuple(mats))
+    with pytest.raises(ValueError, match="matrix for 'r2' is not unitary"):
+        UnitaryRep(c3, (mats[0], mats[1], 1.001 * mats[2]))
+
+
+def rep_error_by_loop(group, mats):
+    """The element-by-element validation, as the reference for the batched one."""
+    eye = np.eye(len(mats[0]))
+    for lbl, m in zip(group.elements, mats):
+        if operator_norm(m.conj().T @ m - eye) > 1e-10 * max(1.0, operator_norm(m)):
+            return f"matrix for {lbl!r} is not unitary"
+    if operator_norm(mats[group.identity] - eye) > 1e-10:
+        return "identity element must map to the identity matrix"
+    for i in range(group.order):
+        for j in range(group.order):
+            want = mats[group.mul(i, j)]
+            if operator_norm(mats[i] @ mats[j] - want) > 1e-10 * max(1.0, operator_norm(want)):
+                return (
+                    "matrices do not respect the multiplication table at "
+                    f"({group.elements[i]!r}, {group.elements[j]!r})"
+                )
+    return None
+
+
+def test_rep_validation_matches_element_loop():
+    r = np.random.default_rng(5)
+    for group in (cyclic_group(4), symmetric_group(3)):
+        base = conjugated_regular_rep(group, r).mats
+        for trial in range(16):
+            mats = list(base)
+            k = int(r.integers(group.order))
+            kind = trial % 4
+            if kind == 0:
+                mats[k] = mats[k] * np.exp(1j * 10.0 ** -r.uniform(5, 12))
+            elif kind == 1:
+                mats[k] = mats[k] * (1.0 + 10.0 ** -r.uniform(5, 12))
+            elif kind == 2:
+                mats[k], mats[(k + 1) % group.order] = mats[(k + 1) % group.order], mats[k]
+            want = rep_error_by_loop(group, mats)
+            if want is None:
+                UnitaryRep(group, tuple(mats))
+            else:
+                with pytest.raises(ValueError) as err:
+                    UnitaryRep(group, tuple(mats))
+                assert str(err.value) == want
 
 
 def test_rep_constructors_are_valid():
