@@ -192,7 +192,11 @@ def rtimes(g: Arrow, f: Arrow) -> Arrow:
 def interchange_residuals(f: Arrow, g: Arrow) -> tuple[float, float]:
     """Operator norms (||f |x g - f x| g||, ||g |x f - g x| f||).
 
-    Both vanish for every g exactly when f is central.
+    Both vanish for every g exactly when f is central.  The two are equal up
+    to rounding: the object swap s is a natural unitary, and conjugating by
+    it exchanges the two bracketings, s (f |x g) s* = g x| f and
+    s (f x| g) s* = g |x f, so the second difference is the first one
+    conjugated by a unitary and negated, which keeps the operator norm.
     """
     za = operator_norm(ltimes(f, g).mat - rtimes(f, g).mat)
     zb = operator_norm(ltimes(g, f).mat - rtimes(g, f).mat)

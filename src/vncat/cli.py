@@ -5,12 +5,18 @@ JSON report.  Exit status: 0 when every command passes, 1 when any command
 reports failure, 2 on scenario validation or parse errors.  Reports are
 deterministic byte for byte given the same scenario and flags; wall-clock
 timings only appear behind --timings because they would break that.
+
+A report is laid out exactly as ``json.dumps(report, indent=2)`` lays it
+out.  Basis matrices (``--emit-bases full``) are the bulk of a report; they
+are rendered by the C JSON encoder, which the stdlib does not use when
+``indent`` is set, and indented to match (see ``_write_report``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -26,7 +32,7 @@ from .commutant import (
 from .causal import check_causality, check_isotony
 from .crossed import CrossedContext, covariance_residual, crossed_product
 from .linalg import identity_factor_defect
-from .scenario import Scenario, ScenarioError, _matrix_json, load_scenario
+from .scenario import MatrixJson, Scenario, ScenarioError, load_scenario
 
 __all__ = ["main", "run_scenario"]
 
@@ -45,7 +51,7 @@ def _bases_json(cat: FinPremonCat) -> list:
             {
                 "dom": d.name,
                 "cod": c.name,
-                "matrices": [_matrix_json(f.mat) for f in sub.basis],
+                "matrices": MatrixJson([f.mat for f in sub.basis]),
             }
         )
     return out
@@ -107,7 +113,7 @@ def _cmd_endo_algebra(sc: Scenario, tol: float, emit: str) -> dict:
     basis = endo_algebra(cat)
     entry = {"command": "endo-algebra", "pass": True, "dim": len(basis)}
     if emit == "full":
-        entry["basis"] = [_matrix_json(m) for m in basis]
+        entry["basis"] = MatrixJson(basis)
     return entry
 
 
@@ -203,6 +209,32 @@ _RUNNERS = {
 }
 
 
+def _write_report(report: dict, write) -> None:
+    """Write ``json.dumps(report, indent=2) + "\\n"``, holders rendered as their lists.
+
+    The indenting encoder renders the skeleton, with each MatrixJson holder
+    replaced by a marker string: NUL and a fresh random nonce, which no
+    string in a scenario can anticipate.  Holders meet the hook in the order
+    their markers appear, and each holder's text goes in at its marker,
+    indented to the marker's line.
+    """
+    marker = "\0" + os.urandom(16).hex()
+    holders = []
+
+    def hold(obj):
+        if not isinstance(obj, MatrixJson):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        holders.append(obj)
+        return marker
+
+    pieces = json.dumps(report, indent=2, default=hold).split(json.dumps(marker))
+    for piece, holder in zip(pieces, holders):
+        write(piece)
+        line = piece[piece.rfind("\n") + 1 :]
+        write(holder.text(line[: len(line) - len(line.lstrip(" "))]))
+    write(pieces[-1] + "\n")
+
+
 def run_scenario(
     input_path: str,
     output_path: str | None = None,
@@ -241,12 +273,11 @@ def run_scenario(
         "results": results,
         "pass": all(r["pass"] for r in results),
     }
-    text = json.dumps(report, indent=2) + "\n"
     if output_path is None:
-        sys.stdout.write(text)
+        _write_report(report, sys.stdout.write)
     else:
         with open(output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_report(report, fh.write)
     return 0 if report["pass"] else 1
 
 

@@ -126,6 +126,42 @@ def _matrix_json(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
+class MatrixJson:
+    """Stands in a report for ``_matrix_json(mats)``: one matrix, or a stack of them.
+
+    ``text`` renders it as ``json.dumps(..., indent=2)`` would, but through
+    the C encoder, which the stdlib skips whenever ``indent`` is set.
+    """
+
+    __slots__ = ("mats",)
+
+    def __init__(self, mats):
+        self.mats = np.asarray(mats, dtype=np.complex128)
+
+    def text(self, indent: str) -> str:
+        """The value's indented JSON, for a value whose line starts with ``indent``."""
+        text = json.dumps(_matrix_json(self.mats), separators=(",", ":"))
+        if self.mats.size == 0:
+            return text
+        # The compact text holds numbers, commas and brackets only, and every
+        # level of the list is non-empty: it opens with "["*depth, closes with
+        # "]"*depth, between two numbers stands ",", and where j < depth lists
+        # close and j open stands "]"*j + "," + "["*j.  The ends get their
+        # lines first, then every comma, then each inner bracket run, longest
+        # first.  nl[n] starts a line at nesting level n.
+        depth = self.mats.ndim + 1
+        nl = ["\n" + indent + "  " * n for n in range(depth + 1)]
+        head = "".join("[" + nl[n] for n in range(1, depth + 1))
+        tail = "".join(nl[n] + "]" for n in range(depth - 1, -1, -1))
+        text = head + text[depth:-depth] + tail
+        text = text.replace(",", "," + nl[depth])
+        for j in range(depth - 1, 0, -1):
+            closes = "".join(nl[n] + "]" for n in range(depth - 1, depth - 1 - j, -1))
+            opens = "".join(nl[n] + "[" for n in range(depth - j, depth))
+            text = text.replace("]" * j + "," + nl[depth] + "[" * j, closes + "," + opens + nl[depth])
+        return text
+
+
 def parse_scenario(doc) -> Scenario:
     _expect(isinstance(doc, dict), "$", "scenario must be a JSON object")
     _expect(doc.get("schema") == 1, "$.schema", "must be the integer 1")

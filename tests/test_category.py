@@ -278,3 +278,20 @@ def test_operator_norm_alias():
     r = rng()
     f = random_arrow(r, A, B, CTX)
     assert_allclose(f.norm(), operator_norm(f.mat))
+
+
+def test_interchange_residuals_agree_by_swap_conjugation():
+    r = np.random.default_rng(17)
+    objs = (unit_obj(), Obj("A", 2), Obj("B", 3))
+    for h in (1, 2, 3):
+        ctx = Context(h)
+        for _ in range(30):
+            a, b, c, d = (objs[i] for i in r.integers(len(objs), size=4))
+            f = random_arrow(r, a, b, ctx)
+            g = random_arrow(r, c, d, ctx)
+            s = symmetry(f.cod, g.cod, ctx)
+            s_in = symmetry(g.dom, f.dom, ctx)
+            assert_allclose(compose(s, compose(ltimes(f, g), s_in)).mat, rtimes(g, f).mat, atol=1e-12)
+            assert_allclose(compose(s, compose(rtimes(f, g), s_in)).mat, ltimes(g, f).mat, atol=1e-12)
+            za, zb = interchange_residuals(f, g)
+            assert abs(za - zb) <= 1e-12 * max(za, zb, f.norm() * g.norm())

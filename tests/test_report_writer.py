@@ -1,0 +1,110 @@
+"""Report layout: the writer's text is the stdlib's ``json.dumps(report, indent=2)``."""
+
+import io
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vncat import run_scenario
+from vncat.cli import _write_report
+from vncat.scenario import MatrixJson, _matrix_json
+
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+GOLDENS = sorted(GOLDEN_DIR.glob("*.json"))
+
+
+def assert_stdlib_layout(text):
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def report_text(tmp_path, doc, emit):
+    src = tmp_path / "scenario.json"
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert run_scenario(str(src), str(out), emit_bases=emit) in (0, 1)
+    return out.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("emit", ["none", "dims", "full"])
+@pytest.mark.parametrize("golden", GOLDENS, ids=lambda p: p.stem)
+def test_golden_reports_have_stdlib_layout(tmp_path, golden, emit):
+    out = tmp_path / "report.json"
+    assert run_scenario(str(golden), str(out), emit_bases=emit) == 0
+    assert_stdlib_layout(out.read_text(encoding="utf-8"))
+
+
+def test_full_reports_have_stdlib_layout(tmp_path):
+    objects = [{"name": "I", "dim": 1}, {"name": "X", "dim": 2}]
+    # commutant of nothing: every hom is full
+    text = report_text(tmp_path, {"schema": 1, "hdim": 2, "objects": objects, "commands": ["commutant"]}, "full")
+    assert_stdlib_layout(text)
+    # endo-algebra basis, and vn-check bases whose homs between I and X are empty
+    doc = {
+        "schema": 1,
+        "hdim": 2,
+        "objects": objects,
+        "generators": [{"name": "z", "dom": "I", "cod": "I", "matrix": [[1, 0], [0, -1]]}],
+        "commands": ["endo-algebra", "vn-check"],
+    }
+    text = report_text(tmp_path, doc, "full")
+    assert_stdlib_layout(text)
+    endo, vn = json.loads(text)["results"]
+    assert len(endo["basis"]) == endo["dim"] > 0
+    assert [] in [b["matrices"] for b in vn["bases"]]
+
+
+def test_scenario_strings_cannot_forge_markers(tmp_path):
+    names = ["\u0000m0", "\u0000", '"\\\u0000m1"', "\\u0000m2", "x\u0000" + "0" * 32, "é→∂\U0001d49c"]
+    doc = {
+        "schema": 1,
+        "hdim": 2,
+        "objects": [{"name": n, "dim": 1 + i % 2} for i, n in enumerate(names)],
+        "generators": [
+            {"name": f"\u0000m{i}\"{n}", "dom": n, "cod": n, "matrix": np.eye(2 * (1 + i % 2)).tolist()}
+            for i, n in enumerate(names)
+        ],
+        "commands": ["commutant", "endo-algebra"],
+    }
+    text = report_text(tmp_path, doc, "full")
+    assert_stdlib_layout(text)
+    report = json.loads(text)
+    assert [o["name"] for o in report["scenario"]["objects"]] == names
+    assert [g["name"][0] for g in report["scenario"]["generators"]] == ["\u0000"] * len(names)
+    assert len(report["results"][0]["bases"]) == len(names) ** 2
+
+
+SPECIAL = [-0.0, 5e-324, 1e-5, 1e16, 1e22, 0.1 + 0.2]
+entries = st.sampled_from(SPECIAL) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def matrices(draw):
+    """A matrix up to 6x6 (1x1, 1xn and nx1 included) or a stack of 0-3 of them."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    count = draw(st.sampled_from([None, 0, 1, 2, 3]))
+    shape = (rows, cols) if count is None else (count, rows, cols)
+    size = 2 * int(np.prod(shape))
+    flat = draw(st.lists(entries, min_size=size, max_size=size))
+    parts = np.array(flat, dtype=float).reshape(2, *shape)
+    m = np.empty(shape, dtype=complex)
+    m.real, m.imag = parts
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=matrices(), path=st.lists(st.sampled_from(["item", "value"]), max_size=4))
+def test_matrix_text_matches_stdlib_at_any_depth(m, path):
+    def place(leaf):
+        doc = leaf
+        for step in reversed(path):
+            doc = [0.5, doc, "s"] if step == "item" else {"a": [], "m": doc, "z": {"k": 1}}
+        return doc
+
+    out = io.StringIO()
+    _write_report(place(MatrixJson(m)), out.write)
+    assert out.getvalue() == json.dumps(place(_matrix_json(m)), indent=2) + "\n"
