@@ -36,11 +36,11 @@ lt = ltimes(f, g)
 rt = rtimes(f, g)
 print("f |x g  and  f x| g  act on the same spaces:", lt.dom == rt.dom, lt.cod == rt.cod)
 print("but differ in norm by", np.linalg.norm(lt.mat - rt.mat))
-print("interchange residuals (f vs g):", interchange_residuals(f, g))
+print("interchange residual (f vs g):", interchange_residuals(f, g))
 
 # a central arrow leaves the hidden factor alone, so both brackets agree
 c = central_arrow(rng.standard_normal((2, 2)), A, A, ctx)
-print("\ncentral arrow residuals against g:", interchange_residuals(c, g))
+print("\ncentral arrow residual against g:", interchange_residuals(c, g))
 print("its visible factor is recovered exactly:")
 print(np.round(central_factor(c), 6))
 

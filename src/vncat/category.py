@@ -10,8 +10,12 @@ general.  Arrows for which it never fails are exactly those of the form
 Basis convention: lexicographic with the left factor major, so the basis
 vector ``e_i (x) h_j`` of X (x) H sits at index ``i*hdim + j``.  Unit and
 associativity isomorphisms are identities in this encoding (dim-1 factors
-are elided when forming tensor objects), which keeps whisker matrices
-literal Kronecker conjugates.
+are elided when forming tensor objects).
+
+Block layout: an arrow X -> Y is a Y.dim x X.dim grid of hidden blocks
+f_yx = ``mat[y*hdim:(y+1)*hdim, x*hdim:(x+1)*hdim]`` in End(H).  Other
+modules see it only through ``block_view``, the read-only ``Arrow.blocks``
+view of shape ``(Y.dim, X.dim, hdim, hdim)`` and ``Arrow.from_blocks``.
 """
 
 from __future__ import annotations
@@ -102,6 +106,18 @@ class Arrow:
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
+    @property
+    def blocks(self) -> np.ndarray:
+        """Read-only ``(cod.dim, dom.dim, h, h)`` view: ``blocks[d, b]`` is f_db."""
+        return block_view(self.mat, self.ctx.hdim)
+
+    @classmethod
+    def from_blocks(cls, dom: Obj, cod: Obj, ctx: Context, blocks) -> "Arrow":
+        """The arrow whose ``blocks`` are ``blocks``."""
+        mat = np.zeros((cod.dim * ctx.hdim, dom.dim * ctx.hdim), dtype=np.complex128)
+        block_view(mat, ctx.hdim)[...] = blocks
+        return cls(dom, cod, ctx, mat)
+
     def norm(self) -> float:
         return operator_norm(self.mat)
 
@@ -120,6 +136,12 @@ class Arrow:
 
     def __neg__(self) -> "Arrow":
         return self * (-1.0)
+
+
+def block_view(mats: np.ndarray, h: int) -> np.ndarray:
+    """Stacked ``(..., rows*h, cols*h)`` matrices as a ``(..., rows, cols, h, h)`` view."""
+    *lead, m, n = mats.shape
+    return mats.reshape(*lead, m // h, h, n // h, h).swapaxes(-3, -2)
 
 
 def _same_hom(f: Arrow, g: Arrow):
@@ -165,18 +187,13 @@ def whisker_left(a: Obj, f: Arrow) -> Arrow:
 def whisker_right(f: Arrow, a: Obj) -> Arrow:
     """f (x) id_a : dom (x) a -> cod (x) a.
 
-    Conjugates the left whisker by the factor swap; the hidden factor is
-    untouched, so the swap acts on the visible part only.
+    Block ((c, i), (b, j)) is f_cb when i == j and zero otherwise.
     """
-    h = f.ctx.hdim
-    left = kron(swap_perm(a.dim, f.cod.dim), np.eye(h))
-    right = kron(swap_perm(f.dom.dim, a.dim), np.eye(h))
-    return Arrow(
-        tensor_obj(f.dom, a),
-        tensor_obj(f.cod, a),
-        f.ctx,
-        left @ kron(np.eye(a.dim), f.mat) @ right,
-    )
+    h, n = f.ctx.hdim, a.dim
+    dom, cod = tensor_obj(f.dom, a), tensor_obj(f.cod, a)
+    blocks = np.zeros((f.cod.dim, n, f.dom.dim, n, h, h), dtype=np.complex128)
+    blocks[:, range(n), :, range(n)] = f.blocks
+    return Arrow.from_blocks(dom, cod, f.ctx, blocks.reshape(cod.dim, dom.dim, h, h))
 
 
 def ltimes(g: Arrow, f: Arrow) -> Arrow:
@@ -189,18 +206,21 @@ def rtimes(g: Arrow, f: Arrow) -> Arrow:
     return compose(whisker_right(g, f.cod), whisker_left(g.dom, f))
 
 
-def interchange_residuals(f: Arrow, g: Arrow) -> tuple[float, float]:
-    """Operator norms (||f |x g - f x| g||, ||g |x f - g x| f||).
+def interchange_residuals(f: Arrow, g: Arrow) -> float:
+    """Operator norm ||f |x g - f x| g||, taken from the block commutators.
 
-    Both vanish for every g exactly when f is central.  The two are equal up
-    to rounding: the object swap s is a natural unitary, and conjugating by
-    it exchanges the two bracketings, s (f |x g) s* = g x| f and
-    s (f x| g) s* = g |x f, so the second difference is the first one
-    conjugated by a unitary and negated, which keeps the operator norm.
+    Both bracketings are block grids with rows (d, y) and columns (b, x):
+    f |x g has blocks g_yx f_db and f x| g has f_db g_yx, so the difference
+    is the grid of commutators.  einsum forms both products with the same
+    roundings when f is central (blocks c 1), so such an f gives exactly 0.
+    Conjugating by the object swap, a natural unitary, exchanges the two
+    bracketings, so the norm is symmetric in f and g.
     """
-    za = operator_norm(ltimes(f, g).mat - rtimes(f, g).mat)
-    zb = operator_norm(ltimes(g, f).mat - rtimes(g, f).mat)
-    return (za, zb)
+    if f.ctx != g.ctx:
+        raise ValueError("context mismatch")
+    gf = np.einsum("yxij,dbjk->dyibxk", g.blocks, f.blocks)
+    fg = np.einsum("dbij,yxjk->dyibxk", f.blocks, g.blocks)
+    return operator_norm((gf - fg).reshape(f.mat.shape[0] * g.cod.dim, -1))
 
 
 def symmetry(a: Obj, b: Obj, ctx: Context) -> Arrow:

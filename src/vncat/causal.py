@@ -156,9 +156,8 @@ def check_causality(net: CausalNet, tol: float = 1e-9) -> CausalityReport:
     """Every arrow pair across spacelike-separated cones must interchange."""
 
     @cache
-    def residuals(f: Arrow, g: Arrow) -> tuple[float, ...]:
-        scale = max(1.0, f.norm() * g.norm())
-        return tuple(z / scale for z in interchange_residuals(f, g))
+    def residual(f: Arrow, g: Arrow) -> float:
+        return interchange_residuals(f, g) / max(1.0, f.norm() * g.norm())
 
     cones = net.cones()
     worst = None
@@ -168,7 +167,7 @@ def check_causality(net: CausalNet, tol: float = 1e-9) -> CausalityReport:
             continue
         top = 0.0
         for f, g in product(net.assignments[ca], net.assignments[cb]):
-            top = max(top, *residuals(f, g))
+            top = max(top, residual(f, g))
         if worst is None or top > worst[2]:
             worst = (ca, cb, top)
         if top > tol:

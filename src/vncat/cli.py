@@ -296,12 +296,6 @@ def main(argv=None) -> int:
         help="how much hom-space detail reports carry (default: dims)",
     )
     ap.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility; no effect",
-    )
-    ap.add_argument(
         "--timings",
         action="store_true",
         help="add wall_ms per command (reports stop being byte-reproducible)",
@@ -309,14 +303,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.tol is not None and not (0 < args.tol < 1):
         ap.error("--tol must be strictly between 0 and 1")
-    if args.threads < 0:
-        ap.error("--threads must be >= 0")
     return run_scenario(
         args.input,
         output_path=args.output,
         tol=args.tol,
         emit_bases=args.emit_bases,
-        threads=args.threads,
         timings=args.timings,
     )
 

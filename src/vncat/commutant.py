@@ -1,13 +1,14 @@
 """Commutants and double commutants over a finite object universe.
 
-An arrow B -> D is a dD x dB grid of hidden blocks F_db in End(H).  Both
-bracketings of F with a generator g: X -> Y are block matrices whose
-((d, y), (b, x)) entries are F_db g_yx and g_yx F_db, so F interchanges
-with g exactly when every block of F commutes with every block of g.  The
-commutant of a generator set is therefore M_{dD x dB} (x) S' at every hom
-pair, where S is the set of all generator blocks and S' its classical
-commutant in End(H); the double commutant is M_{dD x dB} (x) S''.  S' is
-the kernel of one stacked linear system, found by SVD.
+An arrow B -> D is a dD x dB grid of hidden blocks F_db in End(H), read
+through ``Arrow.blocks``.  Both bracketings of F with a generator
+g: X -> Y are block matrices whose ((d, y), (b, x)) entries are F_db g_yx
+and g_yx F_db, so F interchanges with g exactly when every block of F
+commutes with every block of g.  The commutant of a generator set is
+therefore M_{dD x dB} (x) S' at every hom pair, where S is the set of all
+generator blocks and S' its classical commutant in End(H); the double
+commutant is M_{dD x dB} (x) S''.  S' is the kernel of one stacked linear
+system, found by SVD.
 
 Bases of S' are orthonormal in the trace inner product, ordered by the SVD
 and phase-normalized so the largest-magnitude entry of each basis matrix is
@@ -28,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .category import Arrow, Context, Obj, dagger
+from .category import Arrow, Context, Obj, block_view, dagger
 from .linalg import as_matrix, kron, nullspace
 
 __all__ = [
@@ -238,13 +239,8 @@ def _check_context(gens: Sequence[Arrow], universe: ObjectUniverse):
 
 def _blocks(gens: Sequence[Arrow], h: int) -> np.ndarray:
     """Every nonzero h x h hidden block of every generator, as a (k, h, h) stack."""
-    parts = [
-        g.mat.reshape(g.cod.dim, h, g.dom.dim, h).transpose(0, 2, 1, 3).reshape(-1, h, h)
-        for g in gens
-    ]
-    if not parts:
-        return np.zeros((0, h, h), dtype=np.complex128)
-    blocks = np.concatenate(parts)
+    parts = [g.blocks.reshape(-1, h, h) for g in gens]
+    blocks = np.concatenate([np.zeros((0, h, h), dtype=np.complex128), *parts])
     return blocks[blocks.any(axis=(1, 2))]
 
 
@@ -289,10 +285,9 @@ def _tensor_view(universe: ObjectUniverse, algebra: np.ndarray) -> FinPremonCat:
     homs = {}
     for dom, cod in universe.pairs():
         db, dd = dom.dim, cod.dim
-        d = np.repeat(np.arange(dd), db)
-        b = np.tile(np.arange(db), dd)
-        mats = np.zeros((dd, db, len(algebra), dd, h, db, h), dtype=np.complex128)
-        mats[d, b, :, d, :, b, :] = algebra
+        d, b = np.indices((dd, db)).reshape(2, -1)
+        mats = np.zeros((dd, db, len(algebra), dd * h, db * h), dtype=np.complex128)
+        block_view(mats, h)[d, b, :, d, b] = algebra
         basis = tuple(Arrow(dom, cod, ctx, m) for m in mats.reshape(-1, dd * h, db * h))
         homs[(dom, cod)] = HomSubspace(dom, cod, basis)
     return FinPremonCat(universe, homs)

@@ -18,7 +18,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .category import Arrow, Context, compose, dagger, unit_obj, whisker_left
+from .category import Arrow, Context, block_view, compose, dagger, unit_obj, whisker_left
 from .commutant import FinPremonCat, ObjectUniverse, double_commutant
 from .linalg import as_matrix, kron, operator_norm
 
@@ -251,9 +251,7 @@ def act(g, f: Arrow, rep: UnitaryRep) -> Arrow:
     """Conjugate the hidden factor of ``f`` by the unitary of ``g``."""
     _check_rep(rep, f.ctx)
     u = rep.mat(g)
-    left = kron(np.eye(f.cod.dim), u)
-    right = kron(np.eye(f.dom.dim), u.conj().T)
-    return Arrow(f.dom, f.cod, f.ctx, left @ f.mat @ right)
+    return Arrow.from_blocks(f.dom, f.cod, f.ctx, u @ f.blocks @ u.conj().T)
 
 
 def lambda_embed(g, cc: CrossedContext) -> Arrow:
@@ -277,14 +275,12 @@ def pi_embed(f: Arrow, rep: UnitaryRep, cc: CrossedContext) -> Arrow:
     if rep.group is not cc.group and rep.group != cc.group:
         raise ValueError("representation group differs from the crossed group")
     n = cc.group.order
-    h = cc.base.hdim
-    dc, db = f.cod.dim, f.dom.dim
+    rows, cols = f.mat.shape
     u = np.stack([rep.mats[cc.group.inverse(k)] for k in range(n)])[:, None, None]
-    blocks = f.mat.reshape(dc, h, db, h).transpose(0, 2, 1, 3)
-    acted = (u @ blocks @ u.conj().swapaxes(-1, -2)).transpose(0, 1, 3, 2, 4)
-    out = np.zeros((dc * h * n, db * h * n), dtype=np.complex128)
-    k = np.arange(n)
-    out.reshape(dc * h, n, db * h, n)[:, k, :, k] = acted.reshape(n, dc * h, db * h)
+    fibres = np.zeros((n, rows, cols), dtype=np.complex128)
+    block_view(fibres, cc.base.hdim)[...] = u @ f.blocks @ u.conj().swapaxes(-1, -2)
+    out = np.zeros((rows * n, cols * n), dtype=np.complex128)
+    out.reshape(rows, n, cols, n)[:, range(n), :, range(n)] = fibres
     return Arrow(f.dom, f.cod, cc.tilde, out)
 
 

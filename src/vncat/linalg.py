@@ -97,8 +97,6 @@ def factor_out_identity(a, dx: int, dy: int, dh: int, tol: float = 1e-9):
     the minor factor, which is the orthogonal projection onto that slice.
     """
     m = as_matrix(a)
-    if m.shape != (dy * dh, dx * dh):
-        raise ValueError(f"expected shape {(dy * dh, dx * dh)}, got {m.shape}")
     fhat, resid = _identity_factor(m, dx, dy, dh)
     if resid <= tol * max(1.0, operator_norm(m)):
         return fhat
@@ -107,13 +105,12 @@ def factor_out_identity(a, dx: int, dy: int, dh: int, tol: float = 1e-9):
 
 def identity_factor_defect(a, dx: int, dy: int, dh: int) -> float:
     """Operator-norm distance from ``a`` to the nearest ``fhat (x) eye(dh)``."""
-    m = as_matrix(a)
-    if m.shape != (dy * dh, dx * dh):
-        raise ValueError(f"expected shape {(dy * dh, dx * dh)}, got {m.shape}")
-    return _identity_factor(m, dx, dy, dh)[1]
+    return _identity_factor(as_matrix(a), dx, dy, dh)[1]
 
 
 def _identity_factor(m: np.ndarray, dx: int, dy: int, dh: int):
+    if m.shape != (dy * dh, dx * dh):
+        raise ValueError(f"expected shape {(dy * dh, dx * dh)}, got {m.shape}")
     blocks = m.reshape(dy, dh, dx, dh)
     fhat = np.trace(blocks, axis1=1, axis2=3) / dh
     resid = operator_norm(m - np.kron(fhat, np.eye(dh)))

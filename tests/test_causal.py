@@ -228,9 +228,8 @@ def causality_by_brute_force(net, tol):
         top = 0.0
         for f in net.assignments[ca]:
             for g in net.assignments[cb]:
-                za, zb = causal.interchange_residuals(f, g)
                 scale = max(1.0, f.norm() * g.norm())
-                top = max(top, za / scale, zb / scale)
+                top = max(top, causal.interchange_residuals(f, g) / scale)
         if worst is None or top > worst[2]:
             worst = (ca, cb, top)
         if top > tol:

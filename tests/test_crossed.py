@@ -230,6 +230,14 @@ def test_act_conjugates_hidden_factor():
     assert_allclose(moved.mat, np.diag([-1.0, 1.0]))
     assert_allclose(act("e", f, FLIP_REP).mat, f.mat)
     assert_allclose(act(0, f, trivial_rep(Z2, 2)).mat, f.mat)
+    # a random arrow between objects of dims 3 and 2, against u acting on
+    # every hidden block at once: (1 (x) u) f (1 (x) u*)
+    r = np.random.default_rng(3)
+    rep = conjugated_regular_rep(Z2, r)
+    g = random_arrow(r, Obj("A", 3), Obj("B", 2), BASE)
+    u = rep.mat(1)
+    want = np.kron(np.eye(2), u) @ g.mat @ np.kron(np.eye(3), u.conj().T)
+    assert_allclose(act(1, g, rep).mat, want, atol=1e-12)
 
 
 def test_act_is_functorial():

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -316,9 +317,6 @@ def test_main_argument_validation(tmp_path):
         main(["--input", "x.json", "--tol", "2"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["--input", "x.json", "--threads", "-1"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
@@ -328,7 +326,7 @@ def test_main_argument_validation(tmp_path):
 
 def test_main_runs_scenarios(tmp_path):
     out = tmp_path / "r.json"
-    code = main(["--input", str(GOLDEN_DIR / "light_cones.json"), "--output", str(out), "--threads", "0"])
+    code = main(["--input", str(GOLDEN_DIR / "light_cones.json"), "--output", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["pass"] is True
 
@@ -346,12 +344,17 @@ def test_empty_generator_commutant_has_full_homs(tmp_path):
 
 
 def test_subprocess_entry_points(tmp_path):
+    # the child imports this checkout's package, installed or not
+    env = dict(os.environ)
+    src = str(GOLDEN_DIR.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = tmp_path / "r.json"
     run = subprocess.run(
         [sys.executable, "-m", "vncat", "--input", str(GOLDEN_DIR / "diagonal_flip_crossed.json"),
          "--output", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert run.returncode == 0, run.stderr
     assert json.loads(out.read_text())["pass"] is True
@@ -362,6 +365,7 @@ def test_subprocess_entry_points(tmp_path):
         [sys.executable, "-m", "vncat", "--input", str(bad)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert run.returncode == 2
     assert "scenario error" in run.stderr
