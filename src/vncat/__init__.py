@@ -8,14 +8,7 @@ crossed products by finite group actions, and interchange-based causality
 checks for nets of generators on a 1+1 lattice.
 """
 
-from .linalg import (
-    kron,
-    swap_perm,
-    nullspace,
-    operator_norm,
-    factor_out_identity,
-    identity_factor_defect,
-)
+from .linalg import kron, swap_perm, nullspace, operator_norm
 from .category import (
     Context,
     Obj,
@@ -35,6 +28,7 @@ from .category import (
     pair_swap,
     pair_swap_family,
     central_factor,
+    central_defect,
     cstar_residuals,
     arrow_close,
 )

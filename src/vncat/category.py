@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, factor_out_identity, kron, operator_norm, swap_perm
+from .linalg import as_matrix, kron, operator_norm, swap_perm
 
 __all__ = [
     "Context",
@@ -45,6 +45,7 @@ __all__ = [
     "pair_swap",
     "pair_swap_family",
     "central_factor",
+    "central_defect",
     "cstar_residuals",
     "arrow_close",
 ]
@@ -256,9 +257,28 @@ def pair_swap_family(ctx: Context) -> list[Arrow]:
     return [pair_swap(i, j, ctx) for i in range(h) for j in range(i + 1, h)]
 
 
+def _central_part(f: Arrow):
+    """(fhat, ||f - fhat (x) id_H||) for fhat the normalized trace of each hidden block.
+
+    That fhat (x) id_H is the orthogonal projection of f onto the central slice.
+    """
+    h = f.ctx.hdim
+    fhat = np.trace(f.blocks, axis1=2, axis2=3) / h
+    return fhat, operator_norm(f.mat - kron(fhat, np.eye(h)))
+
+
 def central_factor(f: Arrow, tol: float = 1e-9):
-    """The visible factor fhat with f = fhat (x) id_H, or None."""
-    return factor_out_identity(f.mat, f.dom.dim, f.cod.dim, f.ctx.hdim, tol)
+    """The visible factor fhat with f = fhat (x) id_H, or None.
+
+    fhat is returned when ``central_defect(f) <= tol * max(1, ||f||)``.
+    """
+    fhat, defect = _central_part(f)
+    return fhat if defect <= tol * max(1.0, f.norm()) else None
+
+
+def central_defect(f: Arrow) -> float:
+    """Operator-norm distance from f to the nearest fhat (x) id_H."""
+    return _central_part(f)[1]
 
 
 def cstar_residuals(s: Arrow, t: Arrow, a: Obj) -> dict[str, float]:

@@ -145,8 +145,8 @@ def check_isotony(net: CausalNet, tol: float = 1e-9) -> IsotonyReport:
         if not (causal_leq(outer.lo, inner.lo) and causal_leq(inner.hi, outer.hi)):
             continue
         for (dom, cod), arrows in spans[inner].items():
-            small = HomSubspace(dom, cod, tuple(arrows))
-            big = HomSubspace(dom, cod, tuple(spans[outer].get((dom, cod), ())))
+            small = HomSubspace(dom, cod, [a.mat for a in arrows])
+            big = HomSubspace(dom, cod, [a.mat for a in spans[outer].get((dom, cod), ())])
             if not subspace_contains(big, small, tol):
                 violations.append((inner, outer, dom.name, cod.name))
     return IsotonyReport(not violations, tuple(violations))

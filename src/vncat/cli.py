@@ -20,7 +20,7 @@ import os
 import sys
 import time
 
-from .category import identity_arrow, cstar_residuals, pair_swap_family
+from .category import central_defect, cstar_residuals, identity_arrow, pair_swap_family
 from .commutant import (
     FinPremonCat,
     commutant,
@@ -31,7 +31,6 @@ from .commutant import (
 )
 from .causal import check_causality, check_isotony
 from .crossed import CrossedContext, covariance_residual, crossed_product
-from .linalg import identity_factor_defect
 from .scenario import MatrixJson, Scenario, ScenarioError, load_scenario
 
 __all__ = ["main", "run_scenario"]
@@ -44,17 +43,10 @@ def _dims_json(cat: FinPremonCat) -> list:
 
 
 def _bases_json(cat: FinPremonCat) -> list:
-    out = []
-    for d, c in cat.universe.pairs():
-        sub = cat.homs[(d, c)]
-        out.append(
-            {
-                "dom": d.name,
-                "cod": c.name,
-                "matrices": MatrixJson([f.mat for f in sub.basis]),
-            }
-        )
-    return out
+    return [
+        {"dom": d.name, "cod": c.name, "matrices": MatrixJson(cat.homs[(d, c)].mats)}
+        for d, c in cat.universe.pairs()
+    ]
 
 
 def _attach_cat(entry: dict, cat: FinPremonCat, emit: str):
@@ -67,11 +59,10 @@ def _attach_cat(entry: dict, cat: FinPremonCat, emit: str):
 def _cmd_centre(sc: Scenario, tol: float, emit: str) -> dict:
     family = pair_swap_family(sc.ctx)
     cat = commutant(family, sc.universe, tol)
-    h = sc.ctx.hdim
     defect = 0.0
     ok = True
     for f in cat.all_arrows():
-        d = identity_factor_defect(f.mat, f.dom.dim, f.cod.dim, h)
+        d = central_defect(f)
         defect = max(defect, d)
         ok = ok and d <= tol * max(1.0, f.norm())
     entry = {"command": "centre", "pass": ok, "max_factor_defect": defect}

@@ -16,6 +16,11 @@ real positive; the basis of hom(B, D) is kron(E_db, s) over the matrix
 units E_db (row-major) and the basis elements s.  Identical inputs
 therefore produce identical bases.
 
+A hom space is stored as one read-only ``(k, dD*h, dB*h)`` stack of basis
+matrices, ``HomSubspace.mats``; for a commutant it is a view of the array
+the tensor layout is written into.  ``FinPremonCat.all_arrows`` wraps the
+matrices as ``Arrow`` objects only when asked.
+
 Generator sets must be closed under dagger.  Closure is checked at the
 level of spans (the commutant only sees the span), so a computed basis of
 a dagger-closed subspace passes even when no individual basis arrow is the
@@ -24,7 +29,7 @@ dagger of another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -82,13 +87,12 @@ def span_category(gens: Sequence[Arrow], universe: ObjectUniverse, tol: float = 
     """Category whose hom spaces are the spans of the given arrows."""
     _check_context(gens, universe)
     by_pair = group_by_hom(gens)
+    h = universe.ctx.hdim
     homs = {}
     for d, c in universe.pairs():
-        arrows = by_pair.get((d, c), [])
-        basis = span_basis([a.mat for a in arrows], tol) if arrows else []
-        homs[(d, c)] = HomSubspace(
-            d, c, tuple(Arrow(d, c, universe.ctx, m) for m in basis)
-        )
+        basis = span_basis([a.mat for a in by_pair.get((d, c), [])], tol)
+        mats = np.array(basis, dtype=np.complex128).reshape(-1, c.dim * h, d.dim * h)
+        homs[(d, c)] = HomSubspace(d, c, mats)
     return FinPremonCat(universe, homs)
 
 
@@ -115,15 +119,26 @@ def standard_universe(ctx: Context, dims=(1, 2, 3), gens: Sequence[Arrow] = ()) 
     return ObjectUniverse(tuple(objs), ctx)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomSubspace:
+    """The span of ``mats``, a ``(k, cod.dim*h, dom.dim*h)`` stack of matrices.
+
+    ``mats`` is held as a read-only complex128 array; a sequence of matrices
+    is stacked, and an empty one is the zero subspace.
+    """
+
     dom: Obj
     cod: Obj
-    basis: tuple[Arrow, ...] = field(default_factory=tuple)
+    mats: np.ndarray
+
+    def __post_init__(self):
+        m = np.asarray(self.mats, dtype=np.complex128).view()
+        m.setflags(write=False)
+        object.__setattr__(self, "mats", m)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.mats)
 
 
 @dataclass(frozen=True)
@@ -133,17 +148,15 @@ class FinPremonCat:
     universe: ObjectUniverse
     homs: dict
 
-    def hom(self, dom: Obj, cod: Obj) -> HomSubspace:
-        return self.homs[(dom, cod)]
-
     def dims(self) -> list[tuple[Obj, Obj, int]]:
         return [(d, c, self.homs[(d, c)].dim) for d, c in self.universe.pairs()]
 
     def all_arrows(self) -> list[Arrow]:
-        out = []
-        for d, c in self.universe.pairs():
-            out.extend(self.homs[(d, c)].basis)
-        return out
+        """Every basis matrix as an Arrow, hom pair by hom pair in ``universe.pairs()`` order."""
+        ctx = self.universe.ctx
+        return [
+            Arrow(d, c, ctx, m) for d, c in self.universe.pairs() for m in self.homs[(d, c)].mats
+        ]
 
 
 # -- vec helpers (column stacking everywhere) --------------------------------
@@ -280,16 +293,14 @@ def _generator_commutant(gens, universe: ObjectUniverse, tol: float, auto_close:
 
 def _tensor_view(universe: ObjectUniverse, algebra: np.ndarray) -> FinPremonCat:
     """Category with hom(B, D) = M_{dD x dB} (x) span(algebra) at every pair."""
-    ctx = universe.ctx
-    h = ctx.hdim
+    h = universe.ctx.hdim
     homs = {}
     for dom, cod in universe.pairs():
         db, dd = dom.dim, cod.dim
         d, b = np.indices((dd, db)).reshape(2, -1)
         mats = np.zeros((dd, db, len(algebra), dd * h, db * h), dtype=np.complex128)
         block_view(mats, h)[d, b, :, d, b] = algebra
-        basis = tuple(Arrow(dom, cod, ctx, m) for m in mats.reshape(-1, dd * h, db * h))
-        homs[(dom, cod)] = HomSubspace(dom, cod, basis)
+        homs[(dom, cod)] = HomSubspace(dom, cod, mats.reshape(-1, dd * h, db * h))
     return FinPremonCat(universe, homs)
 
 
@@ -338,15 +349,17 @@ def is_von_neumann(cat: FinPremonCat, tol: float = 1e-9) -> VnReport:
 
     The category's hom bases are dagger-closed automatically before the
     closure is taken, so non-self-adjoint spans are probed rather than
-    rejected; they simply fail the comparison.
+    rejected; they simply fail the comparison.  Every arrow lies in the
+    double commutant of a set holding it, so each hom is inside its closure
+    and the two are equal exactly when their dimensions are.
     """
     closure = double_commutant(cat.all_arrows(), cat.universe, tol, auto_close=True)
     failures = []
     for d, c in cat.universe.pairs():
-        a = cat.homs[(d, c)]
-        b = closure.homs[(d, c)]
-        if not subspace_equal(a, b, tol):
-            failures.append((d, c, a.dim, b.dim))
+        a = cat.homs[(d, c)].dim
+        b = closure.homs[(d, c)].dim
+        if a != b:
+            failures.append((d, c, a, b))
     return VnReport(not failures, tuple(failures), closure)
 
 
@@ -359,18 +372,18 @@ def subspace_contains(a: HomSubspace, b: HomSubspace, tol: float = 1e-9) -> bool
         raise ValueError("subspaces live on different hom pairs")
     if b.dim == 0:
         return True
-    abasis = span_basis([f.mat for f in a.basis], tol)
-    return all(_in_span(abasis, f.mat, tol) for f in b.basis)
+    abasis = span_basis(a.mats, tol)
+    return all(_in_span(abasis, m, tol) for m in b.mats)
 
 
 def subspace_equal(a: HomSubspace, b: HomSubspace, tol: float = 1e-9) -> bool:
     return subspace_contains(a, b, tol) and subspace_contains(b, a, tol)
 
 
-def endo_algebra(cat: FinPremonCat) -> list[np.ndarray]:
-    """Raw hidden-space matrices of the unit endomorphism basis."""
+def endo_algebra(cat: FinPremonCat) -> np.ndarray:
+    """The unit endomorphism basis: a read-only ``(k, h, h)`` stack of hidden-space matrices."""
     unit = cat.universe.unit
-    return [np.asarray(f.mat) for f in cat.homs[(unit, unit)].basis]
+    return cat.homs[(unit, unit)].mats
 
 
 # -- classical matrix-algebra oracles -----------------------------------------

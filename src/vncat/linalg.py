@@ -15,8 +15,6 @@ __all__ = [
     "swap_perm",
     "nullspace",
     "operator_norm",
-    "factor_out_identity",
-    "identity_factor_defect",
 ]
 
 
@@ -85,33 +83,3 @@ def nullspace(a, tol: float = 1e-9, atol: float = 0.0) -> np.ndarray:
     cut = max(atol, tol * (s[0] if s.size else 0.0))
     keep = sigma <= cut
     return vh.conj().T[:, keep]
-
-
-def factor_out_identity(a, dx: int, dy: int, dh: int, tol: float = 1e-9):
-    """Strip a trailing identity tensor factor from ``a`` if one exists.
-
-    ``a`` must be ``(dy*dh) x (dx*dh)``.  Returns the ``dy x dx`` matrix
-    ``fhat`` with ``a = kron(fhat, eye(dh))`` when the relative residual
-    ``norm(a - kron(fhat, eye(dh))) <= tol * max(1, norm(a))`` (operator
-    norms), else None.  The candidate is the normalized partial trace over
-    the minor factor, which is the orthogonal projection onto that slice.
-    """
-    m = as_matrix(a)
-    fhat, resid = _identity_factor(m, dx, dy, dh)
-    if resid <= tol * max(1.0, operator_norm(m)):
-        return fhat
-    return None
-
-
-def identity_factor_defect(a, dx: int, dy: int, dh: int) -> float:
-    """Operator-norm distance from ``a`` to the nearest ``fhat (x) eye(dh)``."""
-    return _identity_factor(as_matrix(a), dx, dy, dh)[1]
-
-
-def _identity_factor(m: np.ndarray, dx: int, dy: int, dh: int):
-    if m.shape != (dy * dh, dx * dh):
-        raise ValueError(f"expected shape {(dy * dh, dx * dh)}, got {m.shape}")
-    blocks = m.reshape(dy, dh, dx, dh)
-    fhat = np.trace(blocks, axis1=1, axis2=3) / dh
-    resid = operator_norm(m - np.kron(fhat, np.eye(dh)))
-    return fhat, resid

@@ -165,9 +165,7 @@ def test_criterion_03_double_commutant_laws():
         second = commutant(first.all_arrows(), uni)
         third = commutant(second.all_arrows(), uni)
         for g in gens:
-            r = projection_residual(
-                [f.mat for f in second.homs[(g.dom, g.cod)].basis], g.mat
-            )
+            r = projection_residual(second.homs[(g.dom, g.cod)].mats, g.mat)
             worst = max(worst, r)
             if r > 1e-8:
                 ok = False
@@ -262,7 +260,7 @@ def test_criterion_07_crossed_product_oracle():
     d4 = pi_embed(f, rep, cc).mat
     p4 = lambda_embed(1, cc).mat
     brute = classical_commutant(classical_commutant([d4, p4]))
-    joint = len(span_basis([a.mat for a in crossed.homs[(unit, unit)].basis] + brute))
+    joint = len(span_basis(list(crossed.homs[(unit, unit)].mats) + brute))
     ok = engine_dim == 4 and len(brute) == 4 and joint == 4
     report(7, "crossed product oracle", ok, f"dim {engine_dim}")
 

@@ -8,6 +8,7 @@ from vncat import (
     Obj,
     arrow_close,
     central_arrow,
+    central_defect,
     central_factor,
     compose,
     cstar_residuals,
@@ -241,14 +242,21 @@ def test_central_factor_roundtrip_and_refusal():
     fhat = r.standard_normal((3, 2)) + 1j * r.standard_normal((3, 2))
     c = central_arrow(fhat, A, B, CTX)
     assert_allclose(central_factor(c), fhat, atol=1e-12)
+    assert central_defect(c) <= 1e-12
     assert central_factor(pair_swap(0, 1, CTX)) is None
+    # the full swap on C^2 (x) H, H = C^2, is not of the form fhat (x) id;
+    # its best approximation is id/2 at operator-norm distance 3/2
+    swap = Arrow(A, A, CTX, swap_perm(2, 2))
+    assert central_factor(swap) is None
+    assert_allclose(central_defect(swap), 1.5, atol=1e-12)
 
 
 def test_central_factor_trivial_hidden():
     ctx1 = Context(1)
     r = rng()
     f = random_arrow(r, A, B, ctx1)
-    assert central_factor(f) is not None
+    assert_allclose(central_factor(f), f.mat)
+    assert central_defect(f) == 0.0
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -247,8 +247,8 @@ def isotony_by_brute_force(net, tol):
                 continue
             outer_spans = group_by_hom(net.assignments[outer])
             for (dom, cod), arrows in group_by_hom(net.assignments[inner]).items():
-                small = HomSubspace(dom, cod, tuple(arrows))
-                big = HomSubspace(dom, cod, tuple(outer_spans.get((dom, cod), ())))
+                small = HomSubspace(dom, cod, [a.mat for a in arrows])
+                big = HomSubspace(dom, cod, [a.mat for a in outer_spans.get((dom, cod), ())])
                 if not subspace_contains(big, small, tol):
                     violations.append((inner, outer, dom.name, cod.name))
     return causal.IsotonyReport(not violations, tuple(violations))

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from vncat import (
     Arrow,
     Context,
+    HomSubspace,
     Obj,
     ObjectUniverse,
     central_factor,
     classical_commutant,
     commutant,
+    crossed_product,
+    cyclic_group,
     dagger,
     double_commutant,
     endo_algebra,
@@ -18,6 +23,7 @@ from vncat import (
     is_von_neumann,
     ltimes,
     pair_swap_family,
+    regular_rep,
     rtimes,
     span_basis,
     span_category,
@@ -115,8 +121,8 @@ def test_pair_swap_commutant_is_centre():
     cat = commutant(pair_swap_family(CTX), UNI)
     for d, c, n in cat.dims():
         assert n == d.dim * c.dim
-        for f in cat.homs[(d, c)].basis:
-            assert central_factor(f, 1e-8) is not None
+        for m in cat.homs[(d, c)].mats:
+            assert central_factor(Arrow(d, c, CTX, m), 1e-8) is not None
 
 
 def test_double_commutant_of_nothing_is_centre():
@@ -191,7 +197,7 @@ def test_endo_algebra_matches_classical_star_algebra():
     engine = endo_algebra(dc)
     classical = generated_star_algebra([m])
     assert len(engine) == len(classical) == 4
-    assert len(span_basis(engine + classical)) == 4
+    assert len(span_basis(list(engine) + classical)) == 4
 
 
 def test_endo_algebra_universe_invariance():
@@ -247,24 +253,21 @@ def test_commutant_runs_are_byte_identical():
     a = commutant(gens, UNI)
     b = commutant([Arrow(g.dom, g.cod, g.ctx, g.mat.copy()) for g in gens], UNI)
     for pair in UNI.pairs():
-        for x, y in zip(a.homs[pair].basis, b.homs[pair].basis):
-            assert np.array_equal(x.mat, y.mat)
+        assert np.array_equal(a.homs[pair].mats, b.homs[pair].mats)
 
 
 def test_subspace_comparisons():
     r = np.random.default_rng(11)
     f = random_arrow(r, I, I, CTX)
     g = random_arrow(r, I, I, CTX)
-    from vncat import HomSubspace
-
-    s2 = HomSubspace(I, I, (f, g))
-    s1 = HomSubspace(I, I, (f,))
-    s0 = HomSubspace(I, I, ())
+    s2 = HomSubspace(I, I, [f.mat, g.mat])
+    s1 = HomSubspace(I, I, [f.mat])
+    s0 = HomSubspace(I, I, [])
     assert subspace_contains(s2, s1)
     assert not subspace_contains(s1, s2)
     assert subspace_contains(s1, s0)
     assert subspace_equal(s2, s2)
-    other = HomSubspace(I, UNI.objects[1], ())
+    other = HomSubspace(I, UNI.objects[1], [])
     with pytest.raises(ValueError):
         subspace_contains(s1, other)
 
@@ -276,7 +279,77 @@ def test_span_category_groups_by_hom():
     cat = span_category([f, 2 * f], UNI)
     assert cat.homs[(I, x)].dim == 1
     assert cat.homs[(x, I)].dim == 0
+    assert cat.homs[(x, I)].mats.shape == (0, CTX.hdim, 2 * CTX.hdim)
     assert len(cat.all_arrows()) == 1
+
+
+# -- hom spaces as read-only matrix stacks ---------------------------------------
+
+FLIP = Arrow(I, I, CTX, np.diag([1.0, -1.0]))
+PRODUCERS = {
+    "commutant": lambda: commutant(random_closed_set(np.random.default_rng(13), UNI, 1), UNI),
+    "double_commutant": lambda: double_commutant([FLIP], UNI),
+    "crossed_product": lambda: crossed_product([FLIP], regular_rep(cyclic_group(2)), UNI),
+    "span_category": lambda: span_category(random_closed_set(np.random.default_rng(14), UNI, 2), UNI),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCERS))
+def test_homs_are_read_only_stacks(name):
+    cat = PRODUCERS[name]()
+    h = cat.universe.ctx.hdim
+    for d, c in cat.universe.pairs():
+        sub = cat.homs[(d, c)]
+        assert sub.mats.dtype == np.complex128
+        assert sub.mats.shape == (sub.dim, c.dim * h, d.dim * h)
+        assert not sub.mats.flags.writeable
+    # all_arrows wraps the stacks bit for bit, in universe.pairs() order
+    want = [(d, c, m) for d, c in cat.universe.pairs() for m in cat.homs[(d, c)].mats]
+    got = cat.all_arrows()
+    assert len(got) == len(want)
+    for f, (d, c, m) in zip(got, want):
+        assert (f.dom, f.cod) == (d, c)
+        assert np.array_equal(f.mat, m)
+    unit = cat.universe.unit
+    assert endo_algebra(cat) is cat.homs[(unit, unit)].mats
+
+
+def test_hom_subspace_stacks_without_touching_its_input():
+    m = np.zeros((1, 2, 2))
+    sub = HomSubspace(I, I, m)
+    assert m.flags.writeable and not sub.mats.flags.writeable
+    assert sub.mats.dtype == np.complex128 and sub.dim == 1
+    assert HomSubspace(I, I, []).dim == 0
+    # identity equality: dataclass == would compare the arrays and raise
+    other = HomSubspace(I, I, m)
+    assert sub == sub and sub != other
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    h=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(0, 3),
+    kind=st.sampled_from(["raw", "dagger_closed", "closure"]),
+)
+def test_is_von_neumann_dims_agree_with_subspace_comparison(h, seed, count, kind):
+    ctx = Context(h)
+    uni = standard_universe(ctx, dims=(1, 2))
+    gens = random_closed_set(np.random.default_rng(seed), uni, count)
+    if kind == "raw":
+        gens = gens[::2]  # the random arrows without their daggers
+    elif kind == "closure":
+        gens = double_commutant(gens, uni).all_arrows()
+    cat = span_category(gens, uni)
+    rep = is_von_neumann(cat)
+    failed = {(d, c) for d, c, _, _ in rep.failures}
+    for pair in uni.pairs():
+        a, b = cat.homs[pair], rep.closure.homs[pair]
+        assert subspace_contains(b, a)
+        assert (pair in failed) == (not subspace_equal(a, b))
+    assert rep.passed == (not failed)
+    if kind == "closure":
+        assert rep.passed
 
 
 # -- the block lemma behind the commutant kernel -------------------------------

@@ -359,7 +359,7 @@ def test_crossed_product_diagonal_by_flip():
     p = lambda_embed(1, CC).mat
     brute = classical_commutant(classical_commutant([d, p]))
     assert len(brute) == 4
-    engine = [a.mat for a in crossed.homs[(I, I)].basis]
+    engine = list(crossed.homs[(I, I)].mats)
     assert len(span_basis(engine + brute)) == 4
     alg = generated_star_algebra([d, p])
     assert len(alg) == 4
@@ -372,8 +372,7 @@ def test_trivial_group_crossed_product_matches_base():
     crossed = crossed_product([f], trivial_rep(trivial_group(), 2), uni, auto_close=True)
     plain = double_commutant([f], uni, auto_close=True)
     assert crossed.homs[(I, I)].dim == plain.homs[(I, I)].dim
-    joint = [a.mat for a in crossed.homs[(I, I)].basis]
-    joint += [a.mat for a in plain.homs[(I, I)].basis]
+    joint = list(crossed.homs[(I, I)].mats) + list(plain.homs[(I, I)].mats)
     assert len(span_basis(joint)) == plain.homs[(I, I)].dim
 
 

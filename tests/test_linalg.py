@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vncat import (
-    factor_out_identity,
-    identity_factor_defect,
-    kron,
-    nullspace,
-    operator_norm,
-    swap_perm,
-)
+from vncat import kron, nullspace, operator_norm, swap_perm
 
 
 def test_kron_entry_layout():
@@ -101,31 +94,3 @@ def test_operator_norm_matches_svd():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     assert_allclose(operator_norm(a), np.linalg.svd(a, compute_uv=False)[0])
-
-
-def test_factor_out_identity_recovers():
-    rng = np.random.default_rng(7)
-    fhat = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    a = kron(fhat, np.eye(4))
-    got = factor_out_identity(a, 2, 3, 4)
-    assert got is not None
-    assert_allclose(got, fhat, atol=1e-12)
-
-
-def test_factor_out_identity_rejects_swap():
-    # the full swap on C^2 (x) C^2 is not of the form fhat (x) id; its best
-    # approximation is eye/2 at operator-norm distance 3/2
-    s = swap_perm(2, 2)
-    assert factor_out_identity(s, 2, 2, 2) is None
-    assert_allclose(identity_factor_defect(s, 2, 2, 2), 1.5, atol=1e-12)
-
-
-def test_factor_out_identity_trivial_hidden_dim():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    assert_allclose(factor_out_identity(a, 2, 3, 1), a)
-
-
-def test_factor_out_identity_shape_check():
-    with pytest.raises(ValueError):
-        factor_out_identity(np.eye(4), 2, 2, 3)
