@@ -244,11 +244,6 @@ def test_central_factor_roundtrip_and_refusal():
     assert_allclose(central_factor(c), fhat, atol=1e-12)
     assert central_defect(c) <= 1e-12
     assert central_factor(pair_swap(0, 1, CTX)) is None
-    # the full swap on C^2 (x) H, H = C^2, is not of the form fhat (x) id;
-    # its best approximation is id/2 at operator-norm distance 3/2
-    swap = Arrow(A, A, CTX, swap_perm(2, 2))
-    assert central_factor(swap) is None
-    assert_allclose(central_defect(swap), 1.5, atol=1e-12)
 
 
 def test_central_factor_trivial_hidden():

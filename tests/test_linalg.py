@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vncat import kron, nullspace, operator_norm, swap_perm
+from vncat import (
+    Arrow,
+    Context,
+    Obj,
+    central_defect,
+    central_factor,
+    kron,
+    nullspace,
+    operator_norm,
+    swap_perm,
+)
 
 
 def test_kron_entry_layout():
@@ -94,3 +104,32 @@ def test_operator_norm_matches_svd():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     assert_allclose(operator_norm(a), np.linalg.svd(a, compute_uv=False)[0])
+
+
+# The identity factor of a bare matrix: wrap it as an arrow and read fhat back.
+
+
+def test_factor_out_identity_recovers():
+    rng = np.random.default_rng(7)
+    fhat = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    a = Arrow(Obj("X", 2), Obj("Y", 3), Context(4), kron(fhat, np.eye(4)))
+    got = central_factor(a)
+    assert got is not None
+    assert_allclose(got, fhat, atol=1e-12)
+
+
+def test_factor_out_identity_rejects_swap():
+    # the full swap on C^2 (x) C^2 is not of the form fhat (x) id; its best
+    # approximation is eye/2 at operator-norm distance 3/2
+    x = Obj("X", 2)
+    s = Arrow(x, x, Context(2), swap_perm(2, 2))
+    assert central_factor(s) is None
+    assert_allclose(central_defect(s), 1.5, atol=1e-12)
+
+
+def test_factor_out_identity_trivial_hidden_dim():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    f = Arrow(Obj("X", 2), Obj("Y", 3), Context(1), a)
+    assert_allclose(central_factor(f), a)
+    assert central_defect(f) == 0.0
