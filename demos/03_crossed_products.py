@@ -3,7 +3,9 @@
 A unitary representation of a finite group G conjugates the hidden factor
 of every arrow.  The crossed product enlarges H to H (x) l2(G), embeds the
 original generators fibrewise (twisted by the action) together with the
-group translations, and closes up with a double commutant.
+group translations, and is spanned by pi(b) lambda(g): b runs over the
+*-algebra B that the G-orbit of the generators generates in End(H), so its
+dimension is |G| * dim B.
 """
 
 import numpy as np

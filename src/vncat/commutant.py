@@ -241,6 +241,14 @@ def star_closure(gens: Sequence[Arrow], tol: float = 1e-9) -> list[Arrow]:
     return list(gens) + _missing_daggers(gens, tol)
 
 
+def _star_checked(gens: Sequence[Arrow], tol: float, auto_close: bool) -> list[Arrow]:
+    """``gens`` plus its missing daggers, which only ``auto_close`` allows."""
+    missing = _missing_daggers(gens, tol)
+    if missing and not auto_close:
+        raise ValueError("generator set is not dagger-closed; pass auto_close=True to extend it")
+    return list(gens) + missing
+
+
 # -- the hidden algebra ---------------------------------------------------------
 
 
@@ -273,7 +281,7 @@ def _hidden_commutant(mats: np.ndarray, h: int, tol: float) -> np.ndarray:
         chunk = mats[start : start + h]
         rows = np.einsum("kba,ij->kaibj", chunk, eye) - np.einsum("ab,kij->kaibj", eye, chunk)
         r = np.linalg.qr(np.vstack([r, rows.reshape(-1, h * h)]), mode="r")
-    kern = nullspace(r, tol, atol=tol)
+    kern = nullspace(r, tol)
     return np.array(
         [_unvec(_phase_normalize(kern[:, i]), h, h) for i in range(kern.shape[1])]
     ).reshape(-1, h, h)
@@ -283,12 +291,8 @@ def _generator_commutant(gens, universe: ObjectUniverse, tol: float, auto_close:
     """S' for the blocks S of ``gens``, after the context and dagger checks."""
     gens = list(gens)
     _check_context(gens, universe)
-    if auto_close:
-        gens = star_closure(gens, tol)
-    elif not is_star_closed(gens, tol):
-        raise ValueError("generator set is not dagger-closed; pass auto_close=True to extend it")
     h = universe.ctx.hdim
-    return _hidden_commutant(_blocks(gens, h), h, tol)
+    return _hidden_commutant(_blocks(_star_checked(gens, tol, auto_close), h), h, tol)
 
 
 def _tensor_view(universe: ObjectUniverse, algebra: np.ndarray) -> FinPremonCat:
@@ -411,7 +415,7 @@ def classical_commutant(mats: Sequence[np.ndarray], tol: float = 1e-9) -> list[n
             raise ValueError("matrix list is not closed under conjugate transpose")
     eye = np.eye(n)
     rows = [kron(m.T, eye) - kron(eye, m) for m in mats]
-    kern = nullspace(np.vstack(rows), tol, atol=tol)
+    kern = nullspace(np.vstack(rows), tol)
     return [_unvec(_phase_normalize(kern[:, i]), n, n) for i in range(kern.shape[1])]
 
 

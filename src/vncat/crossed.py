@@ -1,11 +1,10 @@
 """Discrete crossed products by finite group actions on the hidden factor.
 
 A unitary representation of a finite group G on the hidden space H acts on
-arrows by conjugation of the hidden factor.  The crossed product enlarges
-the hidden space to H (x) l2(G) and is generated by two families: the
-image of the original generators twisted fibrewise by the action, and the
-left regular translations of the group.  The double commutant of their
-union over the enlarged context is the crossed product category.
+arrows by conjugation of the hidden factor.  The crossed product lives on
+H (x) l2(G) and is span pi(B) lambda(G): lambda(G) are the left regular
+translations, pi embeds arrows fibrewise twisted by the action, and B is
+the *-algebra in End(H) generated by the G-orbit of the generators.
 
 Basis convention on the enlarged hidden space: index ``i*|G| + k`` for
 ``h_i (x) delta_k`` (hidden factor major, group minor).
@@ -19,7 +18,8 @@ from itertools import permutations
 import numpy as np
 
 from .category import Arrow, Context, block_view, compose, dagger, unit_obj, whisker_left
-from .commutant import FinPremonCat, ObjectUniverse, double_commutant
+from .commutant import FinPremonCat, ObjectUniverse, _star_checked, _tensor_view
+from .commutant import double_commutant, endo_algebra
 from .linalg import as_matrix, kron, operator_norm
 
 __all__ = [
@@ -256,10 +256,8 @@ def act(g, f: Arrow, rep: UnitaryRep) -> Arrow:
 
 def lambda_embed(g, cc: CrossedContext) -> Arrow:
     """Left translation by ``g`` as a unit endo-arrow of the enlarged context."""
-    gi = cc.group.index(g)
-    unit = unit_obj()
-    mat = kron(np.eye(cc.base.hdim), _translation(cc.group, gi))
-    return Arrow(unit, unit, cc.tilde, mat)
+    mat = kron(np.eye(cc.base.hdim), _translation(cc.group, cc.group.index(g)))
+    return Arrow(unit_obj(), unit_obj(), cc.tilde, mat)
 
 
 def pi_embed(f: Arrow, rep: UnitaryRep, cc: CrossedContext) -> Arrow:
@@ -306,14 +304,19 @@ def crossed_product(
     *,
     auto_close: bool = False,
 ) -> FinPremonCat:
-    """Double commutant of the twisted generators plus all group translations.
+    """span{pi(b) lambda(g)} over the input objects, on the enlarged context.
 
-    Returns a category over the enlarged context; its universe carries the
-    same objects as the input universe.
+    B = S'' in End(H) for the G-orbit S of the generators and the unit (which the dagger
+    check sees too); distinct g fill disjoint fibres, so hom(B, D) has dim dD*dB*|G|*dim B.
     """
     _check_rep(rep, universe.ctx)
     cc = CrossedContext(universe.ctx, rep.group)
-    tilde_universe = ObjectUniverse(universe.objects, cc.tilde)
-    embedded = [pi_embed(f, rep, cc) for f in gens]
-    embedded += [lambda_embed(g, cc) for g in range(rep.group.order)]
-    return double_commutant(embedded, tilde_universe, tol, auto_close=auto_close)
+    unit, n = unit_obj(), rep.group.order
+    gens = list(gens) + [Arrow(unit, unit, cc.base, np.eye(cc.base.hdim))]
+    if any(f.ctx != cc.base for f in gens):
+        raise ValueError("arrow context differs from the crossed base context")
+    orbit = [act(g, f, rep) for f in _star_checked(gens, tol, auto_close) for g in range(n)]
+    algebra = endo_algebra(double_commutant(orbit, universe, tol, auto_close=True))
+    pis = np.stack([pi_embed(Arrow(unit, unit, cc.base, b), rep, cc).mat for b in algebra])
+    products = np.concatenate([pis @ lambda_embed(g, cc).mat for g in range(n)]) / np.sqrt(n)
+    return _tensor_view(ObjectUniverse(universe.objects, cc.tilde), products)

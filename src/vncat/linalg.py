@@ -60,14 +60,15 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def nullspace(a, tol: float = 1e-9, atol: float = 0.0) -> np.ndarray:
+def nullspace(a, tol: float = 1e-9) -> np.ndarray:
     """Orthonormal kernel basis of ``a`` as the columns of the result.
 
     Keeps right singular vectors whose singular values satisfy
-    ``sigma <= max(atol, tol * sigma_max)``.  The zero matrix (and the
-    degenerate zero-row case) returns the standard basis.  ``atol`` is an
-    optional absolute floor for callers whose constraint matrices may be
-    numerically zero; a purely relative cut misreads those.
+    ``sigma <= tol * max(1, sigma_max)``: relative to the largest singular
+    value, but never below ``tol``, so that a numerically zero matrix (say a
+    constraint stack of rounding errors) reads as zero, not as structure.
+    The zero matrix (and the degenerate zero-row case) returns the standard
+    basis.
     """
     m = as_matrix(a)
     rows, cols = m.shape
@@ -76,10 +77,8 @@ def nullspace(a, tol: float = 1e-9, atol: float = 0.0) -> np.ndarray:
     if rows == 0 or not m.any():
         return np.eye(cols, dtype=np.complex128)
     # economy SVD already carries the full V when rows >= cols; the full
-    # (and then huge) U is never needed
+    # (and then huge) U is never needed.  Singular values come sorted, so
+    # the kernel is the rows of V* past the rank
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    sigma = np.zeros(cols)
-    sigma[: s.size] = s
-    cut = max(atol, tol * (s[0] if s.size else 0.0))
-    keep = sigma <= cut
-    return vh.conj().T[:, keep]
+    rank = int((s > tol * max(1.0, s[0])).sum())
+    return vh[rank:].conj().T

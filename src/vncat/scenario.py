@@ -56,18 +56,13 @@ class Scenario:
     ctx: Context
     tol: float | None
     dagger_close: bool
-    objects: list[Obj]
     universe: ObjectUniverse
     generators: list[Arrow]
-    generator_names: list[str]
     group: FiniteGroup | None
     rep: UnitaryRep | None
     net: CausalNet | None
     commands: list[str]
     normalized: dict
-
-    def generator(self, name: str) -> Arrow:
-        return self.generators[self.generator_names.index(name)]
 
 
 def load_scenario(path: str) -> Scenario:
@@ -414,10 +409,8 @@ def parse_scenario(doc) -> Scenario:
         ctx=ctx,
         tol=tol,
         dagger_close=dagger_close,
-        objects=objects,
         universe=universe,
         generators=generators,
-        generator_names=generator_names,
         group=group,
         rep=rep,
         net=net,

@@ -21,16 +21,19 @@ from vncat import (
     dagger,
     double_commutant,
     generated_star_algebra,
+    is_star_closed,
     lambda_embed,
     operator_norm,
     pi_embed,
     regular_rep,
     span_basis,
+    subspace_equal,
     symmetric_group,
     trivial_group,
     trivial_rep,
 )
-from helpers import conjugated_regular_rep, random_arrow
+from vncat import crossed
+from helpers import conjugated_regular_rep, random_arrow, random_matrix, random_unitary
 
 BASE = Context(2)
 I = Obj("I", 1)
@@ -387,3 +390,208 @@ def test_crossed_product_checks_dimensions():
     uni = ObjectUniverse((I,), Context(3))
     with pytest.raises(ValueError):
         crossed_product([], FLIP_REP, uni)
+
+
+# -- the enlarged-space route as the oracle for crossed_product ----------------
+
+NOT_CLOSED = "generator set is not dagger-closed; pass auto_close=True to extend it"
+
+
+def crossed_by_enlarged_commutant(gens, rep, universe, tol=1e-9, auto_close=False):
+    """Double commutant of pi(gens) and lambda(G), solved on H (x) l2(G)."""
+    cc = CrossedContext(universe.ctx, rep.group)
+    embedded = [pi_embed(f, rep, cc) for f in gens]
+    embedded += [lambda_embed(g, cc) for g in range(rep.group.order)]
+    tilde = ObjectUniverse(universe.objects, cc.tilde)
+    return double_commutant(embedded, tilde, tol, auto_close=auto_close)
+
+
+def orbit_algebra_dim(gens, rep):
+    """dim B by the classical route: the *-algebra of every hidden block of the orbit."""
+    h = rep.hdim
+    orbit = [act(g, f, rep) for g in range(rep.group.order) for f in gens]
+    blocks = [b for f in orbit for b in f.blocks.reshape(-1, h, h)]
+    return len(generated_star_algebra(blocks or [np.eye(h)]))
+
+
+def block_element(rng, w, sizes):
+    """w (M_n1 (+) M_n2 (+) ...) w* at a random point: a proper subalgebra of End(H)."""
+    m = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
+    start = 0
+    for n in sizes:
+        m[start : start + n, start : start + n] = random_matrix(rng, n, n)
+        start += n
+    return w @ m @ w.conj().T
+
+
+def block_generators(rng, ctx, w, sizes, pairs, auto_close):
+    """Arrows on the given hom pairs whose hidden blocks all lie in one block algebra.
+
+    Their daggers are appended unless ``auto_close`` is to add them.
+    """
+    gens = []
+    for dom, cod in pairs:
+        grid = np.array(
+            [[block_element(rng, w, sizes) for _ in range(dom.dim)] for _ in range(cod.dim)]
+        )
+        f = Arrow.from_blocks(dom, cod, ctx, grid)
+        gens += [f] if auto_close else [f, dagger(f)]
+    return gens
+
+
+X2 = Obj("X2", 2)
+GROUPS = {
+    "C2": Z2,
+    "C3": cyclic_group(3),
+    "C4": cyclic_group(4),
+    "S3": symmetric_group(3),
+    "S4": symmetric_group(4),
+}
+PAIRS = {"unit": [(I, I)], "non-unit": [(I, X2)], "both": [(I, I), (I, X2)]}
+
+# (group, rep, hdim, generator hom pairs, auto_close); h*|G| stays at most
+# 12 but for C4's regular reps (16) and S4 at hdim 1 (24), the slowest case
+ORACLE_CASES = [
+    ("C2", "trivial", 3, "unit", False),
+    ("C2", "trivial", 6, "both", True),
+    ("C2", "trivial", 4, "non-unit", False),
+    ("C2", "regular", 2, "unit", False),
+    ("C2", "regular", 2, "non-unit", True),
+    ("C2", "conjugated", 2, "both", False),
+    ("C2", "conjugated", 2, "unit", True),
+    ("C3", "trivial", 2, "non-unit", False),
+    ("C3", "trivial", 4, "both", True),
+    ("C3", "regular", 3, "both", False),
+    ("C3", "conjugated", 3, "non-unit", False),
+    ("C3", "conjugated", 3, "unit", True),
+    ("C4", "trivial", 3, "unit", False),
+    ("C4", "trivial", 2, "both", True),
+    ("C4", "regular", 4, "unit", True),
+    ("C4", "conjugated", 4, "both", False),
+    ("S3", "trivial", 2, "both", False),
+    ("S3", "trivial", 1, "unit", True),
+    ("S3", "trivial", 2, "non-unit", True),
+    ("S4", "trivial", 1, "both", False),
+]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_crossed_product_matches_enlarged_double_commutant(case):
+    name, kind, h, pairs, auto_close = case
+    group = GROUPS[name]
+    rng = np.random.default_rng(ORACLE_CASES.index(case))
+    if kind == "trivial":
+        rep, w = trivial_rep(group, h), random_unitary(rng, h)
+        cut = int(rng.integers(1, h)) if h > 1 else 1
+        sizes = [cut, h - cut] if h > 1 else [1]
+    else:
+        # the regular rep permutes diagonals, so diagonal generators in the
+        # basis that conjugates it keep the orbit algebra proper
+        w = random_unitary(rng, h) if kind == "conjugated" else np.eye(h)
+        rep = UnitaryRep(group, tuple(w @ m @ w.conj().T for m in regular_rep(group).mats))
+        sizes = [1] * h
+    ctx = Context(h)
+    universe = ObjectUniverse((I, X2), ctx)
+    gens = block_generators(rng, ctx, w, sizes, PAIRS[pairs], auto_close)
+    new = crossed_product(gens, rep, universe, auto_close=auto_close)
+    old = crossed_by_enlarged_commutant(gens, rep, universe, auto_close=auto_close)
+    dim_b = orbit_algebra_dim(gens, rep)
+    assert dim_b < h * h or h == 1
+    for dom, cod in universe.pairs():
+        assert new.homs[(dom, cod)].dim == old.homs[(dom, cod)].dim
+        assert new.homs[(dom, cod)].dim == dom.dim * cod.dim * group.order * dim_b
+        assert subspace_equal(new.homs[(dom, cod)], old.homs[(dom, cod)])
+    stack = new.homs[(I, I)].mats.reshape(len(new.homs[(I, I)].mats), -1)
+    assert_allclose(stack.conj() @ stack.T, np.eye(len(stack)), atol=1e-10)
+
+
+def both_verdicts(gens, rep, universe, auto_close=False):
+    """(dims or error message) of crossed_product and of the enlarged route."""
+    out = []
+    for route in (crossed_product, crossed_by_enlarged_commutant):
+        try:
+            out.append([d for _, _, d in route(gens, rep, universe, auto_close=auto_close).dims()])
+        except ValueError as err:
+            out.append(str(err))
+    return out
+
+
+def test_unit_plus_skew_is_closed_through_the_identity():
+    # (1 + iH)* = 2*1 - (1 + iH): in the span only once the unit counts
+    uni = ObjectUniverse((I, X2), BASE)
+    f = Arrow(I, I, BASE, np.eye(2) + 1j * np.diag([1.0, -1.0]))
+    rep = trivial_rep(Z2, 2)
+    assert not is_star_closed([act(g, f, rep) for g in range(2)])
+    new, old = both_verdicts([f], rep, uni)
+    assert new == old == [2 * 2, 2 * 2 * 2, 2 * 2 * 2, 4 * 2 * 2]
+
+
+def test_generic_generator_under_flip_is_rejected():
+    uni = ObjectUniverse((I, X2), BASE)
+    f = random_arrow(np.random.default_rng(8), I, I, BASE)
+    assert both_verdicts([f], FLIP_REP, uni) == [NOT_CLOSED, NOT_CLOSED]
+    with pytest.raises(ValueError, match="not dagger-closed"):
+        crossed_product([f], FLIP_REP, uni)
+    new, old = both_verdicts([f], FLIP_REP, uni, auto_close=True)
+    assert new == old
+
+
+def test_nilpotent_under_flip_is_rejected_though_its_orbit_is_closed():
+    # the flip turns E12 into E21, so the orbit is dagger-closed; the
+    # generator itself is not, and that is what decides
+    uni = ObjectUniverse((I,), BASE)
+    f = Arrow(I, I, BASE, [[0.0, 1.0], [0.0, 0.0]])
+    assert is_star_closed([act(g, f, FLIP_REP) for g in range(2)])
+    assert both_verdicts([f], FLIP_REP, uni) == [NOT_CLOSED, NOT_CLOSED]
+    new, old = both_verdicts([f], FLIP_REP, uni, auto_close=True)
+    assert new == old == [8]
+
+
+@pytest.mark.parametrize("offset", [0.1, 10.0])
+def test_near_tolerance_dagger_gets_the_enlarged_verdict(offset):
+    # a partner that misses the dagger of f by offset*tol (Frobenius), with
+    # ||f|| >= 1, where the base and enlarged residual bounds coincide
+    tol = 1e-9
+    r = np.random.default_rng(9)
+    for rep in (FLIP_REP, conjugated_regular_rep(cyclic_group(3), r)):
+        ctx = Context(rep.hdim)
+        uni = ObjectUniverse((I, X2), ctx)
+        f = random_arrow(r, I, X2, ctx)
+        f = f * (1.5 / f.norm())
+        fd = dagger(f).mat
+        e = random_matrix(r, *fd.shape)
+        e -= fd * (np.vdot(fd, e) / np.vdot(fd, fd))
+        partner = Arrow(X2, I, ctx, fd + offset * tol * e / np.linalg.norm(e))
+        new, old = both_verdicts([f, partner], rep, uni)
+        assert new == old
+        assert (new == NOT_CLOSED) == (offset > 1)
+        new, old = both_verdicts([f, partner], rep, uni, auto_close=True)
+        assert new == old
+
+
+def test_crossed_product_solves_on_the_base_hidden_space(monkeypatch):
+    # one double commutant on End(H) and one dagger check of the generators
+    # per call, whatever the group order
+    hdims, checks = [], []
+    solve, check = crossed.double_commutant, crossed._star_checked
+
+    def spied(gens, universe, *args, **kwargs):
+        hdims.append(universe.ctx.hdim)
+        return solve(gens, universe, *args, **kwargs)
+
+    def counted(gens, *args):
+        checks.append(len(gens))
+        return check(gens, *args)
+
+    monkeypatch.setattr(crossed, "double_commutant", spied)
+    monkeypatch.setattr(crossed, "_star_checked", counted)
+    r = np.random.default_rng(10)
+    rep = conjugated_regular_rep(cyclic_group(3), r)
+    ctx = Context(3)
+    uni = ObjectUniverse((I, X2), ctx)
+    f = random_arrow(r, I, X2, ctx)
+    for auto_close, gens in ((False, [f, dagger(f)]), (True, [f]), (False, [])):
+        cat = crossed_product(gens, rep, uni, auto_close=auto_close)
+        assert cat.universe.ctx.hdim == 9
+    assert hdims == [3, 3, 3]
+    assert checks == [3, 2, 1]
