@@ -17,7 +17,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .category import Arrow, Context, block_view, compose, dagger, unit_obj, whisker_left
+from .category import Arrow, Context, block_view, unit_obj
 from .commutant import FinPremonCat, ObjectUniverse, _star_checked, _tensor_view
 from .commutant import double_commutant, endo_algebra
 from .linalg import as_matrix, kron, operator_norm
@@ -61,8 +61,12 @@ class FiniteGroup:
             raise ValueError("group element labels must be distinct")
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise ValueError("multiplication table must be square of the element count")
-        t = np.array(self.table, dtype=np.int64).reshape(n, n)
-        if t.min() < 0 or t.max() >= n:
+        try:
+            t = np.array(self.table, dtype=np.int64).reshape(n, n)
+            in_range = t.min() >= 0 and t.max() < n
+        except OverflowError:  # an entry past the int64 range
+            in_range = False
+        if not in_range:
             raise ValueError("multiplication table entries must index elements")
         ar = np.arange(n)
         two_sided = (t == ar[None, :]).all(axis=1) & (t == ar[:, None]).all(axis=0)
@@ -285,15 +289,19 @@ def pi_embed(f: Arrow, rep: UnitaryRep, cc: CrossedContext) -> Arrow:
 def covariance_residual(g, f: Arrow, rep: UnitaryRep, cc: CrossedContext) -> float:
     """Operator-norm defect of pi(g . f) = (id (x) lam(g)) pi(f) (id (x) lam(g))*.
 
-    Zero (to rounding) for every valid representation; breaks visibly when
-    the representation fails the homomorphism law.
+    Conjugating by lam(g) moves the fibre over k to g k, so the right side is
+    pi(f) with both group indices permuted by k -> g^-1 k.  Zero (to rounding)
+    for every valid representation; breaks visibly when the representation
+    fails the homomorphism law.
     """
-    lam = lambda_embed(g, cc)
-    lhs = pi_embed(act(g, f, rep), rep, cc)
-    conj_l = whisker_left(f.cod, lam)
-    conj_r = dagger(whisker_left(f.dom, lam))
-    rhs = compose(conj_l, compose(pi_embed(f, rep, cc), conj_r))
-    return operator_norm(lhs.mat - rhs.mat)
+    n = cc.group.order
+    g_inv = cc.group.inverse(cc.group.index(g))
+    src = [cc.group.mul(g_inv, k) for k in range(n)]
+    lhs = pi_embed(act(g, f, rep), rep, cc).mat
+    pf = pi_embed(f, rep, cc).mat
+    rows, cols = pf.shape
+    rhs = pf.reshape(rows // n, n, cols // n, n)[:, src][:, :, :, src].reshape(rows, cols)
+    return operator_norm(lhs - rhs)
 
 
 def crossed_product(

@@ -4,8 +4,9 @@ A scenario is a single JSON object.  Complex numbers are encoded as
 ``[re, im]`` pairs (bare reals are accepted on input and normalized), and
 matrices as row-major nested lists.  ``parse_scenario`` validates the whole
 document and raises ScenarioError with a path like ``generators[2].matrix``
-pointing at the offending field; ``normalize`` re-emits the canonical dict
-echoed into reports, chosen so that parse(normalize(s)) == normalize(s).
+pointing at the offending field.  ``Scenario.normalized`` is the canonical
+dict echoed into reports, written section by section as each is validated,
+and a fixed point: parsing it gives it back.
 
 Top-level keys:
   schema (must be 1), hdim, tol?, dagger_close?, objects, universe?,
@@ -81,24 +82,43 @@ def _expect(cond: bool, path: str, message: str):
         raise ScenarioError(path, message)
 
 
+def _built(path: str, make, *args):
+    """``make(*args)``, with its ValueError raised as a ScenarioError at ``path``."""
+    try:
+        return make(*args)
+    except ValueError as e:
+        raise ScenarioError(path, str(e)) from None
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _get_int(doc, key, path, minimum=None):
     v = doc.get(key)
-    _expect(isinstance(v, int) and not isinstance(v, bool), f"{path}.{key}", "must be an integer")
+    _expect(_is_int(v), f"{path}.{key}", "must be an integer")
     if minimum is not None:
         _expect(v >= minimum, f"{path}.{key}", f"must be >= {minimum}")
     return v
 
 
+def _int_pair(v, path, message) -> list:
+    _expect(isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)), path, message)
+    return v
+
+
 def _parse_entry(v, path) -> complex:
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(float(v), 0.0)
-    if (
-        isinstance(v, list)
-        and len(v) == 2
-        and all(isinstance(u, (int, float)) and not isinstance(u, bool) for u in v)
-    ):
-        return complex(float(v[0]), float(v[1]))
-    raise ScenarioError(path, "matrix entries must be numbers or [re, im] pairs")
+    re_im = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
+    if not all(map(_is_number, re_im)):
+        raise ScenarioError(path, "matrix entries must be numbers or [re, im] pairs")
+    try:
+        return complex(float(re_im[0]), float(re_im[1]))
+    except OverflowError:  # an integer past the float range: not finite
+        return complex(np.inf)
 
 
 def _parse_matrix(v, rows, cols, path) -> np.ndarray:
@@ -158,81 +178,78 @@ class MatrixJson:
 
 
 def parse_scenario(doc) -> Scenario:
+    """Validate, build and echo each section of ``doc`` in one pass."""
     _expect(isinstance(doc, dict), "$", "scenario must be a JSON object")
     _expect(doc.get("schema") == 1, "$.schema", "must be the integer 1")
     hdim = _get_int(doc, "hdim", "$", minimum=1)
     ctx = Context(hdim)
+    normalized = {"schema": 1, "hdim": hdim}
 
     tol = doc.get("tol")
     if tol is not None:
-        _expect(
-            isinstance(tol, (int, float)) and not isinstance(tol, bool) and 0 < float(tol) < 1,
-            "$.tol",
-            "must be a number strictly between 0 and 1",
-        )
-        tol = float(tol)
+        # compared as given: float() overflows on an integer past the float range
+        _expect(_is_number(tol) and 0 < tol < 1, "$.tol", "must be a number strictly between 0 and 1")
+        tol = normalized["tol"] = float(tol)
 
     dagger_close = doc.get("dagger_close", False)
     _expect(isinstance(dagger_close, bool), "$.dagger_close", "must be a boolean")
+    if dagger_close:
+        normalized["dagger_close"] = True
 
     # objects
     raw_objects = doc.get("objects")
     _expect(
         isinstance(raw_objects, list) and raw_objects, "$.objects", "must be a non-empty list"
     )
-    objects: list[Obj] = []
-    names: set[str] = set()
+    by_name: dict[str, Obj] = {}
     for i, o in enumerate(raw_objects):
         p = f"$.objects[{i}]"
         _expect(isinstance(o, dict), p, "must be an object with name and dim")
         name = o.get("name")
         _expect(isinstance(name, str) and name, f"{p}.name", "must be a non-empty string")
-        _expect(name not in names, f"{p}.name", f"duplicate object name {name!r}")
-        dim = _get_int(o, "dim", p, minimum=1)
-        objects.append(Obj(name, dim))
-        names.add(name)
-    by_name = {o.name: o for o in objects}
+        _expect(name not in by_name, f"{p}.name", f"duplicate object name {name!r}")
+        by_name[name] = Obj(name, _get_int(o, "dim", p, minimum=1))
 
     # universe (defaults to all objects, in order); a unit is appended if absent
-    raw_universe = doc.get("universe", [o.name for o in objects])
+    raw_universe = doc.get("universe", list(by_name))
     _expect(isinstance(raw_universe, list) and raw_universe, "$.universe", "must be a non-empty list")
-    uni_objs: list[Obj] = []
-    seen: set[str] = set()
+    uni_objs: dict[str, Obj] = {}
     for i, name in enumerate(raw_universe):
         p = f"$.universe[{i}]"
         _expect(isinstance(name, str), p, "must be an object name")
         _expect(name in by_name, p, f"unknown object name {name!r}")
-        _expect(name not in seen, p, f"duplicate universe entry {name!r}")
-        uni_objs.append(by_name[name])
-        seen.add(name)
-    if not any(o.dim == 1 for o in uni_objs):
-        unit = next((o for o in objects if o.dim == 1), None)
+        _expect(name not in uni_objs, p, f"duplicate universe entry {name!r}")
+        uni_objs[name] = by_name[name]
+    if not any(o.dim == 1 for o in uni_objs.values()):
+        unit = next((o for o in by_name.values() if o.dim == 1), None)
         if unit is None:
             _expect("I" not in by_name, "$.objects", "object 'I' must have dim 1 to serve as the unit")
-            unit = Obj("I", 1)
-            objects.append(unit)
-            by_name["I"] = unit
-        uni_objs.append(unit)
-    universe = ObjectUniverse(tuple(uni_objs), ctx)
+            unit = by_name["I"] = Obj("I", 1)
+        uni_objs[unit.name] = unit
+    universe = ObjectUniverse(tuple(uni_objs.values()), ctx)
+    normalized["objects"] = [{"name": o.name, "dim": o.dim} for o in by_name.values()]
+    normalized["universe"] = list(uni_objs)
 
     # generators
     raw_gens = doc.get("generators", [])
     _expect(isinstance(raw_gens, list), "$.generators", "must be a list")
-    generators: list[Arrow] = []
-    generator_names: list[str] = []
+    generators: dict[str, Arrow] = {}
+    normalized["generators"] = []
     for i, g in enumerate(raw_gens):
         p = f"$.generators[{i}]"
         _expect(isinstance(g, dict), p, "must be an object")
         gname = g.get("name", f"g{i}")
         _expect(isinstance(gname, str) and gname, f"{p}.name", "must be a non-empty string")
-        _expect(gname not in generator_names, f"{p}.name", f"duplicate generator name {gname!r}")
+        _expect(gname not in generators, f"{p}.name", f"duplicate generator name {gname!r}")
         for key in ("dom", "cod"):
             _expect(isinstance(g.get(key), str), f"{p}.{key}", "must be an object name")
             _expect(g[key] in by_name, f"{p}.{key}", f"unknown object name {g[key]!r}")
         dom, cod = by_name[g["dom"]], by_name[g["cod"]]
         mat = _parse_matrix(g.get("matrix"), cod.dim * hdim, dom.dim * hdim, f"{p}.matrix")
-        generators.append(Arrow(dom, cod, ctx, mat))
-        generator_names.append(gname)
+        generators[gname] = Arrow(dom, cod, ctx, mat)
+        normalized["generators"].append(
+            {"name": gname, "dom": dom.name, "cod": cod.name, "matrix": _matrix_json(mat)}
+        )
 
     # group and representation
     group = None
@@ -252,19 +269,15 @@ def parse_scenario(doc) -> Scenario:
         _expect(
             isinstance(table, list)
             and len(table) == n
-            and all(
-                isinstance(r, list)
-                and len(r) == n
-                and all(isinstance(v, int) and not isinstance(v, bool) for v in r)
-                for r in table
-            ),
+            and all(isinstance(r, list) and len(r) == n and all(map(_is_int, r)) for r in table),
             "$.group.table",
             f"must be a {n} x {n} table of element indices",
         )
-        try:
-            group = FiniteGroup(tuple(elements), tuple(tuple(r) for r in table))
-        except ValueError as e:
-            raise ScenarioError("$.group", str(e)) from None
+        group = _built("$.group", FiniteGroup, tuple(elements), tuple(tuple(r) for r in table))
+        normalized["group"] = {
+            "elements": list(group.elements),
+            "table": [list(r) for r in group.table],
+        }
 
     rep = None
     raw_rep = doc.get("rep")
@@ -275,13 +288,9 @@ def parse_scenario(doc) -> Scenario:
             "$.rep",
             "must list one matrix per group element, in element order",
         )
-        mats = [
-            _parse_matrix(m, hdim, hdim, f"$.rep[{i}]") for i, m in enumerate(raw_rep)
-        ]
-        try:
-            rep = UnitaryRep(group, tuple(mats))
-        except ValueError as e:
-            raise ScenarioError("$.rep", str(e)) from None
+        mats = tuple(_parse_matrix(m, hdim, hdim, f"$.rep[{i}]") for i, m in enumerate(raw_rep))
+        rep = _built("$.rep", UnitaryRep, group, mats)
+        normalized["rep"] = [_matrix_json(m) for m in rep.mats]
 
     # causal net
     net = None
@@ -292,54 +301,33 @@ def parse_scenario(doc) -> Scenario:
         _expect(isinstance(rb, dict), "$.net.bounds", "must be an object with t and x ranges")
         spans = {}
         for axis in ("t", "x"):
-            rng = rb.get(axis)
-            _expect(
-                isinstance(rng, list)
-                and len(rng) == 2
-                and all(isinstance(v, int) and not isinstance(v, bool) for v in rng),
-                f"$.net.bounds.{axis}",
-                "must be [lo, hi] integers",
-            )
-            _expect(rng[0] <= rng[1], f"$.net.bounds.{axis}", "lo must not exceed hi")
-            spans[axis] = rng
-        bounds = LatticeBounds(spans["t"][0], spans["t"][1], spans["x"][0], spans["x"][1])
+            p = f"$.net.bounds.{axis}"
+            spans[axis] = _int_pair(rb.get(axis), p, "must be [lo, hi] integers")
+            _expect(spans[axis][0] <= spans[axis][1], p, "lo must not exceed hi")
         raw_cones = raw_net.get("cones")
         _expect(isinstance(raw_cones, list), "$.net.cones", "must be a list")
         assignments = {}
+        cones = []
         for i, c in enumerate(raw_cones):
             p = f"$.net.cones[{i}]"
             _expect(isinstance(c, dict), p, "must be an object")
-            ends = {}
-            for key in ("lo", "hi"):
-                v = c.get(key)
-                _expect(
-                    isinstance(v, list)
-                    and len(v) == 2
-                    and all(isinstance(u, int) and not isinstance(u, bool) for u in v),
-                    f"{p}.{key}",
-                    "must be [t, x] integers",
-                )
-                ends[key] = Event(v[0], v[1])
-            try:
-                cone = DoubleCone(ends["lo"], ends["hi"])
-            except ValueError as e:
-                raise ScenarioError(p, str(e)) from None
+            lo = _int_pair(c.get("lo"), f"{p}.lo", "must be [t, x] integers")
+            hi = _int_pair(c.get("hi"), f"{p}.hi", "must be [t, x] integers")
+            cone = _built(p, DoubleCone, Event(*lo), Event(*hi))
             _expect(cone not in assignments, p, "duplicate cone")
             cone_gens = c.get("generators", [])
             _expect(isinstance(cone_gens, list), f"{p}.generators", "must be a list of generator names")
-            arrows = []
             for j, gname in enumerate(cone_gens):
                 _expect(
-                    isinstance(gname, str) and gname in generator_names,
+                    isinstance(gname, str) and gname in generators,
                     f"{p}.generators[{j}]",
                     f"unknown generator name {gname!r}",
                 )
-                arrows.append(generators[generator_names.index(gname)])
-            assignments[cone] = tuple(arrows)
-        try:
-            net = CausalNet(bounds, ctx, assignments)
-        except ValueError as e:
-            raise ScenarioError("$.net", str(e)) from None
+            assignments[cone] = tuple(generators[gname] for gname in cone_gens)
+            cones.append({"lo": list(lo), "hi": list(hi), "generators": list(cone_gens)})
+        bounds = LatticeBounds(*spans["t"], *spans["x"])
+        net = _built("$.net", CausalNet, bounds, ctx, assignments)
+        normalized["net"] = {"bounds": {axis: list(v) for axis, v in spans.items()}, "cones": cones}
 
     # commands
     raw_commands = doc.get("commands")
@@ -358,51 +346,6 @@ def parse_scenario(doc) -> Scenario:
             _expect(rep is not None, p, f"command {cmd!r} needs group and rep sections")
         if cmd in _NEEDS_NET:
             _expect(net is not None, p, f"command {cmd!r} needs a net section")
-
-    normalized = {
-        "schema": 1,
-        "hdim": hdim,
-    }
-    if tol is not None:
-        normalized["tol"] = tol
-    if dagger_close:
-        normalized["dagger_close"] = True
-    normalized["objects"] = [{"name": o.name, "dim": o.dim} for o in objects]
-    normalized["universe"] = [o.name for o in uni_objs]
-    normalized["generators"] = [
-        {
-            "name": generator_names[i],
-            "dom": g.dom.name,
-            "cod": g.cod.name,
-            "matrix": _matrix_json(g.mat),
-        }
-        for i, g in enumerate(generators)
-    ]
-    if group is not None:
-        normalized["group"] = {
-            "elements": list(group.elements),
-            "table": [list(r) for r in group.table],
-        }
-    if rep is not None:
-        normalized["rep"] = [_matrix_json(m) for m in rep.mats]
-    if net is not None:
-        normalized["net"] = {
-            "bounds": {
-                "t": [bounds.tmin, bounds.tmax],
-                "x": [bounds.xmin, bounds.xmax],
-            },
-            "cones": [
-                {
-                    "lo": [cone.lo.t, cone.lo.x],
-                    "hi": [cone.hi.t, cone.hi.x],
-                    "generators": [
-                        generator_names[generators.index(a)]
-                        for a in net.assignments[cone]
-                    ],
-                }
-                for cone in net.cones()
-            ],
-        }
     normalized["commands"] = list(raw_commands)
 
     return Scenario(
@@ -410,7 +353,7 @@ def parse_scenario(doc) -> Scenario:
         tol=tol,
         dagger_close=dagger_close,
         universe=universe,
-        generators=generators,
+        generators=list(generators.values()),
         group=group,
         rep=rep,
         net=net,

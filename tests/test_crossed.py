@@ -31,6 +31,7 @@ from vncat import (
     symmetric_group,
     trivial_group,
     trivial_rep,
+    whisker_left,
 )
 from vncat import crossed
 from helpers import conjugated_regular_rep, random_arrow, random_matrix, random_unitary
@@ -53,6 +54,8 @@ def test_group_table_validation():
         FiniteGroup(("e", "a"), ((0, 1),))
     with pytest.raises(ValueError):
         FiniteGroup(("e", "a"), ((0, 1), (1, 2)))
+    with pytest.raises(ValueError, match="entries must index elements"):
+        FiniteGroup(("e", "a"), ((0, 1), (1, 2**63)))
     with pytest.raises(ValueError):
         # left-zero table, no two-sided identity
         FiniteGroup(("a", "b"), ((0, 0), (1, 1)))
@@ -338,6 +341,39 @@ def test_covariance_holds_for_valid_reps():
         f = random_arrow(r, I, a, base)
         for g in range(rep.group.order):
             assert covariance_residual(g, f, rep, cc) <= 1e-10
+
+
+def _covariance_by_conjugation(g, f, rep, cc):
+    """The covariance defect with the right side built as (id (x) lam) pi(f) (id (x) lam)*."""
+    lam = lambda_embed(g, cc)
+    lhs = pi_embed(act(g, f, rep), rep, cc)
+    conj_l = whisker_left(f.cod, lam)
+    conj_r = dagger(whisker_left(f.dom, lam))
+    rhs = compose(conj_l, compose(pi_embed(f, rep, cc), conj_r))
+    return operator_norm(lhs.mat - rhs.mat)
+
+
+def test_covariance_matches_conjugation_oracle():
+    # permuting pi(f)'s fibres moves the same numbers the permutation
+    # products do, so the two residuals agree to the last bit
+    r = np.random.default_rng(11)
+    objs = (I, Obj("A", 2), Obj("B", 3))
+    for group in (cyclic_group(2), cyclic_group(3), symmetric_group(3), cyclic_group(4)):
+        n = group.order
+        regular = regular_rep(group)
+        twist = [np.eye(n)] + [np.diag(np.exp(1j * r.uniform(0, 1, n)))] * (n - 1)
+        reps = (
+            trivial_rep(group, n),
+            regular,
+            conjugated_regular_rep(group, r),
+            UnitaryRep(group, tuple(m @ t for m, t in zip(regular.mats, twist)), validate=False),
+        )
+        cc = CrossedContext(Context(n), group)
+        for rep in reps:
+            dom, cod = objs[r.integers(3)], objs[r.integers(3)]
+            f = random_arrow(r, dom, cod, cc.base)
+            for g in [*range(n), group.elements[-1]]:
+                assert covariance_residual(g, f, rep, cc) == _covariance_by_conjugation(g, f, rep, cc)
 
 
 def test_covariance_detects_corrupted_rep():

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -5,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vncat import ScenarioError, load_scenario, parse_scenario, run_scenario
 from vncat.cli import main
@@ -39,8 +42,14 @@ def test_goldens_exist():
     ]
 
 
+NET_BOUNDS = {"t": [0, 2], "x": [0, 0]}
+CONE = {"lo": [0, 0], "hi": [1, 0]}
+Z2_GROUP = {"elements": ["e", "s"], "table": [[0, 1], [1, 0]]}
+
+
+# ``want`` is the error's path, or its whole text where that is pinned
 @pytest.mark.parametrize(
-    "mutate,path",
+    "mutate,want",
     [
         (lambda d: d.pop("schema"), "$.schema"),
         (lambda d: d.update(schema=2), "$.schema"),
@@ -65,15 +74,132 @@ def test_goldens_exist():
         (lambda d: d.update(commands=["cstar-check"]), "$.commands[0]"),
         (lambda d: d.update(commands=["covariance"]), "$.commands[0]"),
         (lambda d: d.update(commands=["causality"]), "$.commands[0]"),
+        pytest.param(
+            lambda d: d.update(net={"bounds": {"t": [0], "x": [0, 0]}, "cones": []}),
+            "$.net.bounds.t: must be [lo, hi] integers",
+            id="net-bounds-not-a-pair",
+        ),
+        pytest.param(
+            lambda d: d.update(net={"bounds": {"t": [2, 0], "x": [0, 0]}, "cones": []}),
+            "$.net.bounds.t: lo must not exceed hi",
+            id="net-bounds-lo-above-hi",
+        ),
+        pytest.param(
+            lambda d: d.update(net={"bounds": NET_BOUNDS, "cones": [{"lo": [0, True], "hi": [1, 0]}]}),
+            "$.net.cones[0].lo: must be [t, x] integers",
+            id="net-cone-end-not-integers",
+        ),
+        pytest.param(
+            lambda d: d.update(net={"bounds": NET_BOUNDS, "cones": [CONE, CONE]}),
+            "$.net.cones[1]: duplicate cone",
+            id="net-duplicate-cone",
+        ),
+        pytest.param(
+            lambda d: d.update(net={"bounds": NET_BOUNDS, "cones": [dict(CONE, generators="a")]}),
+            "$.net.cones[0].generators: must be a list of generator names",
+            id="net-cone-generators-not-a-list",
+        ),
+        pytest.param(
+            lambda d: d.update(group={"elements": ["e", ""], "table": [[0, 1], [1, 0]]}),
+            "$.group.elements: must be a non-empty list of non-empty strings",
+            id="group-empty-element-label",
+        ),
+        pytest.param(
+            lambda d: d.update(group={"elements": ["e", "s"], "table": [[0, 1], [1]]}),
+            "$.group.table: must be a 2 x 2 table of element indices",
+            id="group-table-ragged",
+        ),
+        pytest.param(
+            lambda d: d.update(group={"elements": ["e", "s"], "table": [[0, True], [1, 0]]}),
+            "$.group.table: must be a 2 x 2 table of element indices",
+            id="group-table-bool-entry",
+        ),
+        pytest.param(
+            lambda d: d.update(universe=[]), "$.universe: must be a non-empty list", id="universe-empty"
+        ),
+        pytest.param(
+            lambda d: d.update(generators={}), "$.generators: must be a list", id="generators-not-a-list"
+        ),
+        # JSON reads a 400-digit literal as an int, which float() and int64 cannot hold
+        pytest.param(
+            lambda d: d.update(tol=10**400),
+            "$.tol: must be a number strictly between 0 and 1",
+            id="tol-huge-int",
+        ),
+        pytest.param(
+            lambda d: d.update(generators=[{"dom": "I", "cod": "I", "matrix": [[10**400, 0], [0, 1]]}]),
+            "$.generators[0].matrix: matrix entries must be finite",
+            id="matrix-huge-int-entry",
+        ),
+        pytest.param(
+            lambda d: d.update(group=Z2_GROUP, rep=[[[1, 0], [0, 1]], [[0, [1, -10**400]], [1, 0]]]),
+            "$.rep[1]: matrix entries must be finite",
+            id="matrix-huge-int-pair-part",
+        ),
+        pytest.param(
+            lambda d: d.update(group={"elements": ["e", "s"], "table": [[0, 1], [1, 2**63]]}),
+            "$.group: multiplication table entries must index elements",
+            id="group-table-huge-int-entry",
+        ),
     ],
 )
-def test_parse_rejections_carry_paths(mutate, path):
+def test_parse_rejections_carry_paths(mutate, want):
+    path = want.split(": ")[0]
     doc = base_doc()
     mutate(doc)
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(doc)
     assert exc.value.path == path
-    assert str(exc.value).startswith(path + ": ")
+    if want == path:
+        assert str(exc.value).startswith(path + ": ")
+    else:
+        assert str(exc.value) == want
+
+
+GOLDEN_DOCS = [json.loads(p.read_text()) for p in GOLDENS]
+GOLDEN_NAMES = sorted(
+    {o["name"] for d in GOLDEN_DOCS for o in d["objects"]}
+    | {g["name"] for d in GOLDEN_DOCS for g in d.get("generators", [])}
+)
+DELETE = object()
+# hostile values for any node: wrong types, edge numbers, names from other
+# fields, and short containers
+POOL = [
+    None, True, False, 0, -1, 1.5, -0.0, float("inf"), 10**400, "", *GOLDEN_NAMES,
+    [], [0], [1, 0], [0, 10**400], [[1, 0], [0, 1]], ["I", "I"], {}, {"name": "I", "dim": 1},
+]
+
+
+def node_paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from node_paths(child, path + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_outcome_of_mutated_goldens(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(GOLDEN_DOCS)))
+    path = data.draw(st.sampled_from(list(node_paths(doc))))
+    value = data.draw(st.sampled_from([DELETE, *POOL]))
+    if not path:
+        doc = None if value is DELETE else copy.deepcopy(value)
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(value)
+    try:
+        sc = parse_scenario(doc)
+    except ScenarioError as e:
+        assert e.path.startswith("$") and str(e).startswith(e.path + ": ")
+    else:
+        echo = json.dumps(sc.normalized)
+        assert json.dumps(parse_scenario(json.loads(echo)).normalized) == echo
 
 
 def test_group_rep_net_rejections():
@@ -329,6 +455,10 @@ def test_main_runs_scenarios(tmp_path):
     code = main(["--input", str(GOLDEN_DIR / "light_cones.json"), "--output", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["pass"] is True
+    # a 400-digit tolerance is a scenario error, not a traceback
+    huge_tol = tmp_path / "huge_tol.json"
+    huge_tol.write_text(json.dumps(base_doc(tol=10**400)))
+    assert main(["--input", str(huge_tol), "--output", str(out)]) == 2
 
 
 def test_empty_generator_commutant_has_full_homs(tmp_path):
