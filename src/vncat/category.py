@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, kron, operator_norm, swap_perm
+from .linalg import as_matrix, kron, operator_norm, relative, swap_perm
 
 __all__ = [
     "Context",
@@ -270,10 +270,10 @@ def _central_part(f: Arrow):
 def central_factor(f: Arrow, tol: float = 1e-9):
     """The visible factor fhat with f = fhat (x) id_H, or None.
 
-    fhat is returned when ``central_defect(f) <= tol * max(1, ||f||)``.
+    fhat is returned when ``relative(central_defect(f), ||f||) <= tol``.
     """
     fhat, defect = _central_part(f)
-    return fhat if defect <= tol * max(1.0, f.norm()) else None
+    return fhat if relative(defect, f.norm()) <= tol else None
 
 
 def central_defect(f: Arrow) -> float:
@@ -302,5 +302,4 @@ def arrow_close(f: Arrow, g: Arrow, tol: float = 1e-9) -> bool:
     """Same hom space and operator-norm distance within tol (relative)."""
     if f.ctx != g.ctx or f.dom != g.dom or f.cod != g.cod:
         return False
-    scale = max(1.0, f.norm(), g.norm())
-    return operator_norm(f.mat - g.mat) <= tol * scale
+    return bool(relative(operator_norm(f.mat - g.mat), max(f.norm(), g.norm())) <= tol)

@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 from .category import Arrow, Context, interchange_residuals
 from .commutant import HomSubspace, group_by_hom, subspace_contains
+from .linalg import relative
 
 __all__ = [
     "Event",
@@ -157,7 +158,7 @@ def check_causality(net: CausalNet, tol: float = 1e-9) -> CausalityReport:
 
     @cache
     def residual(f: Arrow, g: Arrow) -> float:
-        return interchange_residuals(f, g) / max(1.0, f.norm() * g.norm())
+        return relative(interchange_residuals(f, g), f.norm() * g.norm())
 
     cones = net.cones()
     worst = None

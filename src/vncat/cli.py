@@ -23,6 +23,7 @@ import time
 from .category import central_defect, cstar_residuals, identity_arrow, pair_swap_family
 from .commutant import (
     FinPremonCat,
+    ObjectUniverse,
     commutant,
     double_commutant,
     endo_algebra,
@@ -31,6 +32,7 @@ from .commutant import (
 )
 from .causal import check_causality, check_isotony
 from .crossed import CrossedContext, covariance_residual, crossed_product
+from .linalg import relative
 from .scenario import MatrixJson, Scenario, ScenarioError, load_scenario
 
 __all__ = ["main", "run_scenario"]
@@ -59,13 +61,10 @@ def _attach_cat(entry: dict, cat: FinPremonCat, emit: str):
 def _cmd_centre(sc: Scenario, tol: float, emit: str) -> dict:
     family = pair_swap_family(sc.ctx)
     cat = commutant(family, sc.universe, tol)
-    defect = 0.0
-    ok = True
-    for f in cat.all_arrows():
-        d = central_defect(f)
-        defect = max(defect, d)
-        ok = ok and d <= tol * max(1.0, f.norm())
-    entry = {"command": "centre", "pass": ok, "max_factor_defect": defect}
+    arrows = cat.all_arrows()
+    defects = [central_defect(f) for f in arrows]
+    ok = all(relative(d, f.norm()) <= tol for d, f in zip(defects, arrows))
+    entry = {"command": "centre", "pass": ok, "max_factor_defect": max(defects, default=0.0)}
     _attach_cat(entry, cat, emit)
     return entry
 
@@ -100,7 +99,8 @@ def _cmd_vn_check(sc: Scenario, tol: float, emit: str) -> dict:
 
 
 def _cmd_endo_algebra(sc: Scenario, tol: float, emit: str) -> dict:
-    cat = double_commutant(sc.generators, sc.universe, tol, auto_close=sc.dagger_close)
+    unit_only = ObjectUniverse((sc.universe.unit,), sc.ctx)
+    cat = double_commutant(sc.generators, unit_only, tol, auto_close=sc.dagger_close)
     basis = endo_algebra(cat)
     entry = {"command": "endo-algebra", "pass": True, "dim": len(basis)}
     if emit == "full":
@@ -116,13 +116,13 @@ def _cmd_cstar_check(sc: Scenario, tol: float, emit: str) -> dict:
     whisk = max(sc.universe.objects, key=lambda o: o.dim)
     keys = ("submult", "cstar_id", "whisker_left_norm", "whisker_right_norm")
     worst = {k: 0.0 for k in keys}
-    scale = 1.0
+    scale = 0.0
     for s, t in pairs:
         res = cstar_residuals(s, t, whisk)
         for k in keys:
             worst[k] = max(worst[k], res[k])
         scale = max(scale, s.norm() * t.norm(), s.norm() ** 2)
-    ok = all(worst[k] <= tol * scale for k in keys)
+    ok = all(relative(worst[k], scale) <= tol for k in keys)
     return {"command": "cstar-check", "pass": ok, "max_residuals": worst}
 
 
@@ -139,15 +139,12 @@ def _cmd_crossed_product(sc: Scenario, tol: float, emit: str) -> dict:
 
 def _cmd_covariance(sc: Scenario, tol: float, emit: str) -> dict:
     cc = CrossedContext(sc.ctx, sc.group)
-    worst = 0.0
-    scale = 1.0
-    for f in sc.generators:
-        scale = max(scale, f.norm())
-        for g in range(sc.group.order):
-            worst = max(worst, covariance_residual(g, f, sc.rep, cc))
+    elements = range(sc.group.order)
+    worst = max(covariance_residual(g, f, sc.rep, cc) for f in sc.generators for g in elements)
+    scale = max(f.norm() for f in sc.generators)
     return {
         "command": "covariance",
-        "pass": worst <= tol * scale,
+        "pass": bool(relative(worst, scale) <= tol),
         "max_residual": worst,
     }
 

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .category import Arrow, Context, Obj, block_view, dagger
-from .linalg import as_matrix, kron, nullspace
+from .linalg import as_matrix, kron, nullspace, relative
 
 __all__ = [
     "ObjectUniverse",
@@ -179,7 +179,7 @@ def _phase_normalize(v: np.ndarray) -> np.ndarray:
 
 
 def span_basis(mats: Sequence[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:
-    """Orthonormal basis (trace inner product) for the span of ``mats``."""
+    """Orthonormal basis (trace inner product) for the span of ``mats``, cut like ``nullspace``."""
     mats = [as_matrix(m) for m in mats]
     if not mats:
         return []
@@ -188,24 +188,22 @@ def span_basis(mats: Sequence[np.ndarray], tol: float = 1e-9) -> list[np.ndarray
         raise ValueError("span_basis needs matrices of a single shape")
     cols = np.column_stack([_vec(m) for m in mats])
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return []
-    keep = s > tol * s[0]
-    return [_unvec(_phase_normalize(u[:, i]), *shape) for i in range(int(keep.sum()))]
+    rank = int((relative(s, s[:1]) > tol).sum())  # s[:1]: empty matrices have no s[0]
+    return [_unvec(_phase_normalize(u[:, i]), *shape) for i in range(rank)]
 
 
 def _in_span(basis: Sequence[np.ndarray], m: np.ndarray, tol: float) -> bool:
     """Whether ``m`` lies in the span of the orthonormal ``basis``.
 
-    The residual left after projecting out each basis matrix in turn must
-    be within ``tol * max(1, ||m||)`` (Frobenius norms).
+    The residual r left after projecting out each basis matrix in turn must
+    satisfy ``relative(||r||, ||m||) <= tol`` (Frobenius norms).
     """
     v = _vec(m)
     r = v.copy()
     for b in basis:
         bv = _vec(b)
         r = r - bv * (bv.conj() @ r)
-    return np.linalg.norm(r) <= tol * max(1.0, np.linalg.norm(v))
+    return relative(np.linalg.norm(r), np.linalg.norm(v)) <= tol
 
 
 def group_by_hom(arrows: Sequence[Arrow]) -> dict:
@@ -405,14 +403,8 @@ def classical_commutant(mats: Sequence[np.ndarray], tol: float = 1e-9) -> list[n
     if any(m.shape != (n, n) for m in mats):
         raise ValueError("classical_commutant needs square matrices of one size")
     sb = span_basis(mats, tol)
-    for m in mats:
-        v = _vec(m.conj().T)
-        r = v.copy()
-        for b in sb:
-            bv = _vec(b)
-            r = r - bv * (bv.conj() @ r)
-        if np.linalg.norm(r) > tol * max(1.0, np.linalg.norm(v)):
-            raise ValueError("matrix list is not closed under conjugate transpose")
+    if not all(_in_span(sb, m.conj().T, tol) for m in mats):
+        raise ValueError("matrix list is not closed under conjugate transpose")
     eye = np.eye(n)
     rows = [kron(m.T, eye) - kron(eye, m) for m in mats]
     kern = nullspace(np.vstack(rows), tol)

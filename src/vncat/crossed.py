@@ -20,7 +20,7 @@ import numpy as np
 from .category import Arrow, Context, block_view, unit_obj
 from .commutant import FinPremonCat, ObjectUniverse, _star_checked, _tensor_view
 from .commutant import double_commutant, endo_algebra
-from .linalg import as_matrix, kron, operator_norm
+from .linalg import as_matrix, kron, operator_norm, relative
 
 __all__ = [
     "FiniteGroup",
@@ -167,8 +167,9 @@ class UnitaryRep:
     """Unitary matrices indexed like the group elements.
 
     Validation checks unitarity, the identity, and the homomorphism law on
-    all element pairs; ``validate=False`` skips those checks and exists for
-    negative controls that need a deliberately broken family.
+    all element pairs at the fixed tolerance 1e-10; ``validate=False`` skips
+    those checks and exists for negative controls that need a deliberately
+    broken family.
     """
 
     group: FiniteGroup
@@ -192,16 +193,16 @@ class UnitaryRep:
             eye = np.eye(d)
             stack = np.stack(self.mats)
             # ord 2 over axes (1, 2) is the operator norm of each matrix
-            bound = 1e-10 * np.maximum(1.0, np.linalg.norm(stack, 2, axis=(1, 2)))
+            norms = np.linalg.norm(stack, 2, axis=(1, 2))
             gram = stack.conj().transpose(0, 2, 1) @ stack - eye
-            bad = np.flatnonzero(np.linalg.norm(gram, 2, axis=(1, 2)) > bound)
+            bad = np.flatnonzero(relative(np.linalg.norm(gram, 2, axis=(1, 2)), norms) > 1e-10)
             if bad.size:
                 raise ValueError(f"matrix for {self.group.elements[bad[0]]!r} is not unitary")
             if operator_norm(self.mats[self.group.identity] - eye) > 1e-10:
                 raise ValueError("identity element must map to the identity matrix")
             for i, row in enumerate(np.array(self.group.table)):
                 err = np.linalg.norm(stack[i] @ stack - stack[row], 2, axis=(1, 2))
-                bad = np.flatnonzero(err > bound[row])
+                bad = np.flatnonzero(relative(err, norms[row]) > 1e-10)
                 if bad.size:
                     raise ValueError(
                         "matrices do not respect the multiplication table at "
@@ -324,7 +325,8 @@ def crossed_product(
     if any(f.ctx != cc.base for f in gens):
         raise ValueError("arrow context differs from the crossed base context")
     orbit = [act(g, f, rep) for f in _star_checked(gens, tol, auto_close) for g in range(n)]
-    algebra = endo_algebra(double_commutant(orbit, universe, tol, auto_close=True))
+    closure = double_commutant(orbit, ObjectUniverse((unit,), cc.base), tol, auto_close=True)
+    algebra = endo_algebra(closure)
     pis = np.stack([pi_embed(Arrow(unit, unit, cc.base, b), rep, cc).mat for b in algebra])
     products = np.concatenate([pis @ lambda_embed(g, cc).mat for g in range(n)]) / np.sqrt(n)
     return _tensor_view(ObjectUniverse(universe.objects, cc.tilde), products)

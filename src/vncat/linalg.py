@@ -3,6 +3,12 @@
 Matrices are plain numpy arrays with dtype complex128.  Vectorization is
 column-stacking throughout (``order="F"``), so the matrix of a linear map
 ``F -> C_L @ F @ C_R`` on vectorized input is ``C_R.T (x) C_L``.
+
+One tolerance rule decides every rank cut and pass/fail verdict in the
+package: a singular value, residual or defect ``x`` of something of size
+``scale`` is zero when ``relative(x, scale) <= tol``.  The cut is relative
+to the scale but never below ``tol``, so that a numerically zero matrix (say
+a constraint stack of rounding errors) reads as zero, not as structure.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ __all__ = [
     "swap_perm",
     "nullspace",
     "operator_norm",
+    "relative",
 ]
 
 
@@ -60,15 +67,17 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def relative(x, scale):
+    """``x / max(1, scale)``, elementwise: what tolerances are compared with."""
+    return x / np.maximum(1.0, scale)
+
+
 def nullspace(a, tol: float = 1e-9) -> np.ndarray:
     """Orthonormal kernel basis of ``a`` as the columns of the result.
 
     Keeps right singular vectors whose singular values satisfy
-    ``sigma <= tol * max(1, sigma_max)``: relative to the largest singular
-    value, but never below ``tol``, so that a numerically zero matrix (say a
-    constraint stack of rounding errors) reads as zero, not as structure.
-    The zero matrix (and the degenerate zero-row case) returns the standard
-    basis.
+    ``relative(sigma, sigma_max) <= tol``.  The zero matrix (and the
+    degenerate zero-row case) returns the standard basis.
     """
     m = as_matrix(a)
     rows, cols = m.shape
@@ -80,5 +89,5 @@ def nullspace(a, tol: float = 1e-9) -> np.ndarray:
     # (and then huge) U is never needed.  Singular values come sorted, so
     # the kernel is the rows of V* past the rank
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    rank = int((s > tol * max(1.0, s[0])).sum())
+    rank = int((relative(s, s[0]) > tol).sum())
     return vh[rank:].conj().T

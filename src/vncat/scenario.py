@@ -4,9 +4,10 @@ A scenario is a single JSON object.  Complex numbers are encoded as
 ``[re, im]`` pairs (bare reals are accepted on input and normalized), and
 matrices as row-major nested lists.  ``parse_scenario`` validates the whole
 document and raises ScenarioError with a path like ``generators[2].matrix``
-pointing at the offending field.  ``Scenario.normalized`` is the canonical
-dict echoed into reports, written section by section as each is validated,
-and a fixed point: parsing it gives it back.
+pointing at the offending field, also when the engine's arrays would pass
+2**26 complex entries.  ``Scenario.normalized`` is the canonical dict
+echoed into reports, written section by section as each is validated, and
+a fixed point: parsing it gives it back.
 
 Top-level keys:
   schema (must be 1), hdim, tol?, dagger_close?, objects, universe?,
@@ -42,6 +43,8 @@ COMMANDS = (
 _NEEDS_GENERATORS = {"cstar-check", "covariance"}
 _NEEDS_REP = {"crossed-product", "covariance"}
 _NEEDS_NET = {"causality"}
+_ALLOCATING = {"centre", "commutant", "double-commutant", "vn-check", "endo-algebra", "crossed-product"}
+_MAX_ENTRIES = 2**26  # complex entries the engine may hold: 1 GiB
 
 
 class ScenarioError(ValueError):
@@ -123,13 +126,14 @@ def _parse_entry(v, path) -> complex:
 
 def _parse_matrix(v, rows, cols, path) -> np.ndarray:
     _expect(isinstance(v, list) and len(v) == rows, path, f"must be a list of {rows} rows")
-    out = np.zeros((rows, cols), dtype=np.complex128)
     for i, row in enumerate(v):
         _expect(
             isinstance(row, list) and len(row) == cols,
             f"{path}[{i}]",
             f"must be a list of {cols} entries",
         )
+    out = np.zeros((rows, cols), dtype=np.complex128)
+    for i, row in enumerate(v):
         for j, entry in enumerate(row):
             out[i, j] = _parse_entry(entry, f"{path}[{i}][{j}]")
     _expect(bool(np.isfinite(out).all()), path, "matrix entries must be finite")
@@ -180,7 +184,7 @@ class MatrixJson:
 def parse_scenario(doc) -> Scenario:
     """Validate, build and echo each section of ``doc`` in one pass."""
     _expect(isinstance(doc, dict), "$", "scenario must be a JSON object")
-    _expect(doc.get("schema") == 1, "$.schema", "must be the integer 1")
+    _expect(_is_int(doc.get("schema")) and doc["schema"] == 1, "$.schema", "must be the integer 1")
     hdim = _get_int(doc, "hdim", "$", minimum=1)
     ctx = Context(hdim)
     normalized = {"schema": 1, "hdim": hdim}
@@ -347,6 +351,19 @@ def parse_scenario(doc) -> Scenario:
         if cmd in _NEEDS_NET:
             _expect(net is not None, p, f"command {cmd!r} needs a net section")
     normalized["commands"] = list(raw_commands)
+
+    # an upper bound, in exact ints, on the complex entries the engine holds:
+    # the universe's hom stacks, the hidden solve's chunk and centre's
+    # pair-swap family; the error names the factor that dominates
+    if _ALLOCATING.intersection(raw_commands):
+        side = sum(o.dim**2 for o in uni_objs.values()) ** 2
+        g3 = group.order**3 if "crossed-product" in raw_commands else 1
+        hpow = max(hdim**5, hdim**6 // 2 if "centre" in raw_commands else 0)
+        if max(side * hdim**4 * g3, hpow) > _MAX_ENTRIES:
+            big = list(by_name).index(max(uni_objs.values(), key=lambda o: o.dim).name)
+            blame = {f"$.objects[{big}].dim": side, "$.hdim": hpow, "$.group": g3}
+            message = f"needs over {_MAX_ENTRIES} complex entries (1 GiB)"
+            raise ScenarioError(max(blame, key=blame.get), message)
 
     return Scenario(
         ctx=ctx,

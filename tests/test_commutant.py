@@ -22,6 +22,7 @@ from vncat import (
     is_star_closed,
     is_von_neumann,
     ltimes,
+    nullspace,
     pair_swap_family,
     regular_rep,
     rtimes,
@@ -32,7 +33,8 @@ from vncat import (
     subspace_contains,
     subspace_equal,
 )
-from helpers import random_arrow, random_closed_set
+from vncat.category import block_view
+from helpers import random_arrow, random_closed_set, random_unitary
 
 CTX = Context(2)
 UNI = standard_universe(CTX)
@@ -78,6 +80,17 @@ def test_span_basis_orthonormal_and_deterministic():
         assert np.array_equal(x, y)
     assert span_basis([]) == []
     assert span_basis([np.zeros((2, 2))]) == []
+
+
+def test_span_basis_cut_matches_nullspace():
+    # a singular value counts as zero when sigma / max(1, sigma_max) <= tol,
+    # however small sigma_max is
+    z = np.diag([1.0, -1.0])
+    assert span_basis([1e-12 * z]) == []
+    assert nullspace(np.reshape(1e-12 * z, (4, 1))).shape == (1, 1)
+    e11, e22 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    assert len(span_basis([0.1 * e11, 5e-10 * e22], 1e-9)) == 1
+    assert len(span_basis([0.1 * e11, 5e-9 * e22], 1e-9)) == 2
 
 
 def test_star_closure_helpers():
@@ -426,3 +439,62 @@ def test_commutant_dims_follow_block_structure(h, blocks):
         assert n == d.dim * c.dim * sum(m * m for _, m in blocks)
     for d, c, n in second.dims():
         assert n == d.dim * c.dim * sum(k * k for k, _ in blocks)
+
+
+# -- invariance laws of the tolerance rule --------------------------------------
+
+
+def _conjugated(mats, u):
+    """Copy of a matrix stack with every hidden block conjugated by the unitary u."""
+    out = np.array(mats, dtype=complex)
+    blocks = block_view(out, len(u))
+    blocks[...] = u @ blocks @ u.conj().T
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    blocks=st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)), min_size=1, max_size=3).filter(
+        lambda b: 2 <= sum(n * m for n, m in b) <= 4
+    ),
+    ends=st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=3),
+    scale=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_invariance_laws(blocks, ends, scale, seed):
+    # generic elements of A = (+)_k M_{n_k} (x) I_{m_k}, placed in every
+    # hidden block of an arrow between objects of {I, X2}, with their daggers
+    h = sum(n * m for n, m in blocks)
+    ctx = Context(h)
+    r = np.random.default_rng(seed)
+    unit, x2 = Obj("I", 1), Obj("X2", 2)
+    uni = ObjectUniverse((unit, x2), ctx)
+    q = random_unitary(r, h)
+    gens = []
+    for dom, cod in ((x2 if a else unit, x2 if b else unit) for a, b in ends):
+        grid = [[_algebra_element(r, blocks, q) for _ in range(dom.dim)] for _ in range(cod.dim)]
+        g = Arrow(dom, cod, ctx, np.block(grid))
+        gens.extend((g, dagger(g)))
+    first = commutant(gens, uni)
+    closure = double_commutant(gens, uni)
+
+    # commutant(U S U*) = U S' U*
+    u = random_unitary(r, h)
+    turned = commutant([Arrow(g.dom, g.cod, ctx, _conjugated(g.mat, u)) for g in gens], uni)
+    for d, c in uni.pairs():
+        want = HomSubspace(d, c, _conjugated(first.homs[(d, c)].mats, u))
+        assert subspace_equal(turned.homs[(d, c)], want)
+
+    # scaling and generator order change no dimension
+    moved = [Arrow(g.dom, g.cod, ctx, scale * g.mat) for g in reversed(gens)]
+    assert commutant(moved, uni).dims() == first.dims()
+    assert double_commutant(moved, uni).dims() == closure.dims()
+
+    # the unit endomorphisms do not depend on the universe
+    small = double_commutant(gens, ObjectUniverse((unit,), ctx))
+    big = double_commutant(gens, ObjectUniverse((unit, x2, Obj("X3", 3)), ctx))
+    assert np.array_equal(endo_algebra(small), endo_algebra(closure))
+    assert np.array_equal(endo_algebra(big), endo_algebra(closure))
+
+    # the double commutant is closed
+    assert double_commutant(closure.all_arrows(), uni).dims() == closure.dims()

@@ -45,6 +45,19 @@ def test_goldens_exist():
 NET_BOUNDS = {"t": [0, 2], "x": [0, 0]}
 CONE = {"lo": [0, 0], "hi": [1, 0]}
 Z2_GROUP = {"elements": ["e", "s"], "table": [[0, 1], [1, 0]]}
+# a generator whose 10**9 columns would take 16 GB before its one row is read
+WIDE_GENERATOR = dict(
+    hdim=1,
+    objects=[{"name": "I", "dim": 1}, {"name": "A", "dim": 10**9}],
+    generators=[{"dom": "A", "cod": "I", "matrix": [[0]]}],
+)
+OVER_SIZE = "needs over 67108864 complex entries (1 GiB)"
+
+
+def cyclic_doc(n):
+    """Group and trivial rep sections of C_n at hdim 1."""
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    return dict(hdim=1, group={"elements": [f"r{i}" for i in range(n)], "table": table}, rep=[[[1]]] * n)
 
 
 # ``want`` is the error's path, or its whole text where that is pinned
@@ -140,6 +153,30 @@ Z2_GROUP = {"elements": ["e", "s"], "table": [[0, 1], [1, 0]]}
             lambda d: d.update(group={"elements": ["e", "s"], "table": [[0, 1], [1, 2**63]]}),
             "$.group: multiplication table entries must index elements",
             id="group-table-huge-int-entry",
+        ),
+        pytest.param(lambda d: d.update(schema=True), "$.schema: must be the integer 1", id="schema-bool"),
+        pytest.param(lambda d: d.update(schema=1.0), "$.schema: must be the integer 1", id="schema-float"),
+        pytest.param(
+            lambda d: d.update(WIDE_GENERATOR),
+            "$.generators[0].matrix[0]: must be a list of 1000000000 entries",
+            id="matrix-rows-checked-before-allocation",
+        ),
+        # the engine's arrays are bounded before anything is allocated
+        pytest.param(
+            lambda d: d.update(objects=[{"name": "I", "dim": 1}, {"name": "A", "dim": 3000}]),
+            "$.objects[1].dim: " + OVER_SIZE,
+            id="size-object-dim",
+        ),
+        pytest.param(
+            lambda d: d.update(objects=[{"name": "I", "dim": 1}, {"name": "A", "dim": 10**30}]),
+            "$.objects[1].dim: " + OVER_SIZE,
+            id="size-huge-object-dim",
+        ),
+        pytest.param(lambda d: d.update(hdim=100), "$.hdim: " + OVER_SIZE, id="size-hdim"),
+        pytest.param(
+            lambda d: d.update(cyclic_doc(500), commands=["crossed-product"]),
+            "$.group: " + OVER_SIZE,
+            id="size-group-order",
         ),
     ],
 )
@@ -412,6 +449,19 @@ def test_tol_override_flips_verdict(tmp_path):
     assert 5e-4 < res < 2e-3
 
 
+def test_tiny_generator_is_zero_for_every_command(tmp_path):
+    # 1e-12 Z is below tol, so span, commutant and closure all read it as 0
+    gen = {"dom": "I", "cod": "I", "matrix": [[1e-12, 0], [0, -1e-12]]}
+    doc = base_doc(generators=[gen], commands=["commutant", "double-commutant", "vn-check"])
+    out = tmp_path / "r.json"
+    assert run_scenario(write_doc(tmp_path, doc), str(out)) == 1
+    comm, closure, vn = json.loads(out.read_text())["results"]
+    assert [d["dim"] for d in comm["dims"]] == [4]
+    assert [d["dim"] for d in closure["dims"]] == [1]
+    assert [d["dim"] for d in vn["dims"]] == [0]
+    assert vn["failures"] == [{"dom": "I", "cod": "I", "dim": 0, "closure_dim": 1}]
+
+
 def test_reports_are_byte_deterministic(tmp_path):
     for golden in GOLDENS:
         a = tmp_path / "a.json"
@@ -459,6 +509,9 @@ def test_main_runs_scenarios(tmp_path):
     huge_tol = tmp_path / "huge_tol.json"
     huge_tol.write_text(json.dumps(base_doc(tol=10**400)))
     assert main(["--input", str(huge_tol), "--output", str(out)]) == 2
+    # so are a 10**9-column generator and a universe too large to hold
+    for doc in (base_doc(**WIDE_GENERATOR), base_doc(hdim=100)):
+        assert main(["--input", write_doc(tmp_path, doc), "--output", str(out)]) == 2
 
 
 def test_empty_generator_commutant_has_full_homs(tmp_path):
