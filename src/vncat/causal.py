@@ -6,16 +6,23 @@ events between two comparable endpoints, so whether cones are spacelike or
 nested follows from the endpoints.  A net assigns arrows to cones; isotony
 asks nested cones to have nested spans, and causality asks every arrow pair
 across spacelike cones to interchange, each pair measured once.
+
+Both checks get the cone relations of all pairs at once by broadcasting
+``causal_leq`` over the stacked endpoints, ``_CHUNK`` rows of cones at a
+time.  A cone pair's value is the largest residual over its arrow pairs,
+0.0 when either cone is empty.  ``worst`` is the first pair with the
+largest value in ``combinations`` order, and None when no pair is
+spacelike; ``violations`` keep that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import combinations, permutations, product
 from typing import NamedTuple
 
-from .category import Arrow, Context, interchange_residuals
+import numpy as np
+
+from .category import Context, interchange_residuals
 from .commutant import HomSubspace, group_by_hom, subspace_contains
 from .linalg import relative
 
@@ -32,6 +39,8 @@ __all__ = [
     "check_isotony",
     "check_causality",
 ]
+
+_CHUNK = 64  # cone rows per broadcast block: temporaries hold O(_CHUNK * n) entries
 
 
 class Event(NamedTuple):
@@ -137,40 +146,115 @@ class CausalityReport:
     violations: tuple = ()  # (cone a, cone b, residual) above tolerance
 
 
+def _endpoints(cones: list[DoubleCone]) -> tuple[np.ndarray, np.ndarray]:
+    """The cones' lo and hi events as (2, n) arrays of (t, x) rows.
+
+    int64 while no coordinate difference can overflow, Python ints past that.
+    """
+    coords = [v for c in cones for v in (*c.lo, *c.hi)]
+    dtype = np.int64 if all(abs(v) < 2**61 for v in coords) else object
+    ends = np.array(coords, dtype=dtype).reshape(-1, 2, 2)
+    return ends[:, 0].T, ends[:, 1].T
+
+
+def _leq(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``causal_leq`` broadcast over endpoint arrays, as a bool array."""
+    return np.asarray(causal_leq(p, q), dtype=bool)
+
+
+def _row_blocks(n: int):
+    """Slices of at most ``_CHUNK`` cone rows covering range(n)."""
+    return [slice(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
+
+
+def _spacelike_rows(lo: np.ndarray, hi: np.ndarray, rows: slice) -> np.ndarray:
+    """(a, b) with a in ``rows`` and a < b, spacelike: a (len(rows), n) bool block."""
+    a_lo, a_hi = lo[:, rows, None], hi[:, rows, None]
+    apart = ~(_leq(a_lo, hi[:, None, :]) | _leq(lo[:, None, :], a_hi))
+    return apart & (np.arange(lo.shape[1]) > np.arange(rows.start, rows.stop)[:, None])
+
+
+def _nested_rows(lo: np.ndarray, hi: np.ndarray, rows: slice) -> np.ndarray:
+    """(inner, outer) with inner in ``rows`` and outer another cone holding it."""
+    inside = _leq(lo[:, None, :], lo[:, rows, None]) & _leq(hi[:, rows, None], hi[:, None, :])
+    own = np.arange(rows.start, rows.stop)
+    inside[own - rows.start, own] = False
+    return inside
+
+
 def check_isotony(net: CausalNet, tol: float = 1e-9) -> IsotonyReport:
     """Nested cones must carry nested generator spans, hom pair by hom pair."""
     cones = net.cones()
-    spans = {c: group_by_hom(net.assignments[c]) for c in cones}
+    spans = [
+        {hom: tuple(arrows) for hom, arrows in group_by_hom(net.assignments[c]).items()}
+        for c in cones
+    ]
+    lo, hi = _endpoints(cones)
+    contains = {}  # (inner arrows, outer arrows) of one hom -> verdict
     violations = []
-    for inner, outer in permutations(cones, 2):
-        if not (causal_leq(outer.lo, inner.lo) and causal_leq(inner.hi, outer.hi)):
-            continue
-        for (dom, cod), arrows in spans[inner].items():
-            small = HomSubspace(dom, cod, [a.mat for a in arrows])
-            big = HomSubspace(dom, cod, [a.mat for a in spans[outer].get((dom, cod), ())])
-            if not subspace_contains(big, small, tol):
-                violations.append((inner, outer, dom.name, cod.name))
+    for rows in _row_blocks(len(cones)):
+        inner_idx, outer_idx = np.nonzero(_nested_rows(lo, hi, rows))
+        for i, o in zip((inner_idx + rows.start).tolist(), outer_idx.tolist()):
+            for (dom, cod), small in spans[i].items():
+                key = (small, spans[o].get((dom, cod), ()))
+                if key not in contains:
+                    contains[key] = subspace_contains(
+                        HomSubspace(dom, cod, [a.mat for a in key[1]]),
+                        HomSubspace(dom, cod, [a.mat for a in small]),
+                        tol,
+                    )
+                if not contains[key]:
+                    violations.append((cones[i], cones[o], dom.name, cod.name))
     return IsotonyReport(not violations, tuple(violations))
 
 
 def check_causality(net: CausalNet, tol: float = 1e-9) -> CausalityReport:
     """Every arrow pair across spacelike-separated cones must interchange."""
-
-    @cache
-    def residual(f: Arrow, g: Arrow) -> float:
-        return relative(interchange_residuals(f, g), f.norm() * g.norm())
-
     cones = net.cones()
+    n = len(cones)
+    cone_of = np.fromiter(cones, dtype=object, count=n)
+    lo, hi = _endpoints(cones)
+    index: dict = {}  # distinct arrows, by identity
+    members = [[index.setdefault(a, len(index)) for a in net.assignments[c]] for c in cones]
+    arrows = list(index)
+    counts = np.array([len(ids) for ids in members], dtype=np.intp)
+    flat = np.array([i for ids in members for i in ids], dtype=np.intp)
+    incidence = np.zeros((n, len(arrows)))
+    incidence[np.repeat(np.arange(n), counts), flat] = 1.0
+
+    # ordered arrow pairs (f of the earlier cone, g of the later) that occur
+    occurs = np.zeros((len(arrows), len(arrows)), dtype=bool)
+    for rows in _row_blocks(n):
+        occurs |= incidence[rows].T @ (_spacelike_rows(lo, hi, rows) @ incidence) > 0
+    norms = [a.norm() for a in arrows]
+    residual = np.zeros(occurs.shape)
+    for i, j in zip(*np.nonzero(occurs)):
+        residual[i, j] = relative(interchange_residuals(arrows[i], arrows[j]), norms[i] * norms[j])
+
+    # a cone pair's worst value is its largest residual, 0.0 when either cone
+    # is empty: maxima over each cone's run of ``flat``, taken on ranks into
+    # the sorted distinct values so that equal values share one float object
+    levels = np.unique(np.append(residual, 0.0))
+    values = np.array(levels.tolist(), dtype=object)
+    rank = np.searchsorted(levels, residual)
+    full = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[full]
+    row_top = np.zeros((n, len(arrows)), dtype=np.intp)
+    row_top[full] = np.maximum.reduceat(rank[flat], starts, axis=0)
     worst = None
     violations = []
-    for ca, cb in combinations(cones, 2):
-        if not spacelike(ca, cb):
-            continue
-        top = 0.0
-        for f, g in product(net.assignments[ca], net.assignments[cb]):
-            top = max(top, residual(f, g))
-        if worst is None or top > worst[2]:
-            worst = (ca, cb, top)
-        if top > tol:
-            violations.append((ca, cb, top))
+    for rows in _row_blocks(n):
+        pair_top = np.zeros((rows.stop - rows.start, n), dtype=np.intp)
+        pair_top[:, full] = np.maximum.reduceat(row_top[rows][:, flat], starts, axis=1)
+        ia, ib = np.nonzero(_spacelike_rows(lo, hi, rows))
+        tops = pair_top[ia, ib]
+        ia += rows.start
+        if len(tops):
+            k = int(tops.argmax())  # the first maximum, in combinations order
+            if worst is None or values[tops[k]] > worst[2]:
+                worst = (cone_of[ia[k]], cone_of[ib[k]], values[tops[k]])
+        bad = levels[tops] > tol
+        violations += zip(
+            cone_of[ia[bad]].tolist(), cone_of[ib[bad]].tolist(), values[tops[bad]].tolist()
+        )
     return CausalityReport(not violations, worst, tuple(violations))

@@ -5,9 +5,10 @@ A scenario is a single JSON object.  Complex numbers are encoded as
 matrices as row-major nested lists.  ``parse_scenario`` validates the whole
 document and raises ScenarioError with a path like ``generators[2].matrix``
 pointing at the offending field, also when the engine's arrays would pass
-2**26 complex entries.  ``Scenario.normalized`` is the canonical dict
-echoed into reports, written section by section as each is validated, and
-a fixed point: parsing it gives it back.
+2**26 complex entries or a net checked for causality has over 2**21 cone
+pairs.  ``Scenario.normalized`` is the canonical dict echoed into reports,
+written section by section as each is validated, and a fixed point:
+parsing it gives it back.
 
 Top-level keys:
   schema (must be 1), hdim, tol?, dagger_close?, objects, universe?,
@@ -45,6 +46,7 @@ _NEEDS_REP = {"crossed-product", "covariance"}
 _NEEDS_NET = {"causality"}
 _ALLOCATING = {"centre", "commutant", "double-commutant", "vn-check", "endo-algebra", "crossed-product"}
 _MAX_ENTRIES = 2**26  # complex entries the engine may hold: 1 GiB
+_MAX_CONE_PAIRS = 2**21  # cone pairs causality may compare: 2,048 cones
 
 
 class ScenarioError(ValueError):
@@ -351,6 +353,15 @@ def parse_scenario(doc) -> Scenario:
         if cmd in _NEEDS_NET:
             _expect(net is not None, p, f"command {cmd!r} needs a net section")
     normalized["commands"] = list(raw_commands)
+
+    # each violating cone pair is a tuple in the causality report
+    if "causality" in raw_commands:
+        n = len(net.assignments)
+        _expect(
+            n * (n - 1) // 2 <= _MAX_CONE_PAIRS,
+            "$.net.cones",
+            f"{n} cones make over {_MAX_CONE_PAIRS} cone pairs",
+        )
 
     # an upper bound, in exact ints, on the complex entries the engine holds:
     # the universe's hom stacks, the hidden solve's chunk and centre's

@@ -1,7 +1,10 @@
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vncat import (
     Arrow,
@@ -275,14 +278,7 @@ def test_net_checks_match_brute_force_on_random_nets(seed):
 
 
 def test_causality_measures_each_arrow_pair_once(monkeypatch):
-    calls = []
-    measure = causal.interchange_residuals
-
-    def counted(f, g):
-        calls.append((f, g))
-        return measure(f, g)
-
-    monkeypatch.setattr(causal, "interchange_residuals", counted)
+    calls = counting_residuals(monkeypatch)
     f = pair_swap(0, 1, CTX)
     g = central([[2.0]])
     # unit cones two steps apart are pairwise spacelike
@@ -292,3 +288,93 @@ def test_causality_measures_each_arrow_pair_once(monkeypatch):
     rep = check_causality(net, 1e-8)
     assert not rep.passed and len(rep.violations) == 15 * 14 // 2
     assert 1 <= len(calls) <= 4
+
+
+def counting_residuals(monkeypatch):
+    """Patch ``causal.interchange_residuals`` to log its calls; returns the log."""
+    calls = []
+    measure = causal.interchange_residuals
+
+    def counted(f, g):
+        calls.append((f, g))
+        return measure(f, g)
+
+    monkeypatch.setattr(causal, "interchange_residuals", counted)
+    return calls
+
+
+X = Obj("X", 2)
+_r = np.random.default_rng(11)
+CENTRAL_PALETTE = [central(_r.standard_normal((1, 1))) for _ in range(2)] + [
+    central_arrow(_r.standard_normal((2, 1)), I, X, CTX)
+]
+PALETTE = CENTRAL_PALETTE + [
+    Arrow(I, I, CTX, np.diag(_r.standard_normal(2))),
+    Arrow(I, I, CTX, _r.standard_normal((2, 2)) * 10.0),
+    pair_swap(0, 1, CTX),
+    Arrow(I, X, CTX, _r.standard_normal((4, 2))),
+]
+# every diamond of a 5 x 9 patch of the lattice
+CONE_POOL = [
+    DoubleCone(Event(c.lo.t, c.lo.x - 4), Event(c.hi.t, c.hi.x - 4)) for c in lattice_cones(4, 8)
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, len(CONE_POOL) - 1), unique=True, max_size=10),
+    data=st.data(),
+    central_only=st.booleans(),
+    offset=st.sampled_from([0, 2**61 - 6, -(2**70)]),
+    chunk=st.sampled_from([1, 3, causal._CHUNK]),
+    tol=st.sampled_from([1e-9, 0.5]),
+)
+def test_net_checks_match_brute_force(picks, data, central_only, offset, chunk, tol):
+    # empty cones, arrows shared across cones, chunk boundaries inside the
+    # net and coordinates past int64 differences all agree with the oracles
+    palette = CENTRAL_PALETTE if central_only else PALETTE
+    arrows = st.lists(st.sampled_from(palette), max_size=3)
+    assignments = {}
+    for k in picks:
+        lo, hi = CONE_POOL[k].lo, CONE_POOL[k].hi
+        cone = DoubleCone(Event(lo.t + offset, lo.x + offset), Event(hi.t + offset, hi.x + offset))
+        assignments[cone] = data.draw(arrows)
+    bounds = LatticeBounds(offset, offset + 4, offset - 4, offset + 4)
+    net = CausalNet(bounds, CTX, assignments)
+    with mock.patch.object(causal, "_CHUNK", chunk):
+        rep = check_causality(net, tol)
+        assert rep == causality_by_brute_force(net, tol)
+        assert check_isotony(net, tol) == isotony_by_brute_force(net, tol)
+    apart = [(a, b) for a, b in combinations(net.cones(), 2) if spacelike(a, b)]
+    if not apart:
+        assert rep.worst is None
+    elif central_only:
+        # every residual is exactly 0.0: the tie goes to the first pair
+        assert rep.worst == (*apart[0], 0.0)
+
+
+def test_net_checks_on_empty_and_one_cone_nets():
+    empty = CausalNet(BOUNDS, CTX, {})
+    assert check_causality(empty) == causal.CausalityReport(True, None, ())
+    assert check_isotony(empty) == causal.IsotonyReport(True, ())
+    lone = CausalNet(BOUNDS, CTX, {DoubleCone(Event(0, 0), Event(2, 0)): [pair_swap(0, 1, CTX)]})
+    assert check_causality(lone) == causal.CausalityReport(True, None, ())
+    assert check_isotony(lone).passed
+
+
+def test_large_closed_form_net(monkeypatch):
+    calls = counting_residuals(monkeypatch)
+    f = pair_swap(0, 1, CTX)
+    g = central([[2.0]])
+    # 600 unit cones two steps apart: every pair is spacelike, none nested,
+    # and only the 300 swap cones fail against each other
+    cones = [DoubleCone(Event(0, 2 * k), Event(1, 2 * k)) for k in range(600)]
+    assert causal._CHUNK < len(cones)
+    assignments = {c: [(f, g)[k % 2]] for k, c in enumerate(cones)}
+    net = CausalNet(LatticeBounds(0, 1, 0, 1200), CTX, assignments)
+    rep = check_causality(net, 1e-8)
+    assert len(rep.violations) == 300 * 299 // 2
+    assert rep.worst[:2] == (cones[0], cones[2]) and rep.worst[2] > 0.5
+    assert rep.violations[:2] == ((cones[0], cones[2], rep.worst[2]), (cones[0], cones[4], rep.worst[2]))
+    assert len(calls) <= 4
+    assert check_isotony(net, 1e-8) == causal.IsotonyReport(True, ())

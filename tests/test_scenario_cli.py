@@ -54,6 +54,12 @@ WIDE_GENERATOR = dict(
 OVER_SIZE = "needs over 67108864 complex entries (1 GiB)"
 
 
+def unit_cones_doc(n):
+    """Net and command sections of n unit cones two steps apart, checked for causality."""
+    cones = [{"lo": [0, 2 * k], "hi": [1, 2 * k]} for k in range(n)]
+    return dict(net={"bounds": {"t": [0, 1], "x": [0, 2 * n]}, "cones": cones}, commands=["causality"])
+
+
 def cyclic_doc(n):
     """Group and trivial rep sections of C_n at hdim 1."""
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
@@ -178,6 +184,12 @@ def cyclic_doc(n):
             "$.group: " + OVER_SIZE,
             id="size-group-order",
         ),
+        # 2,049 cones make 2,098,176 cone pairs, just past 2**21
+        pytest.param(
+            lambda d: d.update(unit_cones_doc(2049)),
+            "$.net.cones: 2049 cones make over 2097152 cone pairs",
+            id="size-net-cone-pairs",
+        ),
     ],
 )
 def test_parse_rejections_carry_paths(mutate, want):
@@ -268,6 +280,16 @@ def test_group_rep_net_rejections():
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(doc)
     assert exc.value.path == "$.net.cones[0].generators[0]"
+
+
+def test_cone_pair_bound_admits_2048_cones():
+    # 2,048 cones make 2,096,128 cone pairs, within 2**21
+    sc = parse_scenario(base_doc(**unit_cones_doc(2048)))
+    assert len(sc.net.cones()) == 2048
+    # the bound applies only when causality will compare the pairs
+    big = base_doc(**unit_cones_doc(2049))
+    big["commands"] = ["commutant"]
+    assert len(parse_scenario(big).net.cones()) == 2049
 
 
 def test_load_scenario_file_errors(tmp_path):
@@ -509,8 +531,9 @@ def test_main_runs_scenarios(tmp_path):
     huge_tol = tmp_path / "huge_tol.json"
     huge_tol.write_text(json.dumps(base_doc(tol=10**400)))
     assert main(["--input", str(huge_tol), "--output", str(out)]) == 2
-    # so are a 10**9-column generator and a universe too large to hold
-    for doc in (base_doc(**WIDE_GENERATOR), base_doc(hdim=100)):
+    # so are a 10**9-column generator, a universe too large to hold and a
+    # causality net of over 2**21 cone pairs
+    for doc in (base_doc(**WIDE_GENERATOR), base_doc(hdim=100), base_doc(**unit_cones_doc(2049))):
         assert main(["--input", write_doc(tmp_path, doc), "--output", str(out)]) == 2
 
 
