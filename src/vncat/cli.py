@@ -7,9 +7,10 @@ deterministic byte for byte given the same scenario and flags; wall-clock
 timings only appear behind --timings because they would break that.
 
 A report is laid out exactly as ``json.dumps(report, indent=2)`` lays it
-out.  Basis matrices (``--emit-bases full``) are the bulk of a report; they
-are rendered by the C JSON encoder, which the stdlib does not use when
-``indent`` is set, and indented to match (see ``_write_report``).
+out.  Basis matrices (``--emit-bases full``) are the bulk of a report; each
+stack is rendered straight from its array, every distinct entry formatted
+once, and put in at its place in the indented skeleton (see
+``_write_report``).
 """
 
 from __future__ import annotations
@@ -203,8 +204,9 @@ def _write_report(report: dict, write) -> None:
     The indenting encoder renders the skeleton, with each MatrixJson holder
     replaced by a marker string: NUL and a fresh random nonce, which no
     string in a scenario can anticipate.  Holders meet the hook in the order
-    their markers appear, and each holder's text goes in at its marker,
-    indented to the marker's line.
+    their markers appear, and each holder's text (``MatrixJson.text``) goes
+    in at its marker, indented to the marker's line.  No holder outlives
+    the call.
     """
     marker = "\0" + os.urandom(16).hex()
     holders = []
@@ -215,12 +217,18 @@ def _write_report(report: dict, write) -> None:
         holders.append(obj)
         return marker
 
-    pieces = json.dumps(report, indent=2, default=hold).split(json.dumps(marker))
-    for piece, holder in zip(pieces, holders):
-        write(piece)
-        line = piece[piece.rfind("\n") + 1 :]
-        write(holder.text(line[: len(line) - len(line.lstrip(" "))]))
-    write(pieces[-1] + "\n")
+    try:
+        pieces = json.dumps(report, indent=2, default=hold).split(json.dumps(marker))
+        for piece, holder in zip(pieces, holders):
+            write(piece)
+            line = piece[piece.rfind("\n") + 1 :]
+            write(holder.text(line[: len(line) - len(line.lstrip(" "))]))
+        write(pieces[-1] + "\n")
+    finally:
+        # the indenting encoder's closures form a reference cycle that holds
+        # ``hold``, and through it ``holders``: without this, every stack
+        # would live until the cyclic collector next runs
+        holders.clear()
 
 
 def run_scenario(

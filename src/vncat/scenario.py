@@ -150,8 +150,9 @@ def _matrix_json(m: np.ndarray) -> list:
 class MatrixJson:
     """Stands in a report for ``_matrix_json(mats)``: one matrix, or a stack of them.
 
-    ``text`` renders it as ``json.dumps(..., indent=2)`` would, but through
-    the C encoder, which the stdlib skips whenever ``indent`` is set.
+    ``text`` renders it as ``json.dumps(..., indent=2)`` would, straight
+    from the array: each distinct complex entry is formatted once, and the
+    brackets and line breaks between entries follow from their indices.
     """
 
     __slots__ = ("mats",)
@@ -161,26 +162,55 @@ class MatrixJson:
 
     def text(self, indent: str) -> str:
         """The value's indented JSON, for a value whose line starts with ``indent``."""
-        text = json.dumps(_matrix_json(self.mats), separators=(",", ":"))
-        if self.mats.size == 0:
-            return text
-        # The compact text holds numbers, commas and brackets only, and every
-        # level of the list is non-empty: it opens with "["*depth, closes with
-        # "]"*depth, between two numbers stands ",", and where j < depth lists
-        # close and j open stands "]"*j + "," + "["*j.  The ends get their
-        # lines first, then every comma, then each inner bracket run, longest
-        # first.  nl[n] starts a line at nesting level n.
-        depth = self.mats.ndim + 1
+        m = self.mats
+        if m.size == 0:
+            return json.dumps(_matrix_json(m), separators=(",", ":"))
+        # Entries are keyed by the bit patterns of their parts, so -0.0 and
+        # 0.0 stay apart; each distinct float gets the stdlib's own text
+        # (NaN and Infinity included), each distinct entry one leaf string.
+        parts = np.ascontiguousarray(m).reshape(-1).view(np.uint64)
+        floats, part_code = np.unique(parts, return_inverse=True)
+        entry_code = part_code[0::2] * len(floats) + part_code[1::2]
+        entries, code = np.unique(entry_code, return_inverse=True)
+        words = json.dumps(floats.view(np.float64).tolist())[1:-1].split(", ")
+        # nl[n] starts a line at nesting level n; a leaf [re, im] sits at
+        # level ndim, its two numbers at depth = ndim + 1.
+        ndim = m.ndim
+        depth = ndim + 1
         nl = ["\n" + indent + "  " * n for n in range(depth + 1)]
-        head = "".join("[" + nl[n] for n in range(1, depth + 1))
-        tail = "".join(nl[n] + "]" for n in range(depth - 1, -1, -1))
-        text = head + text[depth:-depth] + tail
-        text = text.replace(",", "," + nl[depth])
-        for j in range(depth - 1, 0, -1):
-            closes = "".join(nl[n] + "]" for n in range(depth - 1, depth - 1 - j, -1))
-            opens = "".join(nl[n] + "[" for n in range(depth - j, depth))
-            text = text.replace("]" * j + "," + nl[depth] + "[" * j, closes + "," + opens + nl[depth])
-        return text
+        re_word, im_word = np.divmod(entries, len(floats))
+        leaves = np.array(
+            [
+                "[" + nl[depth] + words[r] + "," + nl[depth] + words[i] + nl[ndim] + "]"
+                for r, i in zip(re_word.tolist(), im_word.tolist())
+            ],
+            dtype=object,
+        )
+        # Between entries e and e + 1, w lists close and w open, where w
+        # counts the trailing axes whose index wraps there: the products of
+        # the last one, two, ... axes that divide e + 1.
+        seps = np.array(
+            [
+                "".join(nl[n] + "]" for n in range(ndim - 1, ndim - 1 - w, -1))
+                + ","
+                + "".join(nl[n] + "[" for n in range(ndim - w, ndim))
+                + nl[ndim]
+                for w in range(ndim)
+            ],
+            dtype=object,
+        )
+        count = m.size
+        wraps = np.zeros(count - 1, dtype=np.intp)
+        period = 1
+        for size in m.shape[:0:-1]:
+            period *= size
+            wraps[period - 1 :: period] += 1
+        text = np.empty(2 * count + 1, dtype=object)
+        text[0] = "".join("[" + nl[n] for n in range(1, ndim + 1))
+        text[1::2] = leaves[code]
+        text[2:-1:2] = seps[wraps]
+        text[-1] = "".join(nl[n] + "]" for n in range(ndim - 1, -1, -1))
+        return "".join(text.tolist())
 
 
 def parse_scenario(doc) -> Scenario:

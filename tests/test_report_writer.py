@@ -1,7 +1,9 @@
 """Report layout: the writer's text is the stdlib's ``json.dumps(report, indent=2)``."""
 
+import gc
 import io
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,20 @@ GOLDENS = sorted(GOLDEN_DIR.glob("*.json"))
 
 def assert_stdlib_layout(text):
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def place(leaf, path):
+    """``leaf`` nested along ``path``: each step an array item or an object value."""
+    doc = leaf
+    for step in reversed(path):
+        doc = [0.5, doc, "s"] if step == "item" else {"a": [], "m": doc, "z": {"k": 1}}
+    return doc
+
+
+def assert_matrix_text(m, path):
+    out = io.StringIO()
+    _write_report(place(MatrixJson(m), path), out.write)
+    assert out.getvalue() == json.dumps(place(_matrix_json(m), path), indent=2) + "\n"
 
 
 def report_text(tmp_path, doc, emit):
@@ -55,6 +71,24 @@ def test_full_reports_have_stdlib_layout(tmp_path):
     endo, vn = json.loads(text)["results"]
     assert len(endo["basis"]) == endo["dim"] > 0
     assert [] in [b["matrices"] for b in vn["bases"]]
+
+
+def test_full_bases_sized_report_has_stdlib_layout(tmp_path):
+    # one diagonal generator with repeated eigenvalues: its commutant puts
+    # stacks of up to 81 matrices of 15 x 15 in the X3 -> X3 hom
+    objects = [{"name": "I", "dim": 1}, {"name": "X2", "dim": 2}, {"name": "X3", "dim": 3}]
+    diagonal = np.diag([2.5, -1.0, 2.5, 0.75, -1.0])
+    doc = {
+        "schema": 1,
+        "hdim": 5,
+        "objects": objects,
+        "generators": [{"name": "d", "dom": "I", "cod": "I", "matrix": diagonal.tolist()}],
+        "commands": ["commutant"],
+    }
+    text = report_text(tmp_path, doc, "full")
+    assert_stdlib_layout(text)
+    bases = {(b["dom"], b["cod"]): b["matrices"] for b in json.loads(text)["results"][0]["bases"]}
+    assert np.shape(bases[("X3", "X3")]) == (81, 15, 15, 2)
 
 
 def test_scenario_strings_cannot_forge_markers(tmp_path):
@@ -99,12 +133,32 @@ def matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(m=matrices(), path=st.lists(st.sampled_from(["item", "value"]), max_size=4))
 def test_matrix_text_matches_stdlib_at_any_depth(m, path):
-    def place(leaf):
-        doc = leaf
-        for step in reversed(path):
-            doc = [0.5, doc, "s"] if step == "item" else {"a": [], "m": doc, "z": {"k": 1}}
-        return doc
+    assert_matrix_text(m, path)
 
-    out = io.StringIO()
-    _write_report(place(MatrixJson(m)), out.write)
-    assert out.getvalue() == json.dumps(place(_matrix_json(m)), indent=2) + "\n"
+
+EDGE = [0.0, -0.0, 5e-324, 1e16, 1e22, 0.1 + 0.2, float("nan"), -float("nan"), float("inf"), -float("inf")]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (9, 1, 1), (4, 3, 5)])
+@pytest.mark.parametrize("path", [[], ["value", "item", "value"]], ids=["top", "nested"])
+def test_matrix_text_of_edge_values(shape, path):
+    # the edge values in turn, repeated as often as the shape has room for,
+    # shuffled by a fixed seed into both parts of the entries
+    rng = np.random.default_rng(7)
+    size = int(np.prod(shape))
+    parts = np.array(EDGE * (2 * size // len(EDGE) + 1))[: 2 * size]
+    rng.shuffle(parts)
+    m = np.empty(shape, dtype=complex)
+    m.real, m.imag = parts.reshape(2, *shape)
+    assert_matrix_text(m, path)
+
+
+def test_write_report_frees_every_stack():
+    stack = np.arange(12, dtype=np.complex128).reshape(3, 2, 2)
+    start = sys.getrefcount(stack)
+    gc.disable()
+    try:
+        _write_report({"bases": [MatrixJson(stack), MatrixJson(stack)]}, io.StringIO().write)
+        assert sys.getrefcount(stack) == start
+    finally:
+        gc.enable()
