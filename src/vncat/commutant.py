@@ -162,20 +162,32 @@ class FinPremonCat:
 # -- vec helpers (column stacking everywhere) --------------------------------
 
 
-def _vec(m: np.ndarray) -> np.ndarray:
-    return m.reshape(-1, order="F")
+def _vecs(mats) -> np.ndarray:
+    """The vec of each matrix of a ``(k, rows, cols)`` stack, as the k columns of the result."""
+    mats = np.asarray(mats, dtype=np.complex128)
+    return mats.transpose(0, 2, 1).reshape(len(mats), -1).T
 
 
-def _unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    return v.reshape(rows, cols, order="F")
+def _unvecs(cols: np.ndarray, rows: int, ncols: int) -> np.ndarray:
+    """Inverse of ``_vecs``: the columns of ``cols`` as a ``(k, rows, ncols)`` stack."""
+    return np.ascontiguousarray(cols.T.reshape(-1, ncols, rows).transpose(0, 2, 1))
 
 
-def _phase_normalize(v: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(v)))
-    a = v[k]
-    if abs(a) == 0.0:
-        return v
-    return v * (a.conjugate() / abs(a))
+def _phase_normalize(q: np.ndarray) -> np.ndarray:
+    """Scale each (nonzero) column so its largest-magnitude entry is real positive.
+
+    The entry's magnitude is ``hypot`` of its parts, the value ``abs``
+    gives for a single complex number.
+    """
+    a = q[np.argmax(np.abs(q), axis=0), np.arange(q.shape[1])]
+    return q * (a.conj() / np.hypot(a.real, a.imag))
+
+
+def _range(cols: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal columns spanning the columns of ``cols``, cut like ``nullspace``."""
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    rank = int((relative(s, s[:1]) > tol).sum())  # s[:1]: empty matrices have no s[0]
+    return u[:, :rank]
 
 
 def span_basis(mats: Sequence[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:
@@ -186,24 +198,16 @@ def span_basis(mats: Sequence[np.ndarray], tol: float = 1e-9) -> list[np.ndarray
     shape = mats[0].shape
     if any(m.shape != shape for m in mats):
         raise ValueError("span_basis needs matrices of a single shape")
-    cols = np.column_stack([_vec(m) for m in mats])
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    rank = int((relative(s, s[:1]) > tol).sum())  # s[:1]: empty matrices have no s[0]
-    return [_unvec(_phase_normalize(u[:, i]), *shape) for i in range(rank)]
+    return list(_unvecs(_phase_normalize(_range(_vecs(mats), tol)), *shape))
 
 
-def _in_span(basis: Sequence[np.ndarray], m: np.ndarray, tol: float) -> bool:
-    """Whether ``m`` lies in the span of the orthonormal ``basis``.
+def _in_span(q: np.ndarray, vs: np.ndarray, tol: float) -> np.ndarray:
+    """Per column v of ``vs``: whether v lies in the span of the orthonormal columns ``q``.
 
-    The residual r left after projecting out each basis matrix in turn must
-    satisfy ``relative(||r||, ||m||) <= tol`` (Frobenius norms).
+    The residual r = v - Q Q* v must satisfy ``relative(||r||, ||v||) <= tol``.
     """
-    v = _vec(m)
-    r = v.copy()
-    for b in basis:
-        bv = _vec(b)
-        r = r - bv * (bv.conj() @ r)
-    return relative(np.linalg.norm(r), np.linalg.norm(v)) <= tol
+    r = vs - q @ (q.conj().T @ vs)
+    return relative(np.linalg.norm(r, axis=0), np.linalg.norm(vs, axis=0)) <= tol
 
 
 def group_by_hom(arrows: Sequence[Arrow]) -> dict:
@@ -218,15 +222,23 @@ def group_by_hom(arrows: Sequence[Arrow]) -> dict:
 
 
 def _missing_daggers(gens: Sequence[Arrow], tol: float) -> list[Arrow]:
-    spans = {
-        key: span_basis([g.mat for g in lst], tol) for key, lst in group_by_hom(gens).items()
-    }
-    missing = []
-    for g in gens:
-        gd = dagger(g)
-        if not _in_span(spans.get((gd.dom, gd.cod), []), gd.mat, tol):
-            missing.append(gd)
-    return missing
+    """The daggers, in generator order, that the span at their hom pair misses.
+
+    Each hom pair's daggers are tested together, against the span of the
+    generators at that pair (the zero subspace when there are none).
+    """
+    daggers = [dagger(g) for g in gens]
+    spans = group_by_hom(gens)
+    by_pair: dict = {}
+    for i, d in enumerate(daggers):
+        by_pair.setdefault((d.dom, d.cod), []).append(i)
+    missing = np.zeros(len(daggers), dtype=bool)
+    for key, idx in by_pair.items():
+        vs = _vecs([daggers[i].mat for i in idx])
+        span = spans.get(key, [])
+        q = _range(_vecs([g.mat for g in span]), tol) if span else vs[:, :0]
+        missing[idx] = ~_in_span(q, vs, tol)
+    return [d for d, m in zip(daggers, missing) if m]
 
 
 def is_star_closed(gens: Sequence[Arrow], tol: float = 1e-9) -> bool:
@@ -279,10 +291,8 @@ def _hidden_commutant(mats: np.ndarray, h: int, tol: float) -> np.ndarray:
         chunk = mats[start : start + h]
         rows = np.einsum("kba,ij->kaibj", chunk, eye) - np.einsum("ab,kij->kaibj", eye, chunk)
         r = np.linalg.qr(np.vstack([r, rows.reshape(-1, h * h)]), mode="r")
-    kern = nullspace(r, tol)
-    return np.array(
-        [_unvec(_phase_normalize(kern[:, i]), h, h) for i in range(kern.shape[1])]
-    ).reshape(-1, h, h)
+    kern = _phase_normalize(nullspace(r, tol))
+    return _unvecs(kern, h, h)
 
 
 def _generator_commutant(gens, universe: ObjectUniverse, tol: float, auto_close: bool) -> np.ndarray:
@@ -374,8 +384,9 @@ def subspace_contains(a: HomSubspace, b: HomSubspace, tol: float = 1e-9) -> bool
         raise ValueError("subspaces live on different hom pairs")
     if b.dim == 0:
         return True
-    abasis = span_basis(a.mats, tol)
-    return all(_in_span(abasis, m, tol) for m in b.mats)
+    vs = _vecs(b.mats)
+    q = _range(_vecs(a.mats), tol) if a.dim else vs[:, :0]
+    return bool(_in_span(q, vs, tol).all())
 
 
 def subspace_equal(a: HomSubspace, b: HomSubspace, tol: float = 1e-9) -> bool:
@@ -402,13 +413,13 @@ def classical_commutant(mats: Sequence[np.ndarray], tol: float = 1e-9) -> list[n
     n = mats[0].shape[0]
     if any(m.shape != (n, n) for m in mats):
         raise ValueError("classical_commutant needs square matrices of one size")
-    sb = span_basis(mats, tol)
-    if not all(_in_span(sb, m.conj().T, tol) for m in mats):
+    vs = _vecs(mats)
+    if not _in_span(_range(vs, tol), _vecs([m.conj().T for m in mats]), tol).all():
         raise ValueError("matrix list is not closed under conjugate transpose")
     eye = np.eye(n)
     rows = [kron(m.T, eye) - kron(eye, m) for m in mats]
     kern = nullspace(np.vstack(rows), tol)
-    return [_unvec(_phase_normalize(kern[:, i]), n, n) for i in range(kern.shape[1])]
+    return list(_unvecs(_phase_normalize(kern), n, n))
 
 
 def generated_star_algebra(mats: Sequence[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:

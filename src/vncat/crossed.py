@@ -8,6 +8,13 @@ the *-algebra in End(H) generated by the G-orbit of the generators.
 
 Basis convention on the enlarged hidden space: index ``i*|G| + k`` for
 ``h_i (x) delta_k`` (hidden factor major, group minor).
+
+Covariance and the crossed product are computed from End(H)-sized fibres.
+Fibre k of pi(f) is the hidden blocks of f conjugated by u(k^-1), and
+pi(b) lambda(g) is fibre k placed at row group k and column group g^-1 k,
+so no product is formed on H (x) l2(G).  That space appears only in the
+covariance SVD, taken of the enlarged block-diagonal difference so that
+residuals stay bit-identical to the conjugation formula.
 """
 
 from __future__ import annotations
@@ -17,10 +24,13 @@ from itertools import permutations
 
 import numpy as np
 
-from .category import Arrow, Context, block_view, unit_obj
+from .category import Arrow, Context, unit_obj
 from .commutant import FinPremonCat, ObjectUniverse, _star_checked, _tensor_view
 from .commutant import double_commutant, endo_algebra
 from .linalg import as_matrix, kron, operator_norm, relative
+
+# complex entries per temporary of the batched homomorphism-law check
+_CHUNK_ENTRIES = 2**20
 
 __all__ = [
     "FiniteGroup",
@@ -167,9 +177,10 @@ class UnitaryRep:
     """Unitary matrices indexed like the group elements.
 
     Validation checks unitarity, the identity, and the homomorphism law on
-    all element pairs at the fixed tolerance 1e-10; ``validate=False`` skips
-    those checks and exists for negative controls that need a deliberately
-    broken family.
+    all element pairs at the fixed tolerance 1e-10, the last a block of
+    table rows at a time (one row at least) so that a temporary holds at
+    most ``_CHUNK_ENTRIES`` entries; ``validate=False`` skips those checks
+    and exists for negative controls that need a deliberately broken family.
     """
 
     group: FiniteGroup
@@ -183,31 +194,43 @@ class UnitaryRep:
         d = mats[0].shape[0]
         if any(m.shape != (d, d) for m in mats):
             raise ValueError("representation matrices must be square of one size")
-        frozen = []
-        for m in mats:
-            m = m.copy()
-            m.setflags(write=False)
-            frozen.append(m)
-        object.__setattr__(self, "mats", tuple(frozen))
+        stack = np.stack(mats)
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "mats", tuple(stack))
+        # u(k^-1) at index k: the unitaries the fibres of pi are twisted by
+        inverses = [self.group.inverse(k) for k in range(self.group.order)]
+        object.__setattr__(self, "_inverse_stack", stack[inverses])
         if self.validate:
-            eye = np.eye(d)
-            stack = np.stack(self.mats)
-            # ord 2 over axes (1, 2) is the operator norm of each matrix
-            norms = np.linalg.norm(stack, 2, axis=(1, 2))
-            gram = stack.conj().transpose(0, 2, 1) @ stack - eye
-            bad = np.flatnonzero(relative(np.linalg.norm(gram, 2, axis=(1, 2)), norms) > 1e-10)
+            self._check_laws()
+
+    def _check_laws(self):
+        """Unitarity, the identity, then the table row by row, first failure named."""
+        stack, group = self._stack, self.group
+        n, d = len(stack), self.hdim
+        eye = np.eye(d)
+        # ord 2 over the last two axes is the operator norm of each matrix
+        norms = np.linalg.norm(stack, 2, axis=(-2, -1))
+        gram = stack.conj().transpose(0, 2, 1) @ stack - eye
+        bad = np.flatnonzero(relative(np.linalg.norm(gram, 2, axis=(-2, -1)), norms) > 1e-10)
+        if bad.size:
+            raise ValueError(f"matrix for {group.elements[bad[0]]!r} is not unitary")
+        if operator_norm(stack[group.identity] - eye) > 1e-10:
+            raise ValueError("identity element must map to the identity matrix")
+        table = np.array(group.table)
+        rows = max(1, _CHUNK_ENTRIES // (n * d * d))
+        for start in range(0, n, rows):
+            block = table[start : start + rows]
+            diff = stack[start : start + rows, None] @ stack
+            diff -= stack[block]
+            err = np.linalg.norm(diff, 2, axis=(-2, -1))
+            bad = np.flatnonzero(relative(err, norms[block]) > 1e-10)
             if bad.size:
-                raise ValueError(f"matrix for {self.group.elements[bad[0]]!r} is not unitary")
-            if operator_norm(self.mats[self.group.identity] - eye) > 1e-10:
-                raise ValueError("identity element must map to the identity matrix")
-            for i, row in enumerate(np.array(self.group.table)):
-                err = np.linalg.norm(stack[i] @ stack - stack[row], 2, axis=(1, 2))
-                bad = np.flatnonzero(relative(err, norms[row]) > 1e-10)
-                if bad.size:
-                    raise ValueError(
-                        "matrices do not respect the multiplication table at "
-                        f"({self.group.elements[i]!r}, {self.group.elements[bad[0]]!r})"
-                    )
+                i, j = divmod(int(bad[0]), n)
+                raise ValueError(
+                    "matrices do not respect the multiplication table at "
+                    f"({group.elements[start + i]!r}, {group.elements[j]!r})"
+                )
 
     @property
     def hdim(self) -> int:
@@ -252,11 +275,46 @@ def _check_rep(rep: UnitaryRep, ctx: Context):
         raise ValueError("representation dimension differs from the hidden dimension")
 
 
+def _check_crossed(f: Arrow, rep: UnitaryRep, cc: CrossedContext):
+    if f.ctx != cc.base:
+        raise ValueError("arrow context differs from the crossed base context")
+    _check_rep(rep, cc.base)
+    if rep.group is not cc.group and rep.group != cc.group:
+        raise ValueError("representation group differs from the crossed group")
+
+
+def _twist(us: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """``u @ blocks @ u*`` for each u of the ``(n, h, h)`` stack ``us``, stacked over u.
+
+    ``blocks`` is a ``(..., h, h)`` stack of hidden blocks.  Every
+    conjugation of the hidden factor in this module is this product.
+    """
+    u = us.reshape(len(us), *(1,) * (blocks.ndim - 2), *us.shape[1:])
+    return u @ blocks @ u.conj().swapaxes(-1, -2)
+
+
+def _fibres(rep: UnitaryRep, blocks: np.ndarray) -> np.ndarray:
+    """The fibres of pi: ``u(k^-1) blocks u(k^-1)*`` for every group index k, stacked over k."""
+    return _twist(rep._inverse_stack, blocks)
+
+
+def _enlarged(fibres: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Block matrices on H (x) l2(G) made of the ``(n, dD, dB, h, h)`` stack ``fibres``.
+
+    Matrix m of the ``(len(cols), dD*h*n, dB*h*n)`` result holds fibre k
+    at row group k and column group ``cols[m, k]``, and zeros elsewhere.
+    """
+    n, dd, db, h, _ = fibres.shape
+    out = np.zeros((len(cols), dd, h, n, db, h, n), dtype=np.complex128)
+    out[np.arange(len(cols))[:, None], :, :, np.arange(n), :, :, cols] = fibres.swapaxes(2, 3)
+    return out.reshape(len(cols), dd * h * n, db * h * n)
+
+
 def act(g, f: Arrow, rep: UnitaryRep) -> Arrow:
     """Conjugate the hidden factor of ``f`` by the unitary of ``g``."""
     _check_rep(rep, f.ctx)
-    u = rep.mat(g)
-    return Arrow.from_blocks(f.dom, f.cod, f.ctx, u @ f.blocks @ u.conj().T)
+    g = rep.group.index(g)
+    return Arrow.from_blocks(f.dom, f.cod, f.ctx, _twist(rep._stack[g : g + 1], f.blocks)[0])
 
 
 def lambda_embed(g, cc: CrossedContext) -> Arrow:
@@ -272,37 +330,27 @@ def pi_embed(f: Arrow, rep: UnitaryRep, cc: CrossedContext) -> Arrow:
     unit endo-arrows this is the classical formula sending the section
     ``zeta`` to ``g -> (g^-1 . a)(zeta(g))``.
     """
-    if f.ctx != cc.base:
-        raise ValueError("arrow context differs from the crossed base context")
-    _check_rep(rep, cc.base)
-    if rep.group is not cc.group and rep.group != cc.group:
-        raise ValueError("representation group differs from the crossed group")
-    n = cc.group.order
-    rows, cols = f.mat.shape
-    u = np.stack([rep.mats[cc.group.inverse(k)] for k in range(n)])[:, None, None]
-    fibres = np.zeros((n, rows, cols), dtype=np.complex128)
-    block_view(fibres, cc.base.hdim)[...] = u @ f.blocks @ u.conj().swapaxes(-1, -2)
-    out = np.zeros((rows * n, cols * n), dtype=np.complex128)
-    out.reshape(rows, n, cols, n)[:, range(n), :, range(n)] = fibres
-    return Arrow(f.dom, f.cod, cc.tilde, out)
+    _check_crossed(f, rep, cc)
+    diagonal = np.arange(cc.group.order)[None]
+    return Arrow(f.dom, f.cod, cc.tilde, _enlarged(_fibres(rep, f.blocks), diagonal)[0])
 
 
 def covariance_residual(g, f: Arrow, rep: UnitaryRep, cc: CrossedContext) -> float:
     """Operator-norm defect of pi(g . f) = (id (x) lam(g)) pi(f) (id (x) lam(g))*.
 
     Conjugating by lam(g) moves the fibre over k to g k, so the right side is
-    pi(f) with both group indices permuted by k -> g^-1 k.  Zero (to rounding)
-    for every valid representation; breaks visibly when the representation
-    fails the homomorphism law.
+    pi(f) with fibre k replaced by fibre g^-1 k.  Both sides are block
+    diagonal; their difference is formed fibre by fibre and measured on the
+    enlarged space.  Zero (to rounding) for every valid representation;
+    breaks visibly when the representation fails the homomorphism law.
     """
-    n = cc.group.order
-    g_inv = cc.group.inverse(cc.group.index(g))
-    src = [cc.group.mul(g_inv, k) for k in range(n)]
-    lhs = pi_embed(act(g, f, rep), rep, cc).mat
-    pf = pi_embed(f, rep, cc).mat
-    rows, cols = pf.shape
-    rhs = pf.reshape(rows // n, n, cols // n, n)[:, src][:, :, :, src].reshape(rows, cols)
-    return operator_norm(lhs - rhs)
+    _check_crossed(f, rep, cc)
+    group = cc.group
+    g = group.index(g)
+    src = list(group.table[group.inverse(g)])  # k -> g^-1 k
+    moved = _twist(rep._stack[g : g + 1], f.blocks)[0]  # the blocks of act(g, f)
+    diff = _fibres(rep, moved) - _fibres(rep, f.blocks)[src]
+    return operator_norm(_enlarged(diff, np.arange(group.order)[None])[0])
 
 
 def crossed_product(
@@ -317,16 +365,25 @@ def crossed_product(
 
     B = S'' in End(H) for the G-orbit S of the generators and the unit (which the dagger
     check sees too); distinct g fill disjoint fibres, so hom(B, D) has dim dD*dB*|G|*dim B.
+    pi(b) lambda(g) carries fibre k of pi(b) at row group k and column group g^-1 k.
     """
     _check_rep(rep, universe.ctx)
     cc = CrossedContext(universe.ctx, rep.group)
-    unit, n = unit_obj(), rep.group.order
+    unit, group = unit_obj(), rep.group
     gens = list(gens) + [Arrow(unit, unit, cc.base, np.eye(cc.base.hdim))]
     if any(f.ctx != cc.base for f in gens):
         raise ValueError("arrow context differs from the crossed base context")
-    orbit = [act(g, f, rep) for f in _star_checked(gens, tol, auto_close) for g in range(n)]
+    orbit = [
+        Arrow.from_blocks(f.dom, f.cod, cc.base, blocks)
+        for f in _star_checked(gens, tol, auto_close)
+        for blocks in _twist(rep._stack, f.blocks)
+    ]
     closure = double_commutant(orbit, ObjectUniverse((unit,), cc.base), tol, auto_close=True)
     algebra = endo_algebra(closure)
-    pis = np.stack([pi_embed(Arrow(unit, unit, cc.base, b), rep, cc).mat for b in algebra])
-    products = np.concatenate([pis @ lambda_embed(g, cc).mat for g in range(n)]) / np.sqrt(n)
+    n, dim_b = group.order, len(algebra)
+    # the algebra as one dim_b x 1 column of blocks: each enlarged matrix
+    # splits row-wise into the dim_b matrices pi(b) lambda(g) of one g
+    fibres = _fibres(rep, algebra[:, None]) / np.sqrt(n)
+    cols = np.array([group.table[group.inverse(g)] for g in range(n)])  # [g, k] = g^-1 k
+    products = _enlarged(fibres, cols).reshape(n * dim_b, cc.tilde.hdim, cc.tilde.hdim)
     return _tensor_view(ObjectUniverse(universe.objects, cc.tilde), products)

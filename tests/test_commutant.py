@@ -34,7 +34,9 @@ from vncat import (
     subspace_equal,
 )
 from vncat.category import block_view
-from helpers import random_arrow, random_closed_set, random_unitary
+from vncat.commutant import _in_span, _vecs
+from vncat.linalg import relative
+from helpers import random_arrow, random_closed_set, random_matrix, random_unitary
 
 CTX = Context(2)
 UNI = standard_universe(CTX)
@@ -283,6 +285,87 @@ def test_subspace_comparisons():
     other = HomSubspace(I, UNI.objects[1], [])
     with pytest.raises(ValueError):
         subspace_contains(s1, other)
+
+
+def in_span_sequential(basis, m, tol):
+    """Membership by projecting out one orthonormal basis matrix at a time."""
+    v = m.reshape(-1, order="F")
+    r = v.copy()
+    for b in basis:
+        bv = b.reshape(-1, order="F")
+        r = r - bv * (bv.conj() @ r)
+    return relative(np.linalg.norm(r), np.linalg.norm(v)) <= tol
+
+
+def off_span(rng, basis, m, offset, tol):
+    """``m`` plus a direction orthogonal to ``basis`` of Frobenius norm offset*tol*max(1, ||m||)."""
+    e = random_matrix(rng, *m.shape)
+    for b in basis:
+        e -= b * np.vdot(b, e)
+    return m + e * (offset * tol * max(1.0, np.linalg.norm(m)) / np.linalg.norm(e))
+
+
+def test_batched_span_membership_matches_sequential_projection():
+    # random spans, the empty one included, probed with zero matrices,
+    # members, members pushed off the span by offsets near tol, and generic
+    # matrices
+    tol = 1e-9
+    r = np.random.default_rng(13)
+    offsets = (0.5, 0.9, 1.1, 2.0)
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        rows, cols = (int(x) for x in r.integers(1, 5, size=2))
+        k = int(r.integers(0, min(4, rows * cols - 1) + 1))
+        span = [random_matrix(r, rows, cols) for _ in range(k)]
+        basis = span_basis(span, tol)
+        coeffs = r.standard_normal(k)
+        member = sum((c * m for c, m in zip(coeffs, span)), np.zeros((rows, cols), dtype=complex))
+        probes = [np.zeros((rows, cols)), member, random_matrix(r, rows, cols)]
+        probes += [off_span(r, basis, member, o, tol) for o in offsets]
+        q = _vecs(basis) if basis else np.zeros((rows * cols, 0))
+        got = _in_span(q, _vecs(probes), tol)
+        want = [in_span_sequential(basis, m, tol) for m in probes]
+        assert got.tolist() == want
+        assert want[0] and want[1] and not want[2]
+        assert want[3:] == [o < 1 for o in offsets]
+        for w in want:
+            seen[w] += 1
+    assert seen[True] and seen[False]
+
+
+def missing_daggers_sequential(gens, tol):
+    """The daggers each generator's flipped hom pair misses, tested one at a time."""
+    spans: dict = {}
+    for g in gens:
+        spans.setdefault((g.dom, g.cod), []).append(g.mat)
+    bases = {key: span_basis(mats, tol) for key, mats in spans.items()}
+    return [
+        dagger(g) for g in gens
+        if not in_span_sequential(bases.get((g.cod, g.dom), []), dagger(g).mat, tol)
+    ]
+
+
+def test_missing_daggers_match_sequential_projection():
+    # a zero arrow and arrows whose flipped hom pair has no generators at
+    # all, beside partners that miss a dagger by offsets near tol
+    tol = 1e-9
+    r = np.random.default_rng(14)
+    x2, x3 = Obj("X2", 2), Obj("X3", 3)
+    zero = Arrow(I, x2, CTX, np.zeros((4, 2)))
+    lonely = random_arrow(r, x3, I, CTX)
+    for offset in (0.5, 0.9, 1.1, 2.0):
+        f = random_arrow(r, I, x2, CTX)
+        g = random_arrow(r, x2, x2, CTX)
+        fd = dagger(f).mat
+        partner = Arrow(x2, I, CTX, off_span(r, [fd / np.linalg.norm(fd)], fd, offset, tol))
+        gens = [zero, f, lonely, g, partner, dagger(g)]
+        got = star_closure(gens, tol)[len(gens):]
+        want = missing_daggers_sequential(gens, tol)
+        assert [(a.dom, a.cod) for a in got] == [(a.dom, a.cod) for a in want]
+        assert all(np.array_equal(a.mat, b.mat) for a, b in zip(got, want))
+        # the lonely arrow's dagger is always missing, the zero arrow's never;
+        # f and the partner miss each other's daggers by the offset
+        assert [a.cod for a in got] == ([I, x3, x2] if offset > 1 else [x3])
 
 
 def test_span_category_groups_by_hom():

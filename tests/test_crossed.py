@@ -1,8 +1,9 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from vncat import (
     Arrow,
@@ -20,6 +21,7 @@ from vncat import (
     cyclic_group,
     dagger,
     double_commutant,
+    endo_algebra,
     generated_star_algebra,
     is_star_closed,
     lambda_embed,
@@ -27,6 +29,7 @@ from vncat import (
     pi_embed,
     regular_rep,
     span_basis,
+    star_closure,
     subspace_equal,
     symmetric_group,
     trivial_group,
@@ -219,6 +222,41 @@ def test_rep_validation_matches_element_loop():
                 with pytest.raises(ValueError) as err:
                     UnitaryRep(group, tuple(mats))
                 assert str(err.value) == want
+
+
+def test_rep_validation_in_single_row_blocks_matches_element_loop(monkeypatch):
+    # one table row per block, so failures lie past the first block too
+    monkeypatch.setattr(crossed, "_CHUNK_ENTRIES", 1)
+    r = np.random.default_rng(6)
+    for group in (cyclic_group(4), symmetric_group(3)):
+        base = conjugated_regular_rep(group, r).mats
+        for trial in range(12):
+            mats = list(base)
+            k = int(r.integers(group.order))
+            mats[k] = mats[k] * np.exp(1j * 10.0 ** -r.uniform(5, 12))
+            want = rep_error_by_loop(group, mats)
+            if want is None:
+                UnitaryRep(group, tuple(mats))
+            else:
+                with pytest.raises(ValueError) as err:
+                    UnitaryRep(group, tuple(mats))
+                assert str(err.value) == want
+
+
+def test_rep_validation_memory_stays_within_row_blocks():
+    # C46 by its regular rep: one (|G|, |G|, h, h) batch of the table check
+    # would hold over 4x the entries a row block may
+    n = 46
+    group = cyclic_group(n)
+    mats = tuple(np.roll(np.eye(n, dtype=complex), g, axis=0) for g in range(n))
+    assert n * n * n * n >= 4 * crossed._CHUNK_ENTRIES
+    tracemalloc.start()
+    try:
+        UnitaryRep(group, mats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * crossed._CHUNK_ENTRIES * 16  # bytes; complex128 entries
 
 
 def test_rep_constructors_are_valid():
@@ -631,3 +669,55 @@ def test_crossed_product_solves_on_the_base_hidden_space(monkeypatch):
         assert cat.universe.ctx.hdim == 9
     assert hdims == [3, 3, 3]
     assert checks == [3, 2, 1]
+
+
+REPS = {
+    "trivial": lambda group, rng: trivial_rep(group, 2),
+    "regular": lambda group, rng: regular_rep(group),
+    "conjugated": conjugated_regular_rep,
+}
+
+
+def crossed_stack_by_products(gens, rep, universe, tol=1e-9):
+    """The (I, I) stack pi(b) lambda(g) / sqrt(|G|) by enlarged matrix products.
+
+    ``gens`` must be dagger-closed; B comes from the orbit as in ``crossed_product``.
+    """
+    cc = CrossedContext(universe.ctx, rep.group)
+    n = rep.group.order
+    unit = Arrow(I, I, cc.base, np.eye(cc.base.hdim))
+    orbit = [act(g, f, rep) for f in [*gens, unit] for g in range(n)]
+    closure = double_commutant(orbit, ObjectUniverse((I,), cc.base), tol, auto_close=True)
+    pis = np.stack([pi_embed(Arrow(I, I, cc.base, b), rep, cc).mat for b in endo_algebra(closure)])
+    return np.concatenate([pis @ lambda_embed(g, cc).mat for g in range(n)]) / np.sqrt(n)
+
+
+@pytest.mark.parametrize("group", ["C3", "C4", "S3"])
+@pytest.mark.parametrize("kind", sorted(REPS))
+def test_crossed_product_stack_equals_enlarged_products(group, kind):
+    # writing pi(b) lambda(g) by index moves the very numbers the
+    # permutation products do: the two stacks agree entry for entry
+    r = np.random.default_rng(7)
+    rep = REPS[kind](GROUPS[group], r)
+    ctx = Context(rep.hdim)
+    uni = ObjectUniverse((I, X2), ctx)
+    gens = star_closure([random_arrow(r, I, I, ctx), random_arrow(r, I, X2, ctx)])
+    got = crossed_product(gens, rep, uni).homs[(I, I)].mats
+    assert_array_equal(got, crossed_stack_by_products(gens, rep, uni))
+
+
+def test_covariance_and_crossed_product_skip_the_enlarged_embeddings(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("embedded on the enlarged space")
+
+    for name in ("pi_embed", "act", "lambda_embed"):
+        monkeypatch.setattr(crossed, name, refuse)
+    r = np.random.default_rng(12)
+    rep = conjugated_regular_rep(symmetric_group(3), r)
+    ctx = Context(rep.hdim)
+    cc = CrossedContext(ctx, rep.group)
+    f = random_arrow(r, I, X2, ctx)
+    for g in range(rep.group.order):
+        assert covariance_residual(g, f, rep, cc) <= 1e-10
+    cat = crossed_product([f], rep, ObjectUniverse((I, X2), ctx), auto_close=True)
+    assert cat.universe.ctx == cc.tilde
