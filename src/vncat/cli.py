@@ -8,9 +8,10 @@ timings only appear behind --timings because they would break that.
 
 A report is laid out exactly as ``json.dumps(report, indent=2)`` lays it
 out.  Basis matrices (``--emit-bases full``) are the bulk of a report; each
-stack is rendered straight from its array, every distinct entry formatted
-once, and put in at its place in the indented skeleton (see
-``_write_report``).
+stack is rendered straight from its array, one innermost row at a time, and
+put in at its place in the indented skeleton (see ``_write_report``).  Every
+exact-zero row shares one rendered text, and distinct values are sorted and
+formatted only among the non-zero parts.
 """
 
 from __future__ import annotations

@@ -151,8 +151,10 @@ class MatrixJson:
     """Stands in a report for ``_matrix_json(mats)``: one matrix, or a stack of them.
 
     ``text`` renders it as ``json.dumps(..., indent=2)`` would, straight
-    from the array: each distinct complex entry is formatted once, and the
-    brackets and line breaks between entries follow from their indices.
+    from the array, one innermost row at a time.  Full-basis stacks are
+    matrix units tensored with hidden blocks, so nearly all their entries
+    are an exact ``0+0j``: every all-zero row shares one rendered text, and
+    distinct values are sorted and formatted only among the non-zero parts.
     """
 
     __slots__ = ("mats",)
@@ -164,21 +166,44 @@ class MatrixJson:
         """The value's indented JSON, for a value whose line starts with ``indent``."""
         m = self.mats
         if m.size == 0:
-            return json.dumps(_matrix_json(m), separators=(",", ":"))
-        # Entries are keyed by the bit patterns of their parts, so -0.0 and
-        # 0.0 stay apart; each distinct float gets the stdlib's own text
-        # (NaN and Infinity included), each distinct entry one leaf string.
-        parts = np.ascontiguousarray(m).reshape(-1).view(np.uint64)
-        floats, part_code = np.unique(parts, return_inverse=True)
-        entry_code = part_code[0::2] * len(floats) + part_code[1::2]
-        entries, code = np.unique(entry_code, return_inverse=True)
-        words = json.dumps(floats.view(np.float64).tolist())[1:-1].split(", ")
+            # nested empty lists hold no strings, so every newline is layout
+            return json.dumps(_matrix_json(m), indent=2).replace("\n", "\n" + indent)
         # nl[n] starts a line at nesting level n; a leaf [re, im] sits at
         # level ndim, its two numbers at depth = ndim + 1.
         ndim = m.ndim
         depth = ndim + 1
         nl = ["\n" + indent + "  " * n for n in range(depth + 1)]
-        re_word, im_word = np.divmod(entries, len(floats))
+        # Between two entries, w lists close and w open, where w counts the
+        # trailing axes whose index wraps there; w = 0 inside a row.
+        seps = [
+            "".join(nl[n] + "]" for n in range(ndim - 1, ndim - 1 - w, -1))
+            + ","
+            + "".join(nl[n] + "[" for n in range(ndim - w, ndim))
+            + nl[ndim]
+            for w in range(ndim)
+        ]
+        # Parts are keyed by their bit patterns, so -0.0 and NaN payloads
+        # stay apart from +0.0 and from each other.  A part whose bits are 0
+        # takes code 0, and so does the entry 0+0j; only the other parts and
+        # entries, in rows with any non-zero bits, are sorted.
+        cols = m.shape[-1]
+        parts = np.ascontiguousarray(m).view(np.uint64).reshape(-1, 2 * cols)
+        live = parts.any(axis=1)
+        parts = parts[live]
+        nonzero = parts != 0
+        floats, part_inv = np.unique(parts[nonzero], return_inverse=True)
+        part_code = np.zeros(parts.shape, dtype=np.intp)
+        part_code[nonzero] = part_inv + 1
+        radix = len(floats) + 1
+        entry_code = part_code[:, 0::2] * radix + part_code[:, 1::2]
+        nonzero = entry_code != 0
+        entries, entry_inv = np.unique(entry_code[nonzero], return_inverse=True)
+        code = np.zeros(entry_code.shape, dtype=np.intp)
+        code[nonzero] = entry_inv + 1
+        # each distinct float gets the stdlib's own text (NaN and Infinity
+        # included), each distinct entry one leaf string
+        words = ["0.0"] + json.dumps(floats.view(np.float64).tolist())[1:-1].split(", ")
+        re_word, im_word = np.divmod(np.concatenate([[0], entries]), radix)
         leaves = np.array(
             [
                 "[" + nl[depth] + words[r] + "," + nl[depth] + words[i] + nl[ndim] + "]"
@@ -186,29 +211,21 @@ class MatrixJson:
             ],
             dtype=object,
         )
-        # Between entries e and e + 1, w lists close and w open, where w
-        # counts the trailing axes whose index wraps there: the products of
-        # the last one, two, ... axes that divide e + 1.
-        seps = np.array(
-            [
-                "".join(nl[n] + "]" for n in range(ndim - 1, ndim - 1 - w, -1))
-                + ","
-                + "".join(nl[n] + "[" for n in range(ndim - w, ndim))
-                + nl[ndim]
-                for w in range(ndim)
-            ],
-            dtype=object,
-        )
-        count = m.size
-        wraps = np.zeros(count - 1, dtype=np.intp)
+        # Between rows r and r + 1, w counts the last axis and each product
+        # of the axes before it, from the last one back, that divides r + 1.
+        wraps = np.ones(len(live) - 1, dtype=np.intp)
         period = 1
-        for size in m.shape[:0:-1]:
+        for size in m.shape[-2:0:-1]:
             period *= size
             wraps[period - 1 :: period] += 1
-        text = np.empty(2 * count + 1, dtype=object)
+        # a row is its leaves joined by the w = 0 separator; every all-zero
+        # row is one shared string (assigned as a scalar, so not copied)
+        text = np.empty(2 * len(live) + 1, dtype=object)
         text[0] = "".join("[" + nl[n] for n in range(1, ndim + 1))
-        text[1::2] = leaves[code]
-        text[2:-1:2] = seps[wraps]
+        rows = text[1::2]
+        rows[...] = seps[0].join([leaves[0]] * cols)
+        rows[live] = [seps[0].join(row) for row in leaves[code].tolist()]
+        text[2:-1:2] = np.array(seps, dtype=object)[wraps]
         text[-1] = "".join(nl[n] + "]" for n in range(ndim - 1, -1, -1))
         return "".join(text.tolist())
 

@@ -88,7 +88,12 @@ def test_full_bases_sized_report_has_stdlib_layout(tmp_path):
     text = report_text(tmp_path, doc, "full")
     assert_stdlib_layout(text)
     bases = {(b["dom"], b["cod"]): b["matrices"] for b in json.loads(text)["results"][0]["bases"]}
-    assert np.shape(bases[("X3", "X3")]) == (81, 15, 15, 2)
+    stack = np.asarray(bases[("X3", "X3")])
+    assert stack.shape == (81, 15, 15, 2)
+    # matrix units tensored with hidden blocks: most rows are all zero, so
+    # the report exercises the shared zero-row text
+    zero_rows = (stack == 0).all(axis=(-2, -1))
+    assert zero_rows.mean() > 0.9 and not zero_rows.all()
 
 
 def test_scenario_strings_cannot_forge_markers(tmp_path):
@@ -151,6 +156,45 @@ def test_matrix_text_of_edge_values(shape, path):
     m = np.empty(shape, dtype=complex)
     m.real, m.imag = parts.reshape(2, *shape)
     assert_matrix_text(m, path)
+
+
+NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0x7FF4000000000abc]
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A matrix or stack whose rows each hold only +0.0, a mix of -0.0 and
+    +0.0, one finite non-zero part, or a NaN or an infinity among +0.0."""
+    count = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 7))
+    shape = (count, cols) if draw(st.booleans()) else (count, draw(st.integers(1, 4)), cols)
+    rows = []
+    for _ in range(int(np.prod(shape[:-1]))):
+        row = np.zeros(2 * cols)
+        kind = draw(st.sampled_from(["zero", "negzero", "one", "special"]))
+        if kind == "negzero":
+            signs = draw(st.lists(st.booleans(), min_size=2 * cols, max_size=2 * cols).filter(any))
+            row[np.array(signs)] = -0.0
+        elif kind == "one":
+            row[draw(st.integers(0, 2 * cols - 1))] = draw(st.floats(allow_nan=False, allow_infinity=False))
+        elif kind == "special":
+            bits = draw(st.sampled_from(NAN_BITS))
+            special = draw(st.sampled_from([np.uint64(bits).view(np.float64), np.inf, -np.inf]))
+            row[draw(st.integers(0, 2 * cols - 1))] = special
+        rows.append(row)
+    return np.array(rows).view(np.complex128).reshape(shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=sparse_matrices(), path=st.lists(st.sampled_from(["item", "value"]), max_size=4))
+def test_sparse_matrix_text_matches_stdlib_at_any_depth(m, path):
+    assert_matrix_text(m, path)
+
+
+@pytest.mark.parametrize("shape", [(2, 0, 3), (2, 3, 0), (1, 0), (0, 2, 2)])
+@pytest.mark.parametrize("path", [[], ["value", "item", "value"]], ids=["top", "nested"])
+def test_matrix_text_of_empty_stacks(shape, path):
+    assert_matrix_text(np.zeros(shape, dtype=complex), path)
 
 
 def test_write_report_frees_every_stack():
