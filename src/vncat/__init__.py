@@ -23,6 +23,7 @@ from .category import (
     whisker_right,
     rtimes,
     ltimes,
+    interchange_norms,
     interchange_residuals,
     symmetry,
     pair_swap,
@@ -64,6 +65,7 @@ from .crossed import (
     lambda_embed,
     pi_embed,
     covariance_residual,
+    covariance_residuals,
     crossed_product,
 )
 from .causal import (

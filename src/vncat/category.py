@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, kron, operator_norm, relative, swap_perm
+from .linalg import as_matrix, kron, operator_norm, operator_norms, relative, swap_perm
 
 __all__ = [
     "Context",
@@ -40,6 +40,7 @@ __all__ = [
     "whisker_right",
     "rtimes",
     "ltimes",
+    "interchange_norms",
     "interchange_residuals",
     "symmetry",
     "pair_swap",
@@ -207,21 +208,31 @@ def rtimes(g: Arrow, f: Arrow) -> Arrow:
     return compose(whisker_right(g, f.cod), whisker_left(g.dom, f))
 
 
-def interchange_residuals(f: Arrow, g: Arrow) -> float:
-    """Operator norm ||f |x g - f x| g||, taken from the block commutators.
+def interchange_norms(fs: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    """``interchange_residuals`` of each pair of two stacks of block grids.
 
-    Both bracketings are block grids with rows (d, y) and columns (b, x):
-    f |x g has blocks g_yx f_db and f x| g has f_db g_yx, so the difference
-    is the grid of commutators.  einsum forms both products with the same
-    roundings when f is central (blocks c 1), so such an f gives exactly 0.
-    Conjugating by the object swap, a natural unitary, exchanges the two
-    bracketings, so the norm is symmetric in f and g.
+    ``fs`` is an ``(n, dD, dB, h, h)`` stack of the blocks of arrows f_m
+    and ``gs`` an ``(n, dY, dX, h, h)`` stack of arrows g_m; entry m of
+    the result is ||f_m |x g_m - f_m x| g_m||.  Both bracketings are block
+    grids with rows (d, y) and columns (b, x): f |x g has blocks g_yx f_db
+    and f x| g has f_db g_yx, so the difference is the grid of
+    commutators.  einsum forms both products with the same roundings when
+    f is central (blocks c 1), so such an f gives exactly 0.  Conjugating
+    by the object swap, a natural unitary, exchanges the two bracketings,
+    so the norm is symmetric in f and g.
     """
+    n, dd, db, h, _ = fs.shape
+    _, dy, dx, _, _ = gs.shape
+    diff = np.einsum("nyxij,ndbjk->ndyibxk", gs, fs)
+    diff -= np.einsum("ndbij,nyxjk->ndyibxk", fs, gs)
+    return operator_norms(diff.reshape(n, dd * dy * h, db * dx * h))
+
+
+def interchange_residuals(f: Arrow, g: Arrow) -> float:
+    """Operator norm ||f |x g - f x| g||: ``interchange_norms`` of one pair."""
     if f.ctx != g.ctx:
         raise ValueError("context mismatch")
-    gf = np.einsum("yxij,dbjk->dyibxk", g.blocks, f.blocks)
-    fg = np.einsum("dbij,yxjk->dyibxk", f.blocks, g.blocks)
-    return operator_norm((gf - fg).reshape(f.mat.shape[0] * g.cod.dim, -1))
+    return float(interchange_norms(f.blocks[None], g.blocks[None])[0])
 
 
 def symmetry(a: Obj, b: Obj, ctx: Context) -> Arrow:

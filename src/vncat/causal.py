@@ -9,10 +9,13 @@ across spacelike cones to interchange, each pair measured once.
 
 Both checks get the cone relations of all pairs at once by broadcasting
 ``causal_leq`` over the stacked endpoints, ``_CHUNK`` rows of cones at a
-time.  A cone pair's value is the largest residual over its arrow pairs,
-0.0 when either cone is empty.  ``worst`` is the first pair with the
-largest value in ``combinations`` order, and None when no pair is
-spacelike; ``violations`` keep that order.
+time.  Causality hands the ordered arrow pairs that occur to the stacked
+kernel ``interchange_norms``, one call per pair of block shapes and batch,
+whose values equal ``interchange_residuals`` bit for bit.  A cone pair's
+value is the largest residual over its arrow pairs, 0.0 when either cone
+is empty.  ``worst`` is the first pair with the largest value in
+``combinations`` order, and None when no pair is spacelike;
+``violations`` keep that order.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .category import Context, interchange_residuals
+from .category import Context, block_view, interchange_norms
+from .category import interchange_residuals  # noqa: F401  (wrapped by bench/spans.py)
 from .commutant import HomSubspace, group_by_hom, subspace_contains
-from .linalg import relative
+from .linalg import batches, operator_norms, relative
 
 __all__ = [
     "Event",
@@ -226,10 +230,32 @@ def check_causality(net: CausalNet, tol: float = 1e-9) -> CausalityReport:
     occurs = np.zeros((len(arrows), len(arrows)), dtype=bool)
     for rows in _row_blocks(n):
         occurs |= incidence[rows].T @ (_spacelike_rows(lo, hi, rows) @ incidence) > 0
-    norms = [a.norm() for a in arrows]
+    # the arrows of one block shape form one stack, and the pairs that occur
+    # between two stacks are measured by the stacked kernel, in batches
+    kinds: dict = {}  # matrix shape -> indices of its arrows
+    for k, a in enumerate(arrows):
+        kinds.setdefault(a.mat.shape, []).append(k)
+    kind = np.empty(len(arrows), dtype=np.intp)
+    slot = np.empty(len(arrows), dtype=np.intp)  # position in its stack
+    norms = np.empty(len(arrows))
+    stacks = []
+    for t, ids in enumerate(kinds.values()):
+        kind[ids] = t
+        slot[ids] = np.arange(len(ids))
+        mats = np.stack([arrows[k].mat for k in ids])
+        norms[ids] = operator_norms(mats)
+        stacks.append(block_view(mats, net.ctx.hdim))
+    first, second = np.nonzero(occurs)
+    first_kind, second_kind = kind[first], kind[second]
     residual = np.zeros(occurs.shape)
-    for i, j in zip(*np.nonzero(occurs)):
-        residual[i, j] = relative(interchange_residuals(arrows[i], arrows[j]), norms[i] * norms[j])
+    for t, fs in enumerate(stacks):
+        for u, gs in enumerate(stacks):
+            pairs = np.flatnonzero((first_kind == t) & (second_kind == u))
+            entries = fs[0].size * gs[0].size // net.ctx.hdim**2  # of one difference
+            for part in batches(len(pairs), entries):
+                i, j = first[pairs[part]], second[pairs[part]]
+                values = interchange_norms(fs[slot[i]], gs[slot[j]])
+                residual[i, j] = relative(values, norms[i] * norms[j])
 
     # a cone pair's worst value is its largest residual, 0.0 when either cone
     # is empty: maxima over each cone's run of ``flat``, taken on ranks into

@@ -7,20 +7,21 @@ deterministic byte for byte given the same scenario and flags; wall-clock
 timings only appear behind --timings because they would break that.
 
 A report is laid out exactly as ``json.dumps(report, indent=2)`` lays it
-out.  Basis matrices (``--emit-bases full``) are the bulk of a report; each
-stack is rendered straight from its array, one innermost row at a time, and
-put in at its place in the indented skeleton (see ``_write_report``).  Every
-exact-zero row shares one rendered text, and distinct values are sorted and
-formatted only among the non-zero parts.
+out, by one walk of the report that gives every value the stdlib encoder's
+text (see ``_write_report``).  Basis matrices (``--emit-bases full``) are
+the bulk of a report; each stack is rendered straight from its array, one
+innermost row at a time, and written at its place and indent, never joined
+into the rest of the text.  Every exact-zero row shares one rendered text,
+and distinct values are sorted and formatted only among the non-zero parts.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
+import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from .category import central_defect, cstar_residuals, identity_arrow, pair_swap_family
 from .commutant import (
@@ -33,7 +34,8 @@ from .commutant import (
     span_category,
 )
 from .causal import check_causality, check_isotony
-from .crossed import CrossedContext, covariance_residual, crossed_product
+from .crossed import CrossedContext, covariance_residuals, crossed_product
+from .crossed import covariance_residual  # noqa: F401  (wrapped by bench/spans.py)
 from .linalg import relative
 from .scenario import MatrixJson, Scenario, ScenarioError, load_scenario
 
@@ -141,8 +143,7 @@ def _cmd_crossed_product(sc: Scenario, tol: float, emit: str) -> dict:
 
 def _cmd_covariance(sc: Scenario, tol: float, emit: str) -> dict:
     cc = CrossedContext(sc.ctx, sc.group)
-    elements = range(sc.group.order)
-    worst = max(covariance_residual(g, f, sc.rep, cc) for f in sc.generators for g in elements)
+    worst = max(float(covariance_residuals(f, sc.rep, cc).max()) for f in sc.generators)
     scale = max(f.norm() for f in sc.generators)
     return {
         "command": "covariance",
@@ -200,36 +201,98 @@ _RUNNERS = {
 
 
 def _write_report(report: dict, write) -> None:
-    """Write ``json.dumps(report, indent=2) + "\\n"``, holders rendered as their lists.
+    """Write ``json.dumps(report, indent=2) + "\\n"``, MatrixJson holders as their lists.
 
-    The indenting encoder renders the skeleton, with each MatrixJson holder
-    replaced by a marker string: NUL and a fresh random nonce, which no
-    string in a scenario can anticipate.  Holders meet the hook in the order
-    their markers appear, and each holder's text (``MatrixJson.text``) goes
-    in at its marker, indented to the marker's line.  No holder outlives
-    the call.
+    One walk of the report collects its text in a list.  At each holder the
+    text so far goes to ``write``, then the holder's own text, so a basis
+    text is never joined into the rest.
     """
-    marker = "\0" + os.urandom(16).hex()
-    holders = []
+    out: list = []
+    _encode(report, 0, out, write)
+    out.append("\n")
+    write("".join(out))
 
-    def hold(obj):
-        if not isinstance(obj, MatrixJson):
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        holders.append(obj)
-        return marker
 
-    try:
-        pieces = json.dumps(report, indent=2, default=hold).split(json.dumps(marker))
-        for piece, holder in zip(pieces, holders):
-            write(piece)
-            line = piece[piece.rfind("\n") + 1 :]
-            write(holder.text(line[: len(line) - len(line.lstrip(" "))]))
-        write(pieces[-1] + "\n")
-    finally:
-        # the indenting encoder's closures form a reference cycle that holds
-        # ``hold``, and through it ``holders``: without this, every stack
-        # would live until the cyclic collector next runs
-        holders.clear()
+def _float_text(x: float) -> str:
+    """A float's text as the stdlib encoder gives it, NaN and infinities included."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# the texts of the JSON scalar types, in the stdlib encoder's order
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    type(None): lambda _: "null",
+    bool: lambda b: "true" if b else "false",
+    int: int.__repr__,
+    float: _float_text,
+}
+
+
+def _encode(value, level: int, out: list, write) -> None:
+    """Append the indented JSON of ``value``, nested ``level`` deep, to ``out``.
+
+    Every value gets the stdlib encoder's text.  The exact scalar types are
+    looked up first, and a subclass of one (np.float64, say), which can be
+    no container, comes last and takes its first base in the stdlib's order.
+    A MatrixJson holder's text (``MatrixJson.text``) is written straight to
+    ``write``, after what ``out`` has collected so far.
+    """
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        out.append(text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        nl = "\n" + "  " * (level + 1)
+        sep = "," + nl
+        out.append("[" + nl)
+        _encode(value[0], level + 1, out, write)
+        for item in value[1:]:
+            out.append(sep)
+            _encode(item, level + 1, out, write)
+        out.append(nl[:-2] + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        nl = "\n" + "  " * (level + 1)
+        prefix = "{" + nl
+        for key, item in value.items():
+            if type(key) is not str:
+                key = _key_text(key)
+            out.append(prefix + encode_basestring_ascii(key) + ": ")
+            _encode(item, level + 1, out, write)
+            prefix = "," + nl
+        out.append(nl[:-2] + "}")
+    elif isinstance(value, MatrixJson):
+        write("".join(out))
+        out.clear()
+        write(value.text("  " * level))
+    elif isinstance(value, (str, int, float)):
+        out.append(_base_text(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _base_text(value) -> str:
+    """A JSON scalar's text, by its first base in the stdlib encoder's order."""
+    return next(text for base, text in _SCALAR_TEXT.items() if isinstance(value, base))(value)
+
+
+def _key_text(key) -> str:
+    """A dict key as the stdlib encoder turns it into a string."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _base_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def run_scenario(

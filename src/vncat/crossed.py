@@ -27,10 +27,7 @@ import numpy as np
 from .category import Arrow, Context, unit_obj
 from .commutant import FinPremonCat, ObjectUniverse, _star_checked, _tensor_view
 from .commutant import double_commutant, endo_algebra
-from .linalg import as_matrix, kron, operator_norm, relative
-
-# complex entries per temporary of the batched homomorphism-law check
-_CHUNK_ENTRIES = 2**20
+from .linalg import as_matrix, batches, kron, operator_norm, operator_norms, relative
 
 __all__ = [
     "FiniteGroup",
@@ -45,6 +42,7 @@ __all__ = [
     "lambda_embed",
     "pi_embed",
     "covariance_residual",
+    "covariance_residuals",
     "crossed_product",
 ]
 
@@ -179,8 +177,9 @@ class UnitaryRep:
     Validation checks unitarity, the identity, and the homomorphism law on
     all element pairs at the fixed tolerance 1e-10, the last a block of
     table rows at a time (one row at least) so that a temporary holds at
-    most ``_CHUNK_ENTRIES`` entries; ``validate=False`` skips those checks
-    and exists for negative controls that need a deliberately broken family.
+    most ``linalg.CHUNK_ENTRIES`` entries; ``validate=False`` skips those
+    checks and exists for negative controls that need a deliberately broken
+    family.
     """
 
     group: FiniteGroup
@@ -218,10 +217,9 @@ class UnitaryRep:
         if operator_norm(stack[group.identity] - eye) > 1e-10:
             raise ValueError("identity element must map to the identity matrix")
         table = np.array(group.table)
-        rows = max(1, _CHUNK_ENTRIES // (n * d * d))
-        for start in range(0, n, rows):
-            block = table[start : start + rows]
-            diff = stack[start : start + rows, None] @ stack
+        for rows in batches(n, n * d * d):
+            block = table[rows]
+            diff = stack[rows, None] @ stack
             diff -= stack[block]
             err = np.linalg.norm(diff, 2, axis=(-2, -1))
             bad = np.flatnonzero(relative(err, norms[block]) > 1e-10)
@@ -229,7 +227,7 @@ class UnitaryRep:
                 i, j = divmod(int(bad[0]), n)
                 raise ValueError(
                     "matrices do not respect the multiplication table at "
-                    f"({group.elements[start + i]!r}, {group.elements[j]!r})"
+                    f"({group.elements[rows.start + i]!r}, {group.elements[j]!r})"
                 )
 
     @property
@@ -299,14 +297,16 @@ def _fibres(rep: UnitaryRep, blocks: np.ndarray) -> np.ndarray:
 
 
 def _enlarged(fibres: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Block matrices on H (x) l2(G) made of the ``(n, dD, dB, h, h)`` stack ``fibres``.
+    """Block matrices on H (x) l2(G) made of an ``(n, dD, dB, h, h)`` stack ``fibres``.
 
     Matrix m of the ``(len(cols), dD*h*n, dB*h*n)`` result holds fibre k
     at row group k and column group ``cols[m, k]``, and zeros elsewhere.
+    An ``(len(cols), n, dD, dB, h, h)`` ``fibres`` gives matrix m its own
+    fibres ``fibres[m]``.
     """
-    n, dd, db, h, _ = fibres.shape
+    *_, n, dd, db, h, _ = fibres.shape
     out = np.zeros((len(cols), dd, h, n, db, h, n), dtype=np.complex128)
-    out[np.arange(len(cols))[:, None], :, :, np.arange(n), :, :, cols] = fibres.swapaxes(2, 3)
+    out[np.arange(len(cols))[:, None], :, :, np.arange(n), :, :, cols] = fibres.swapaxes(-3, -2)
     return out.reshape(len(cols), dd * h * n, db * h * n)
 
 
@@ -335,6 +335,33 @@ def pi_embed(f: Arrow, rep: UnitaryRep, cc: CrossedContext) -> Arrow:
     return Arrow(f.dom, f.cod, cc.tilde, _enlarged(_fibres(rep, f.blocks), diagonal)[0])
 
 
+def covariance_residuals(
+    f: Arrow, rep: UnitaryRep, cc: CrossedContext, elements=None
+) -> np.ndarray:
+    """``covariance_residual(g, f, rep, cc)`` for each g of ``elements``, default all of G.
+
+    The elements are measured together, a batch at a time, each by the SVD
+    of its own enlarged difference, so every value is bit-identical to the
+    one-element call.
+    """
+    _check_crossed(f, rep, cc)
+    group = cc.group
+    n = group.order
+    picked = np.array(
+        [group.index(g) for g in (range(n) if elements is None else elements)], dtype=np.intp
+    )
+    # [m, k] = g_m^-1 k: fibre k of the right side is fibre g_m^-1 k of pi(f)
+    src = np.array([group.table[group.inverse(g)] for g in picked], dtype=np.intp)
+    fibres = _fibres(rep, f.blocks)
+    out = np.empty(len(picked))
+    for part in batches(len(picked), n * n * f.mat.size):
+        moved = _twist(rep._stack[picked[part]], f.blocks)  # the blocks of act(g, f), per g
+        diff = _fibres(rep, moved).swapaxes(0, 1) - fibres[src[part]]
+        diagonal = np.broadcast_to(np.arange(n), (len(diff), n))
+        out[part] = operator_norms(_enlarged(diff, diagonal))
+    return out
+
+
 def covariance_residual(g, f: Arrow, rep: UnitaryRep, cc: CrossedContext) -> float:
     """Operator-norm defect of pi(g . f) = (id (x) lam(g)) pi(f) (id (x) lam(g))*.
 
@@ -344,13 +371,7 @@ def covariance_residual(g, f: Arrow, rep: UnitaryRep, cc: CrossedContext) -> flo
     enlarged space.  Zero (to rounding) for every valid representation;
     breaks visibly when the representation fails the homomorphism law.
     """
-    _check_crossed(f, rep, cc)
-    group = cc.group
-    g = group.index(g)
-    src = list(group.table[group.inverse(g)])  # k -> g^-1 k
-    moved = _twist(rep._stack[g : g + 1], f.blocks)[0]  # the blocks of act(g, f)
-    diff = _fibres(rep, moved) - _fibres(rep, f.blocks)[src]
-    return operator_norm(_enlarged(diff, np.arange(group.order)[None])[0])
+    return float(covariance_residuals(f, rep, cc, [g])[0])
 
 
 def crossed_product(

@@ -21,8 +21,13 @@ __all__ = [
     "swap_perm",
     "nullspace",
     "operator_norm",
+    "operator_norms",
     "relative",
+    "batches",
 ]
+
+# complex entries per temporary of a batched kernel
+CHUNK_ENTRIES = 2**20
 
 
 def as_matrix(a) -> np.ndarray:
@@ -60,11 +65,32 @@ def swap_perm(m: int, n: int) -> np.ndarray:
 
 
 def operator_norm(a) -> float:
-    """Largest singular value of ``a`` (spectral norm)."""
-    m = as_matrix(a)
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+    """Largest singular value of ``a`` (spectral norm); 0.0 for an empty matrix."""
+    return float(operator_norms(as_matrix(a)))
+
+
+def operator_norms(stack: np.ndarray) -> np.ndarray:
+    """``operator_norm`` of each matrix of an ``(..., m, n)`` stack.
+
+    The batched SVD makes the same LAPACK call on each matrix whatever the
+    stack around it, so a value does not depend on how matrices are batched.
+    """
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix entries must be finite")
+    if 0 in stack.shape[-2:]:
+        return np.zeros(stack.shape[:-2])
+    return np.linalg.norm(stack, 2, axis=(-2, -1))
+
+
+def batches(count: int, entries: int) -> list[slice]:
+    """Slices covering range(count), each of at most ``CHUNK_ENTRIES // entries`` items.
+
+    A batch of items that each need ``entries`` complex entries of
+    temporaries then stays within ``CHUNK_ENTRIES``; a batch holds one item
+    at least.
+    """
+    step = max(1, CHUNK_ENTRIES // max(1, entries))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 def relative(x, scale):

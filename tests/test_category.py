@@ -14,6 +14,7 @@ from vncat import (
     cstar_residuals,
     dagger,
     identity_arrow,
+    interchange_norms,
     interchange_residuals,
     kron,
     ltimes,
@@ -311,6 +312,42 @@ def test_interchange_residuals_agree_by_swap_conjugation():
             z = interchange_residuals(f, g)
             scale = max(za, zb, f.norm() * g.norm())
             assert abs(z - za) <= 1e-12 * scale and abs(z - zb) <= 1e-12 * scale
+
+
+def commutator_grid_norm(f, g):
+    """||f |x g - f x| g|| by one einsum pair on the arrows' own block views."""
+    gf = np.einsum("yxij,dbjk->dyibxk", g.blocks, f.blocks)
+    fg = np.einsum("dbij,yxjk->dyibxk", f.blocks, g.blocks)
+    return operator_norm((gf - fg).reshape(f.mat.shape[0] * g.cod.dim, -1))
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 5])
+def test_interchange_norms_equal_one_pair_residuals(h):
+    # mixed block shapes: I -> I, I -> X, X -> X, central and zero arrows,
+    # every ordered pair stacked by shape, each stack in one kernel call
+    r = np.random.default_rng(h)
+    ctx, unit, x = Context(h), unit_obj(), Obj("X", 2)
+    arrows = [random_arrow(r, a, b, ctx) for a, b in [(unit, unit), (unit, x), (x, x), (x, unit)] * 2]
+    arrows += [central_arrow(r.standard_normal((2, 2)), x, x, ctx), central_arrow([[3.0]], unit, unit, ctx)]
+    arrows += [Arrow(unit, x, ctx, np.zeros((2 * h, h))), Arrow(x, x, ctx, np.zeros((2 * h, 2 * h)))]
+    if h > 1:
+        arrows.append(Arrow(unit, unit, ctx, np.diag(r.standard_normal(h))))
+    shapes = {f.blocks.shape for f in arrows}
+    for fshape in shapes:
+        for gshape in shapes:
+            pairs = [
+                (f, g)
+                for f in arrows
+                for g in arrows
+                if (f.blocks.shape, g.blocks.shape) == (fshape, gshape)
+            ]
+            fs = np.stack([f.blocks for f, _ in pairs])
+            gs = np.stack([g.blocks for _, g in pairs])
+            stacked = interchange_norms(fs, gs)
+            one = [interchange_residuals(f, g) for f, g in pairs]
+            assert stacked.tolist() == one == [commutator_grid_norm(f, g) for f, g in pairs]
+    zero = Arrow(unit, unit, ctx, np.zeros((h, h)))
+    assert interchange_residuals(arrows[0], zero) == interchange_residuals(zero, arrows[2]) == 0.0
 
 
 def test_interchange_residuals_need_one_context():

@@ -22,7 +22,7 @@ from vncat import (
     pair_swap,
     spacelike,
 )
-from vncat import HomSubspace, causal, subspace_contains
+from vncat import HomSubspace, causal, linalg, subspace_contains
 from vncat.commutant import group_by_hom
 
 CTX = Context(2)
@@ -278,7 +278,7 @@ def test_net_checks_match_brute_force_on_random_nets(seed):
 
 
 def test_causality_measures_each_arrow_pair_once(monkeypatch):
-    calls = counting_residuals(monkeypatch)
+    pairs = counting_pairs(monkeypatch)
     f = pair_swap(0, 1, CTX)
     g = central([[2.0]])
     # unit cones two steps apart are pairwise spacelike
@@ -287,20 +287,24 @@ def test_causality_measures_each_arrow_pair_once(monkeypatch):
     net = CausalNet(LatticeBounds(0, 1, 0, 60), CTX, assignments)
     rep = check_causality(net, 1e-8)
     assert not rep.passed and len(rep.violations) == 15 * 14 // 2
-    assert 1 <= len(calls) <= 4
+    assert len(set(pairs)) == len(pairs)
+    assert 1 <= len(pairs) <= 4
 
 
-def counting_residuals(monkeypatch):
-    """Patch ``causal.interchange_residuals`` to log its calls; returns the log."""
-    calls = []
-    measure = causal.interchange_residuals
+def counting_pairs(monkeypatch):
+    """Patch ``causal.interchange_norms`` to log each pair it is handed; returns the log.
 
-    def counted(f, g):
-        calls.append((f, g))
-        return measure(f, g)
+    A pair is logged as the bytes of its two block grids.
+    """
+    pairs = []
+    measure = causal.interchange_norms
 
-    monkeypatch.setattr(causal, "interchange_residuals", counted)
-    return calls
+    def counted(fs, gs):
+        pairs.extend((f.tobytes(), g.tobytes()) for f, g in zip(fs, gs))
+        return measure(fs, gs)
+
+    monkeypatch.setattr(causal, "interchange_norms", counted)
+    return pairs
 
 
 X = Obj("X", 2)
@@ -327,11 +331,13 @@ CONE_POOL = [
     central_only=st.booleans(),
     offset=st.sampled_from([0, 2**61 - 6, -(2**70)]),
     chunk=st.sampled_from([1, 3, causal._CHUNK]),
+    entries=st.sampled_from([1, 40, linalg.CHUNK_ENTRIES]),
     tol=st.sampled_from([1e-9, 0.5]),
 )
-def test_net_checks_match_brute_force(picks, data, central_only, offset, chunk, tol):
+def test_net_checks_match_brute_force(picks, data, central_only, offset, chunk, entries, tol):
     # empty cones, arrows shared across cones, chunk boundaries inside the
-    # net and coordinates past int64 differences all agree with the oracles
+    # net, batches of arrow pairs and coordinates past int64 differences all
+    # agree with the oracles
     palette = CENTRAL_PALETTE if central_only else PALETTE
     arrows = st.lists(st.sampled_from(palette), max_size=3)
     assignments = {}
@@ -341,7 +347,7 @@ def test_net_checks_match_brute_force(picks, data, central_only, offset, chunk, 
         assignments[cone] = data.draw(arrows)
     bounds = LatticeBounds(offset, offset + 4, offset - 4, offset + 4)
     net = CausalNet(bounds, CTX, assignments)
-    with mock.patch.object(causal, "_CHUNK", chunk):
+    with mock.patch.object(causal, "_CHUNK", chunk), mock.patch.object(linalg, "CHUNK_ENTRIES", entries):
         rep = check_causality(net, tol)
         assert rep == causality_by_brute_force(net, tol)
         assert check_isotony(net, tol) == isotony_by_brute_force(net, tol)
@@ -362,8 +368,28 @@ def test_net_checks_on_empty_and_one_cone_nets():
     assert check_isotony(lone).passed
 
 
+def test_net_without_spacelike_pairs_measures_nothing(monkeypatch):
+    # nested and timelike cones with arrows: the stacks are built, no pair
+    # occurs, and the kernel is never handed a pair
+    pairs = counting_pairs(monkeypatch)
+    swap = pair_swap(0, 1, CTX)
+    net = CausalNet(
+        BOUNDS,
+        CTX,
+        {
+            DoubleCone(Event(0, 0), Event(4, 0)): [swap, central([[2.0]])],
+            DoubleCone(Event(1, 0), Event(2, 0)): [swap],
+            DoubleCone(Event(3, 0), Event(4, 1)): [Arrow(I, I, CTX, np.diag([1.0, -1.0]))],
+        },
+    )
+    assert check_causality(net) == causal.CausalityReport(True, None, ())
+    assert pairs == []
+    empty = (np.zeros((0, 1, 1, 2, 2)), np.zeros((0, 2, 1, 2, 2)))
+    assert causal.interchange_norms(*empty).shape == (0,)
+
+
 def test_large_closed_form_net(monkeypatch):
-    calls = counting_residuals(monkeypatch)
+    pairs = counting_pairs(monkeypatch)
     f = pair_swap(0, 1, CTX)
     g = central([[2.0]])
     # 600 unit cones two steps apart: every pair is spacelike, none nested,
@@ -376,5 +402,5 @@ def test_large_closed_form_net(monkeypatch):
     assert len(rep.violations) == 300 * 299 // 2
     assert rep.worst[:2] == (cones[0], cones[2]) and rep.worst[2] > 0.5
     assert rep.violations[:2] == ((cones[0], cones[2], rep.worst[2]), (cones[0], cones[4], rep.worst[2]))
-    assert len(calls) <= 4
+    assert len(pairs) <= 4
     assert check_isotony(net, 1e-8) == causal.IsotonyReport(True, ())

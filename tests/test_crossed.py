@@ -17,6 +17,7 @@ from vncat import (
     classical_commutant,
     compose,
     covariance_residual,
+    covariance_residuals,
     crossed_product,
     cyclic_group,
     dagger,
@@ -36,7 +37,7 @@ from vncat import (
     trivial_rep,
     whisker_left,
 )
-from vncat import crossed
+from vncat import crossed, linalg
 from helpers import conjugated_regular_rep, random_arrow, random_matrix, random_unitary
 
 BASE = Context(2)
@@ -226,7 +227,7 @@ def test_rep_validation_matches_element_loop():
 
 def test_rep_validation_in_single_row_blocks_matches_element_loop(monkeypatch):
     # one table row per block, so failures lie past the first block too
-    monkeypatch.setattr(crossed, "_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(linalg, "CHUNK_ENTRIES", 1)
     r = np.random.default_rng(6)
     for group in (cyclic_group(4), symmetric_group(3)):
         base = conjugated_regular_rep(group, r).mats
@@ -249,14 +250,14 @@ def test_rep_validation_memory_stays_within_row_blocks():
     n = 46
     group = cyclic_group(n)
     mats = tuple(np.roll(np.eye(n, dtype=complex), g, axis=0) for g in range(n))
-    assert n * n * n * n >= 4 * crossed._CHUNK_ENTRIES
+    assert n * n * n * n >= 4 * linalg.CHUNK_ENTRIES
     tracemalloc.start()
     try:
         UnitaryRep(group, mats)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * crossed._CHUNK_ENTRIES * 16  # bytes; complex128 entries
+    assert peak < 4 * linalg.CHUNK_ENTRIES * 16  # bytes; complex128 entries
 
 
 def test_rep_constructors_are_valid():
@@ -412,6 +413,58 @@ def test_covariance_matches_conjugation_oracle():
             f = random_arrow(r, dom, cod, cc.base)
             for g in [*range(n), group.elements[-1]]:
                 assert covariance_residual(g, f, rep, cc) == _covariance_by_conjugation(g, f, rep, cc)
+
+
+def small_rep(group, rng):
+    """A faithful rep by matrices smaller than |G|, in a random unitary basis.
+
+    Cyclic groups rotate three phases; symmetric groups permute their points.
+    """
+    labels = group.elements
+    if all(label.isdigit() for label in labels):
+        perms = [np.eye(len(label))[:, [int(c) for c in label]] for label in labels]
+    else:
+        n = group.order
+        perms = [np.diag(np.exp(2j * np.pi * k * np.arange(1, 4) / n)) for k in range(n)]
+    w = random_unitary(rng, len(perms[0]))
+    return UnitaryRep(group, tuple(w @ p @ w.conj().T for p in perms))
+
+
+@pytest.mark.parametrize(
+    "group",
+    [*(cyclic_group(n) for n in range(2, 7)), symmetric_group(3), symmetric_group(4)],
+    ids=["C2", "C3", "C4", "C5", "C6", "S3", "S4"],
+)
+def test_covariance_of_all_elements_matches_conjugation_oracle(group):
+    r = np.random.default_rng(group.order)
+    rep = small_rep(group, r)
+    # the same matrices, each non-identity one twisted by a diagonal of phases
+    twists = [np.diag(np.exp(1j * r.uniform(0.5, 2, rep.hdim))) for _ in rep.mats]
+    mats = [m if g == group.identity else m @ t for g, (m, t) in enumerate(zip(rep.mats, twists))]
+    broken = UnitaryRep(group, tuple(mats), validate=False)
+    cc = CrossedContext(Context(rep.hdim), group)
+    objs = (I, Obj("A", 2))
+    for u in (rep, broken):
+        for dom, cod in [(I, I), (objs[r.integers(2)], objs[1])]:
+            f = random_arrow(r, dom, cod, cc.base)
+            stacked = covariance_residuals(f, u, cc)
+            assert stacked.tolist() == [_covariance_by_conjugation(g, f, u, cc) for g in range(group.order)]
+            assert (stacked > 0.1).any() == (u is broken)
+
+
+def test_covariance_batches_match_single_elements(monkeypatch):
+    # one element per batch, then elements picked by label and index
+    r = np.random.default_rng(3)
+    group = symmetric_group(3)
+    rep = conjugated_regular_rep(group, r)
+    cc = CrossedContext(Context(group.order), group)
+    f = random_arrow(r, I, Obj("A", 2), cc.base)
+    whole = covariance_residuals(f, rep, cc)
+    monkeypatch.setattr(linalg, "CHUNK_ENTRIES", 1)
+    assert covariance_residuals(f, rep, cc).tolist() == whole.tolist()
+    picked = [group.elements[4], 1, 4]
+    assert covariance_residuals(f, rep, cc, picked).tolist() == whole[[4, 1, 4]].tolist()
+    assert covariance_residuals(f, rep, cc, []).shape == (0,)
 
 
 def test_covariance_detects_corrupted_rep():

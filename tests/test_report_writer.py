@@ -206,3 +206,72 @@ def test_write_report_frees_every_stack():
         assert sys.getrefcount(stack) == start
     finally:
         gc.enable()
+
+
+def test_write_report_leaves_no_cycles():
+    # the report's own structure is a tree, and the writer adds no cycle
+    # that would keep its pieces alive until the cyclic collector runs
+    stack = np.arange(8, dtype=np.complex128).reshape(2, 2, 2)
+    report = {"scenario": {"name": "x", "m": [[1.5, -0.0]]}, "results": [{"basis": MatrixJson(stack)}]}
+    gc.collect()
+    gc.disable()
+    try:
+        _write_report(report, io.StringIO().write)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+STRINGS = st.text() | st.sampled_from(["", "\u0000", '"', "\\", '"\\\u0000"', "é→∂\U0001d49c", "\ud800"])
+FLOATS = (
+    st.floats()
+    | st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e16])
+    | st.floats().map(np.float64)
+)
+
+
+class Label(str):
+    def __repr__(self):
+        return "label"
+
+
+class Count(int):
+    def __repr__(self):
+        return "count"
+
+
+# subclasses get their base's text, whatever their own repr says
+SUBCLASSED = STRINGS.map(Label) | st.integers().map(Count)
+SCALARS = (
+    STRINGS | st.integers() | st.integers(2**64 - 2, 2**70) | st.booleans() | st.none() | FLOATS | SUBCLASSED
+)
+KEYS = STRINGS | st.integers() | st.floats() | st.booleans() | st.none() | SUBCLASSED
+TREES = st.recursive(
+    SCALARS,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(KEYS, kids, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=TREES)
+def test_writer_matches_stdlib_on_any_tree(tree):
+    out = io.StringIO()
+    _write_report(tree, out.write)
+    assert out.getvalue() == json.dumps(tree, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [object(), np.int64(3), np.bool_(True), {1, 2}, {(1, 2): 0}, b"bytes"],
+    ids=["object", "int64", "bool_", "set", "tuple-key", "bytes"],
+)
+def test_writer_rejects_what_stdlib_rejects(bad):
+    doc = {"ok": [1, "two"], "bad": [bad]}
+    with pytest.raises(TypeError) as stdlib:
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError) as ours:
+        _write_report(doc, io.StringIO().write)
+    assert str(ours.value) == str(stdlib.value)
