@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .category import Arrow, Context, Obj, block_view, dagger
-from .linalg import as_matrix, kron, nullspace, relative
+from .linalg import as_matrix, cut_rank, kron, nullspace, relative
 
 __all__ = [
     "ObjectUniverse",
@@ -186,8 +186,7 @@ def _phase_normalize(q: np.ndarray) -> np.ndarray:
 def _range(cols: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal columns spanning the columns of ``cols``, cut like ``nullspace``."""
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    rank = int((relative(s, s[:1]) > tol).sum())  # s[:1]: empty matrices have no s[0]
-    return u[:, :rank]
+    return u[:, : cut_rank(s, tol)]
 
 
 def span_basis(mats: Sequence[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:
@@ -210,6 +209,12 @@ def _in_span(q: np.ndarray, vs: np.ndarray, tol: float) -> np.ndarray:
     return relative(np.linalg.norm(r, axis=0), np.linalg.norm(vs, axis=0)) <= tol
 
 
+def _spanned(span, mats, tol: float) -> np.ndarray:
+    """Per matrix of ``mats``: whether it lies in the span of ``span`` (empty: the zero space)."""
+    vs = _vecs(mats)
+    return _in_span(_range(_vecs(span), tol) if len(span) else vs[:, :0], vs, tol)
+
+
 def group_by_hom(arrows: Sequence[Arrow]) -> dict:
     """{(dom, cod): [arrows of that hom pair, in input order]}."""
     table: dict = {}
@@ -228,17 +233,11 @@ def _missing_daggers(gens: Sequence[Arrow], tol: float) -> list[Arrow]:
     generators at that pair (the zero subspace when there are none).
     """
     daggers = [dagger(g) for g in gens]
-    spans = group_by_hom(gens)
-    by_pair: dict = {}
-    for i, d in enumerate(daggers):
-        by_pair.setdefault((d.dom, d.cod), []).append(i)
-    missing = np.zeros(len(daggers), dtype=bool)
-    for key, idx in by_pair.items():
-        vs = _vecs([daggers[i].mat for i in idx])
-        span = spans.get(key, [])
-        q = _range(_vecs([g.mat for g in span]), tol) if span else vs[:, :0]
-        missing[idx] = ~_in_span(q, vs, tol)
-    return [d for d, m in zip(daggers, missing) if m]
+    spans, missing = group_by_hom(gens), set()
+    for key, ds in group_by_hom(daggers).items():
+        inside = _spanned([g.mat for g in spans.get(key, [])], [d.mat for d in ds], tol)
+        missing.update(id(d) for d, ok in zip(ds, inside) if not ok)
+    return [d for d in daggers if id(d) in missing]
 
 
 def is_star_closed(gens: Sequence[Arrow], tol: float = 1e-9) -> bool:
@@ -295,12 +294,16 @@ def _hidden_commutant(mats: np.ndarray, h: int, tol: float) -> np.ndarray:
     return _unvecs(kern, h, h)
 
 
-def _generator_commutant(gens, universe: ObjectUniverse, tol: float, auto_close: bool) -> np.ndarray:
-    """S' for the blocks S of ``gens``, after the context and dagger checks."""
+def _hidden_bicommutant(blocks: np.ndarray, h: int, tol: float) -> np.ndarray:
+    """Basis (k, h, h) of S'' for a dagger-closed stack S: S' is dagger-closed, so S'' = (S')'."""
+    return _hidden_commutant(_hidden_commutant(blocks, h, tol), h, tol)
+
+
+def _generator_blocks(gens, universe: ObjectUniverse, tol: float, auto_close: bool) -> np.ndarray:
+    """The blocks S of ``gens``, after the context and dagger checks."""
     gens = list(gens)
     _check_context(gens, universe)
-    h = universe.ctx.hdim
-    return _hidden_commutant(_blocks(_star_checked(gens, tol, auto_close), h), h, tol)
+    return _blocks(_star_checked(gens, tol, auto_close), universe.ctx.hdim)
 
 
 def _tensor_view(universe: ObjectUniverse, algebra: np.ndarray) -> FinPremonCat:
@@ -329,7 +332,8 @@ def commutant(
     have the missing daggers appended instead of rejected.  The empty set
     yields the full hom space at every pair.
     """
-    return _tensor_view(universe, _generator_commutant(gens, universe, tol, auto_close))
+    blocks = _generator_blocks(gens, universe, tol, auto_close)
+    return _tensor_view(universe, _hidden_commutant(blocks, universe.ctx.hdim, tol))
 
 
 def double_commutant(
@@ -339,14 +343,9 @@ def double_commutant(
     *,
     auto_close: bool = False,
 ) -> FinPremonCat:
-    """Commutant of the commutant; always contains the span of ``gens``.
-
-    S' of a dagger-closed set is dagger-closed, so S'' is taken straight
-    from the basis of S'.
-    """
-    first = _generator_commutant(gens, universe, tol, auto_close)
-    h = universe.ctx.hdim
-    return _tensor_view(universe, _hidden_commutant(first, h, tol))
+    """Commutant of the commutant; always contains the span of ``gens``."""
+    blocks = _generator_blocks(gens, universe, tol, auto_close)
+    return _tensor_view(universe, _hidden_bicommutant(blocks, universe.ctx.hdim, tol))
 
 
 @dataclass(frozen=True)
@@ -366,13 +365,9 @@ def is_von_neumann(cat: FinPremonCat, tol: float = 1e-9) -> VnReport:
     and the two are equal exactly when their dimensions are.
     """
     closure = double_commutant(cat.all_arrows(), cat.universe, tol, auto_close=True)
-    failures = []
-    for d, c in cat.universe.pairs():
-        a = cat.homs[(d, c)].dim
-        b = closure.homs[(d, c)].dim
-        if a != b:
-            failures.append((d, c, a, b))
-    return VnReport(not failures, tuple(failures), closure)
+    dims = zip(cat.dims(), closure.dims())  # both in universe.pairs() order
+    failures = tuple((d, c, a, b) for (d, c, a), (_, _, b) in dims if a != b)
+    return VnReport(not failures, failures, closure)
 
 
 # -- subspace comparisons ------------------------------------------------------
@@ -382,11 +377,7 @@ def subspace_contains(a: HomSubspace, b: HomSubspace, tol: float = 1e-9) -> bool
     """True when span(b) is inside span(a); hom pairs must match."""
     if a.dom != b.dom or a.cod != b.cod:
         raise ValueError("subspaces live on different hom pairs")
-    if b.dim == 0:
-        return True
-    vs = _vecs(b.mats)
-    q = _range(_vecs(a.mats), tol) if a.dim else vs[:, :0]
-    return bool(_in_span(q, vs, tol).all())
+    return b.dim == 0 or bool(_spanned(a.mats, b.mats, tol).all())
 
 
 def subspace_equal(a: HomSubspace, b: HomSubspace, tol: float = 1e-9) -> bool:
@@ -413,8 +404,7 @@ def classical_commutant(mats: Sequence[np.ndarray], tol: float = 1e-9) -> list[n
     n = mats[0].shape[0]
     if any(m.shape != (n, n) for m in mats):
         raise ValueError("classical_commutant needs square matrices of one size")
-    vs = _vecs(mats)
-    if not _in_span(_range(vs, tol), _vecs([m.conj().T for m in mats]), tol).all():
+    if not _spanned(mats, [m.conj().T for m in mats], tol).all():
         raise ValueError("matrix list is not closed under conjugate transpose")
     eye = np.eye(n)
     rows = [kron(m.T, eye) - kron(eye, m) for m in mats]

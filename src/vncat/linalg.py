@@ -23,6 +23,7 @@ __all__ = [
     "operator_norm",
     "operator_norms",
     "relative",
+    "cut_rank",
     "batches",
 ]
 
@@ -98,6 +99,11 @@ def relative(x, scale):
     return x / np.maximum(1.0, scale)
 
 
+def cut_rank(s: np.ndarray, tol: float) -> int:
+    """The rank cut: how many descending singular values have ``relative(s, s[0]) > tol``."""
+    return int((relative(s, s[:1]) > tol).sum())
+
+
 def nullspace(a, tol: float = 1e-9) -> np.ndarray:
     """Orthonormal kernel basis of ``a`` as the columns of the result.
 
@@ -115,5 +121,4 @@ def nullspace(a, tol: float = 1e-9) -> np.ndarray:
     # (and then huge) U is never needed.  Singular values come sorted, so
     # the kernel is the rows of V* past the rank
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    rank = int((relative(s, s[0]) > tol).sum())
-    return vh[rank:].conj().T
+    return vh[cut_rank(s, tol):].conj().T

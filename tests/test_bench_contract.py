@@ -39,3 +39,18 @@ def test_run_scenario_takes_the_benchmark_keywords():
     # bench/run.py calls run_scenario(path, out, emit_bases=..., threads=1)
     sig = inspect.signature(vncat.cli.run_scenario)
     sig.bind("in.json", "out.json", emit_bases="full", threads=1)
+
+
+def test_every_import_kept_for_the_benchmark_is_wrapped():
+    # an import kept only so that bench/spans.py can wrap it must name a
+    # (module, attribute) pair of WRAPS; once the wrapping goes, it is dead
+    wrapped = {(mod, attr) for mod, attr, _ in load_spans().WRAPS}
+    marker = "# noqa: F401  (wrapped by bench/spans.py)"
+    kept = []
+    for path in sorted((SPANS.parents[1] / "src" / "vncat").glob("*.py")):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if line.endswith(marker):
+                names = line.split(" import ", 1)[1].split("#")[0]
+                kept += [(f"vncat.{path.stem}", n.strip()) for n in names.split(",")]
+    assert kept
+    assert [pair for pair in kept if pair not in wrapped] == []

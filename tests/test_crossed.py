@@ -1,5 +1,7 @@
+import importlib
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +41,9 @@ from vncat import (
 )
 from vncat import crossed, linalg
 from helpers import conjugated_regular_rep, random_arrow, random_matrix, random_unitary
+
+# the package exports the function ``commutant`` under the module's name
+commutant_module = importlib.import_module("vncat.commutant")
 
 BASE = Context(2)
 I = Obj("I", 1)
@@ -166,6 +171,12 @@ def test_rep_validation():
     with pytest.raises(ValueError):
         # unitary matrices that break the multiplication table
         UnitaryRep(Z2, (np.eye(2), np.diag([1.0, 1j])))
+    # 1e200 is finite, but its Gram product overflows to a NaN defect, which
+    # must fail the verdict rather than slip past it, and without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="matrix for 'r1' is not unitary"):
+            UnitaryRep(Z2, (np.eye(2), 1e200 * np.eye(2)))
     # the escape hatch for negative controls
     bad = UnitaryRep(Z2, (np.eye(2), np.diag([1.0, 1j])), validate=False)
     assert bad.hdim == 2
@@ -697,21 +708,31 @@ def test_near_tolerance_dagger_gets_the_enlarged_verdict(offset):
 
 
 def test_crossed_product_solves_on_the_base_hidden_space(monkeypatch):
-    # one double commutant on End(H) and one dagger check of the generators
-    # per call, whatever the group order
-    hdims, checks = [], []
-    solve, check = crossed.double_commutant, crossed._star_checked
+    # one S'' solve on End(H) and one dagger check of the generators per
+    # call, whatever the group order; the orbit is twisted blocks, not arrows
+    hdims, checks, passes = [], [], []
+    solve, check = crossed._hidden_bicommutant, crossed._star_checked
+    missing = commutant_module._missing_daggers
 
-    def spied(gens, universe, *args, **kwargs):
-        hdims.append(universe.ctx.hdim)
-        return solve(gens, universe, *args, **kwargs)
+    def spied(blocks, h, *args):
+        hdims.append(h)
+        return solve(blocks, h, *args)
 
     def counted(gens, *args):
         checks.append(len(gens))
         return check(gens, *args)
 
-    monkeypatch.setattr(crossed, "double_commutant", spied)
+    def passed(gens, *args):
+        passes.append(len(gens))
+        return missing(gens, *args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an orbit Arrow")
+
+    monkeypatch.setattr(crossed, "_hidden_bicommutant", spied)
     monkeypatch.setattr(crossed, "_star_checked", counted)
+    monkeypatch.setattr(commutant_module, "_missing_daggers", passed)
+    monkeypatch.setattr(Arrow, "from_blocks", refuse)
     r = np.random.default_rng(10)
     rep = conjugated_regular_rep(cyclic_group(3), r)
     ctx = Context(3)
@@ -722,6 +743,7 @@ def test_crossed_product_solves_on_the_base_hidden_space(monkeypatch):
         assert cat.universe.ctx.hdim == 9
     assert hdims == [3, 3, 3]
     assert checks == [3, 2, 1]
+    assert passes == checks
 
 
 REPS = {

@@ -155,6 +155,12 @@ def cyclic_doc(n):
             "$.rep[1]: matrix entries must be finite",
             id="matrix-huge-int-pair-part",
         ),
+        # finite entries whose products overflow: the NaN defects fail unitarity
+        pytest.param(
+            lambda d: d.update(group=Z2_GROUP, rep=[[[1, 0], [0, 1]], [[1e200, 0], [0, 1e200]]]),
+            "$.rep: matrix for 's' is not unitary",
+            id="rep-overflowing-products",
+        ),
         pytest.param(
             lambda d: d.update(group={"elements": ["e", "s"], "table": [[0, 1], [1, 2**63]]}),
             "$.group: multiplication table entries must index elements",
