@@ -7,15 +7,16 @@ nested follows from the endpoints.  A net assigns arrows to cones; isotony
 asks nested cones to have nested spans, and causality asks every arrow pair
 across spacelike cones to interchange, each pair measured once.
 
-Both checks get the cone relations of all pairs at once by broadcasting
-``causal_leq`` over the stacked endpoints, ``_CHUNK`` rows of cones at a
-time.  Causality hands the ordered arrow pairs that occur to the stacked
-kernel ``interchange_norms``, one call per pair of block shapes and batch,
-whose values equal ``interchange_residuals`` bit for bit.  A cone pair's
-value is the largest residual over its arrow pairs, 0.0 when either cone
-is empty.  ``worst`` is the first pair with the largest value in
-``combinations`` order, and None when no pair is spacelike;
-``violations`` keep that order.
+Both checks get the cone relations of all pairs at once by comparing the
+stacked endpoints, ``_CHUNK`` rows of cones at a time.  A net stacks its
+endpoints once, when it is built, in light-cone coordinates (t + x, t - x),
+where the causal order is two comparisons.  Causality hands the ordered
+arrow pairs that occur to the stacked kernel ``interchange_norms``, one
+call per pair of block shapes and batch, whose values equal
+``interchange_residuals`` bit for bit.  A cone pair's value is the largest
+residual over its arrow pairs, 0.0 when either cone is empty.  ``worst`` is
+the first pair with the largest value in ``combinations`` order, and None
+when no pair is spacelike; ``violations`` keep that order.
 """
 
 from __future__ import annotations
@@ -131,6 +132,7 @@ class CausalNet:
                     raise ValueError("net arrows must share the net context")
             norm[cone] = arrows
         object.__setattr__(self, "assignments", norm)
+        object.__setattr__(self, "_ends", _endpoints(list(norm)))
 
     def cones(self) -> list[DoubleCone]:
         return list(self.assignments.keys())
@@ -151,19 +153,22 @@ class CausalityReport:
 
 
 def _endpoints(cones: list[DoubleCone]) -> tuple[np.ndarray, np.ndarray]:
-    """The cones' lo and hi events as (2, n) arrays of (t, x) rows.
+    """The cones' lo and hi events as (2, n) arrays of light-cone (t + x, t - x) rows.
 
-    int64 while no coordinate difference can overflow, Python ints past that.
+    p <= q in the causal order exactly when both coordinates of p are at
+    most those of q.  int64 while no coordinate can overflow, Python ints
+    past that.
     """
     coords = [v for c in cones for v in (*c.lo, *c.hi)]
     dtype = np.int64 if all(abs(v) < 2**61 for v in coords) else object
-    ends = np.array(coords, dtype=dtype).reshape(-1, 2, 2)
-    return ends[:, 0].T, ends[:, 1].T
+    t, x = np.array(coords, dtype=dtype).reshape(-1, 2, 2).T
+    ends = np.stack([t + x, t - x])  # (u or v, lo or hi, cone)
+    return ends[:, 0], ends[:, 1]
 
 
 def _leq(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``causal_leq`` broadcast over endpoint arrays, as a bool array."""
-    return np.asarray(causal_leq(p, q), dtype=bool)
+    """``causal_leq`` broadcast over light-cone endpoint arrays, as a bool array."""
+    return (p[0] <= q[0]) & (p[1] <= q[1])
 
 
 def _row_blocks(n: int):
@@ -190,10 +195,10 @@ def check_isotony(net: CausalNet, tol: float = 1e-9) -> IsotonyReport:
     """Nested cones must carry nested generator spans, hom pair by hom pair."""
     cones = net.cones()
     spans = [
-        {hom: tuple(arrows) for hom, arrows in group_by_hom(net.assignments[c]).items()}
-        for c in cones
+        {hom: tuple(arrows) for hom, arrows in group_by_hom(assigned).items()}
+        for assigned in net.assignments.values()
     ]
-    lo, hi = _endpoints(cones)
+    lo, hi = net._ends
     contains = {}  # (inner arrows, outer arrows) of one hom -> verdict
     violations = []
     for rows in _row_blocks(len(cones)):
@@ -217,9 +222,9 @@ def check_causality(net: CausalNet, tol: float = 1e-9) -> CausalityReport:
     cones = net.cones()
     n = len(cones)
     cone_of = np.fromiter(cones, dtype=object, count=n)
-    lo, hi = _endpoints(cones)
+    lo, hi = net._ends
     index: dict = {}  # distinct arrows, by identity
-    members = [[index.setdefault(a, len(index)) for a in net.assignments[c]] for c in cones]
+    members = [[index.setdefault(a, len(index)) for a in arrows] for arrows in net.assignments.values()]
     arrows = list(index)
     counts = np.array([len(ids) for ids in members], dtype=np.intp)
     flat = np.array([i for ids in members for i in ids], dtype=np.intp)

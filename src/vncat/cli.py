@@ -2,13 +2,16 @@
 
 Reads a scenario JSON file, runs its commands in order, and writes a single
 JSON report.  Exit status: 0 when every command passes, 1 when any command
-reports failure, 2 on scenario validation or parse errors.  Reports are
-deterministic byte for byte given the same scenario and flags; wall-clock
-timings only appear behind --timings because they would break that.
+reports failure, 2 on scenario validation or parse errors and when the
+report cannot be written.  Reports are deterministic byte for byte given
+the same scenario and flags; wall-clock timings only appear behind
+--timings because they would break that.
 
 A report is laid out exactly as ``json.dumps(report, indent=2)`` lays it
 out, by one walk of the report that gives every value the stdlib encoder's
-text (see ``_write_report``).  Basis matrices (``--emit-bases full``) are
+text (see ``_write_report``).  The echoed cone list of a net is one text
+layout per count of generator names, filled in by one format call
+(``_ConeEcho``).  Basis matrices (``--emit-bases full``) are
 the bulk of a report; each stack is rendered straight from its array, one
 innermost row at a time, and written at its place and indent, never joined
 into the rest of the text.  Every exact-zero row shares one rendered text,
@@ -200,6 +203,48 @@ _RUNNERS = {
 }
 
 
+class _ConeEcho:
+    """Stands in a report for the net's echoed cone list.
+
+    ``text`` lays the list out as ``json.dumps(..., indent=2)`` would: one
+    layout per count of generator names, filled in by one format call with
+    each coordinate's ``int.__repr__`` and each name's
+    ``encode_basestring_ascii``.
+    """
+
+    __slots__ = ("cones",)
+
+    def __init__(self, cones: list):
+        self.cones = cones
+
+    def text(self, indent: str) -> str:
+        if not self.cones:
+            return "[]"
+        nl = ["\n" + indent + "  " * n for n in range(4)]  # nl[n]: a line n levels in
+        pair = "[" + nl[3] + "%s," + nl[3] + "%s" + nl[2] + "]"
+        layouts: dict = {}  # name count -> a cone's layout
+        items, args = [], []
+        for c in self.cones:
+            names = c["generators"]
+            k = len(names)
+            if k not in layouts:
+                listed = "[" + nl[3] + ("," + nl[3]).join(["%s"] * k) + nl[2] + "]" if k else "[]"
+                fields = f'"lo": {pair},{nl[2]}"hi": {pair},{nl[2]}"generators": {listed}'
+                layouts[k] = "{" + nl[2] + fields + nl[1] + "}"
+            items.append(layouts[k])
+            args += map(int.__repr__, c["lo"] + c["hi"])
+            args += map(encode_basestring_ascii, names)
+        return ("[" + nl[1] + ("," + nl[1]).join(items) + nl[0] + "]") % tuple(args)
+
+
+def _echo(normalized: dict) -> dict:
+    """``normalized`` with the net's cone list as a ``_ConeEcho``."""
+    if "net" not in normalized:
+        return normalized
+    net = normalized["net"]
+    return dict(normalized, net=dict(net, cones=_ConeEcho(net["cones"])))
+
+
 def _write_report(report: dict, write) -> None:
     """Write ``json.dumps(report, indent=2) + "\\n"``, MatrixJson holders as their lists.
 
@@ -271,6 +316,8 @@ def _encode(value, level: int, out: list, write) -> None:
             _encode(item, level + 1, out, write)
             prefix = "," + nl
         out.append(nl[:-2] + "}")
+    elif isinstance(value, _ConeEcho):
+        out.append(value.text("  " * level))
     elif isinstance(value, MatrixJson):
         write("".join(out))
         out.clear()
@@ -329,15 +376,19 @@ def run_scenario(
     report = {
         "schema": 1,
         "tol": effective_tol,
-        "scenario": sc.normalized,
+        "scenario": _echo(sc.normalized),
         "results": results,
         "pass": all(r["pass"] for r in results),
     }
-    if output_path is None:
-        _write_report(report, sys.stdout.write)
-    else:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            _write_report(report, fh.write)
+    try:
+        if output_path is None:
+            _write_report(report, sys.stdout.write)
+        else:
+            with open(output_path, "w", encoding="utf-8") as fh:
+                _write_report(report, fh.write)
+    except OSError as e:
+        print(f"cannot write report: {e}", file=sys.stderr)
+        return 2
     return 0 if report["pass"] else 1
 
 

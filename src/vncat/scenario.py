@@ -10,6 +10,14 @@ pairs.  ``Scenario.normalized`` is the canonical dict echoed into reports,
 written section by section as each is validated, and a fixed point:
 parsing it gives it back.
 
+The generator matrices, the rep matrices and the net's cones are checked
+whole-array: one set of types and of lengths per nesting level, then one
+``np.array`` per matrix section for the values and their finiteness.  The
+cones' constructors check causal order and the lattice bounds, and
+duplicate cones show in the size of the cone dict.  Only a section that
+fails is walked entry by entry or cone by cone, and that walk raises the
+error with its path, so every message and its precedence is the walk's.
+
 Top-level keys:
   schema (must be 1), hdim, tol?, dagger_close?, objects, universe?,
   generators?, group?, rep?, net?, commands.
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -126,7 +135,8 @@ def _parse_entry(v, path) -> complex:
         return complex(np.inf)
 
 
-def _parse_matrix(v, rows, cols, path) -> np.ndarray:
+def _walk_matrix(v, rows, cols, path) -> np.ndarray:
+    """One matrix, entry by entry: the first bad field raises with its own path."""
     _expect(isinstance(v, list) and len(v) == rows, path, f"must be a list of {rows} rows")
     for i, row in enumerate(v):
         _expect(
@@ -140,6 +150,105 @@ def _parse_matrix(v, rows, cols, path) -> np.ndarray:
             out[i, j] = _parse_entry(entry, f"{path}[{i}][{j}]")
     _expect(bool(np.isfinite(out).all()), path, "matrix entries must be finite")
     return out
+
+
+def _bulk_matrices(raws: list, shapes: list) -> list | None:
+    """The matrices ``raws`` of the ``(rows, cols)`` ``shapes``, or None if any field is bad.
+
+    Each level's types and lengths are checked as one set, and all number
+    parts convert in one ``np.array``, so it accepts what ``_walk_matrix``
+    accepts, with the same values (``-0.0`` kept); subclasses of list, int
+    and float it leaves to the walk.
+    """
+    if not set(map(type, raws)) <= {list} or list(map(len, raws)) != [r for r, _ in shapes]:
+        return None
+    lines = list(chain.from_iterable(raws))
+    widths = [c for r, c in shapes for _ in range(r)]
+    if not set(map(type, lines)) <= {list} or list(map(len, lines)) != widths:
+        return None
+    pairs = [v if type(v) is list else [v, 0.0] for v in chain.from_iterable(lines)]
+    parts = list(chain.from_iterable(pairs))
+    if set(map(len, pairs)) - {2} or not set(map(type, parts)) <= {int, float}:
+        return None
+    try:
+        flat = np.array(parts, dtype=np.float64).view(np.complex128)  # float() of each part
+    except OverflowError:  # an integer past the float range: not finite
+        return None
+    if not np.isfinite(flat).all():
+        return None
+    at = np.cumsum([0] + [r * c for r, c in shapes]).tolist()
+    return [flat[a:b].reshape(shape) for a, b, shape in zip(at, at[1:], shapes)]
+
+
+def _parse_matrices(raws: list, shapes: list, paths: list) -> list:
+    """The matrices ``raws`` of the ``(rows, cols)`` ``shapes``, found at ``paths``.
+
+    The walk runs only when the whole-array check rejects the section, and
+    then raises at the first bad field, with its path.
+    """
+    mats = _bulk_matrices(raws, shapes)
+    if mats is None:
+        mats = [_walk_matrix(v, r, c, p) for v, (r, c), p in zip(raws, shapes, paths)]
+    return mats
+
+
+def _walk_net(raw_cones: list, bounds: LatticeBounds, ctx: Context, generators: dict):
+    """The net and its cones' echo, cone by cone: the first bad field raises with its path.
+
+    Every per-cone check precedes the net's bounds check (at ``$.net``).
+    """
+    assignments = {}
+    cones = []
+    for i, c in enumerate(raw_cones):
+        p = f"$.net.cones[{i}]"
+        _expect(isinstance(c, dict), p, "must be an object")
+        lo = _int_pair(c.get("lo"), f"{p}.lo", "must be [t, x] integers")
+        hi = _int_pair(c.get("hi"), f"{p}.hi", "must be [t, x] integers")
+        cone = _built(p, DoubleCone, Event(*lo), Event(*hi))
+        _expect(cone not in assignments, p, "duplicate cone")
+        cone_gens = c.get("generators", [])
+        _expect(isinstance(cone_gens, list), f"{p}.generators", "must be a list of generator names")
+        for j, gname in enumerate(cone_gens):
+            _expect(
+                isinstance(gname, str) and gname in generators,
+                f"{p}.generators[{j}]",
+                f"unknown generator name {gname!r}",
+            )
+        assignments[cone] = tuple(generators[gname] for gname in cone_gens)
+        cones.append({"lo": list(lo), "hi": list(hi), "generators": list(cone_gens)})
+    return _built("$.net", CausalNet, bounds, ctx, assignments), cones
+
+
+def _bulk_net(raw_cones: list, bounds: LatticeBounds, ctx: Context, generators: dict):
+    """What ``_walk_net`` gives, or None if any cone fails a check.
+
+    The cones' field types and lengths are checked as one set per level;
+    the constructors then check causal order and the lattice bounds, and
+    the cone dict's size reveals duplicates.  Subclasses of dict, list, int
+    and str are left to the walk.
+    """
+    if not set(map(type, raw_cones)) <= {dict}:
+        return None
+    los, his = (list(map(dict.get, raw_cones, repeat(key))) for key in ("lo", "hi"))
+    names = list(map(dict.get, raw_cones, repeat("generators"), repeat([])))
+    ends = los + his
+    if not (set(map(type, ends)) | set(map(type, names)) <= {list} and set(map(len, ends)) <= {2}):
+        return None
+    named = list(chain.from_iterable(names))
+    if not (set(map(type, named)) <= {str} and generators.keys() >= set(named)):
+        return None
+    if not set(map(type, chain.from_iterable(ends))) <= {int}:
+        return None
+    try:
+        cones = list(map(DoubleCone, los, his))
+        assignments = dict(zip(cones, [tuple(map(generators.__getitem__, ns)) for ns in names]))
+        if len(assignments) < len(cones):  # a duplicate cone
+            return None
+        net = CausalNet(bounds, ctx, assignments)
+    except ValueError:
+        return None
+    echo = [{"lo": a[:], "hi": b[:], "generators": ns[:]} for a, b, ns in zip(los, his, names)]
+    return net, echo
 
 
 def _matrix_json(m: np.ndarray) -> list:
@@ -283,22 +392,31 @@ def parse_scenario(doc) -> Scenario:
     normalized["objects"] = [{"name": o.name, "dim": o.dim} for o in by_name.values()]
     normalized["universe"] = list(uni_objs)
 
-    # generators
+    # generators: each one's fields in turn, then every matrix at once
     raw_gens = doc.get("generators", [])
     _expect(isinstance(raw_gens, list), "$.generators", "must be a list")
+    heads, shapes, paths = {}, [], []  # name -> (dom, cod); each matrix's (rows, cols) and path
+    try:
+        for i, g in enumerate(raw_gens):
+            p = f"$.generators[{i}]"
+            _expect(isinstance(g, dict), p, "must be an object")
+            gname = g.get("name", f"g{i}")
+            _expect(isinstance(gname, str) and gname, f"{p}.name", "must be a non-empty string")
+            _expect(gname not in heads, f"{p}.name", f"duplicate generator name {gname!r}")
+            for key in ("dom", "cod"):
+                _expect(isinstance(g.get(key), str), f"{p}.{key}", "must be an object name")
+                _expect(g[key] in by_name, f"{p}.{key}", f"unknown object name {g[key]!r}")
+            heads[gname] = dom, cod = by_name[g["dom"]], by_name[g["cod"]]
+            shapes.append((cod.dim * hdim, dom.dim * hdim))
+            paths.append(f"{p}.matrix")
+    except ScenarioError:
+        # a bad matrix of an earlier generator is named first
+        _parse_matrices([g.get("matrix") for g in raw_gens[: len(paths)]], shapes, paths)
+        raise
+    mats = _parse_matrices([g.get("matrix") for g in raw_gens], shapes, paths)
     generators: dict[str, Arrow] = {}
     normalized["generators"] = []
-    for i, g in enumerate(raw_gens):
-        p = f"$.generators[{i}]"
-        _expect(isinstance(g, dict), p, "must be an object")
-        gname = g.get("name", f"g{i}")
-        _expect(isinstance(gname, str) and gname, f"{p}.name", "must be a non-empty string")
-        _expect(gname not in generators, f"{p}.name", f"duplicate generator name {gname!r}")
-        for key in ("dom", "cod"):
-            _expect(isinstance(g.get(key), str), f"{p}.{key}", "must be an object name")
-            _expect(g[key] in by_name, f"{p}.{key}", f"unknown object name {g[key]!r}")
-        dom, cod = by_name[g["dom"]], by_name[g["cod"]]
-        mat = _parse_matrix(g.get("matrix"), cod.dim * hdim, dom.dim * hdim, f"{p}.matrix")
+    for (gname, (dom, cod)), mat in zip(heads.items(), mats):
         generators[gname] = Arrow(dom, cod, ctx, mat)
         normalized["generators"].append(
             {"name": gname, "dom": dom.name, "cod": cod.name, "matrix": _matrix_json(mat)}
@@ -341,9 +459,10 @@ def parse_scenario(doc) -> Scenario:
             "$.rep",
             "must list one matrix per group element, in element order",
         )
-        mats = tuple(_parse_matrix(m, hdim, hdim, f"$.rep[{i}]") for i, m in enumerate(raw_rep))
-        rep = _built("$.rep", UnitaryRep, group, mats)
-        normalized["rep"] = [_matrix_json(m) for m in rep.mats]
+        paths = [f"$.rep[{i}]" for i in range(len(raw_rep))]
+        mats = _parse_matrices(raw_rep, [(hdim, hdim)] * len(paths), paths)
+        rep = _built("$.rep", UnitaryRep, group, tuple(mats))
+        normalized["rep"] = _matrix_json(rep.mats)
 
     # causal net
     net = None
@@ -359,27 +478,10 @@ def parse_scenario(doc) -> Scenario:
             _expect(spans[axis][0] <= spans[axis][1], p, "lo must not exceed hi")
         raw_cones = raw_net.get("cones")
         _expect(isinstance(raw_cones, list), "$.net.cones", "must be a list")
-        assignments = {}
-        cones = []
-        for i, c in enumerate(raw_cones):
-            p = f"$.net.cones[{i}]"
-            _expect(isinstance(c, dict), p, "must be an object")
-            lo = _int_pair(c.get("lo"), f"{p}.lo", "must be [t, x] integers")
-            hi = _int_pair(c.get("hi"), f"{p}.hi", "must be [t, x] integers")
-            cone = _built(p, DoubleCone, Event(*lo), Event(*hi))
-            _expect(cone not in assignments, p, "duplicate cone")
-            cone_gens = c.get("generators", [])
-            _expect(isinstance(cone_gens, list), f"{p}.generators", "must be a list of generator names")
-            for j, gname in enumerate(cone_gens):
-                _expect(
-                    isinstance(gname, str) and gname in generators,
-                    f"{p}.generators[{j}]",
-                    f"unknown generator name {gname!r}",
-                )
-            assignments[cone] = tuple(generators[gname] for gname in cone_gens)
-            cones.append({"lo": list(lo), "hi": list(hi), "generators": list(cone_gens)})
         bounds = LatticeBounds(*spans["t"], *spans["x"])
-        net = _built("$.net", CausalNet, bounds, ctx, assignments)
+        net, cones = _bulk_net(raw_cones, bounds, ctx, generators) or _walk_net(
+            raw_cones, bounds, ctx, generators
+        )
         normalized["net"] = {"bounds": {axis: list(v) for axis, v in spans.items()}, "cones": cones}
 
     # commands

@@ -213,20 +213,45 @@ def rep_error_by_loop(group, mats):
     return None
 
 
+def padded_rep(group, d, rng):
+    """A rep of ``group`` on C^d, d >= |G|: the regular one plus trivial ones, twisted by a random unitary."""
+    n = group.order
+    w = random_unitary(rng, d)
+    mats = []
+    for g in range(n):
+        p = np.eye(d, dtype=complex)
+        p[:n, :n] = 0.0
+        for j in range(n):
+            p[group.mul(g, j), j] = 1.0
+        mats.append(w @ p @ w.conj().T)
+    return tuple(mats)
+
+
 def test_rep_validation_matches_element_loop():
     r = np.random.default_rng(5)
-    for group in (cyclic_group(4), symmetric_group(3)):
-        base = conjugated_regular_rep(group, r).mats
-        for trial in range(16):
+    cases = [(group, conjugated_regular_rep(group, r).mats) for group in (cyclic_group(4), symmetric_group(3))]
+    # reps of hdim 8: the regular rep padded with trivial summands
+    cases += [(group, padded_rep(group, 8, r)) for group in (cyclic_group(2), symmetric_group(3))]
+    for group, base in cases:
+        d = base[0].shape[0]
+        for trial in range(30):
             mats = list(base)
             k = int(r.integers(group.order))
-            kind = trial % 4
+            kind = trial % 6
             if kind == 0:
                 mats[k] = mats[k] * np.exp(1j * 10.0 ** -r.uniform(5, 12))
             elif kind == 1:
                 mats[k] = mats[k] * (1.0 + 10.0 ** -r.uniform(5, 12))
             elif kind == 2:
                 mats[k], mats[(k + 1) % group.order] = mats[(k + 1) % group.order], mats[k]
+            elif kind == 3:
+                # defects near the 1e-10 cut, on either side of it
+                mats[k] = mats[k] * np.exp(1j * 10.0 ** -r.uniform(9.5, 10.5))
+            elif kind == 4:
+                # a rank-one phase defect near the cut
+                v = random_unitary(r, d)[:, :1]
+                phase = np.exp(1j * 10.0 ** -r.uniform(9.5, 10.5))
+                mats[k] = mats[k] @ (np.eye(d) + (phase - 1) * (v @ v.conj().T))
             want = rep_error_by_loop(group, mats)
             if want is None:
                 UnitaryRep(group, tuple(mats))

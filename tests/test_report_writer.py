@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vncat import run_scenario
+from vncat import parse_scenario, run_scenario
 from vncat.cli import _write_report
 from vncat.scenario import MatrixJson, _matrix_json
 
@@ -114,6 +114,72 @@ def test_scenario_strings_cannot_forge_markers(tmp_path):
     assert [o["name"] for o in report["scenario"]["objects"]] == names
     assert [g["name"][0] for g in report["scenario"]["generators"]] == ["\u0000"] * len(names)
     assert len(report["results"][0]["bases"]) == len(names) ** 2
+
+
+# generator names that need escaping, or that look like format directives
+NAMES = st.text(min_size=1, max_size=4) | st.sampled_from(['"', "\\", "\0", "é→∂", "%s", "%(x)d", "%%"])
+CORNERS = st.sampled_from([0, -40, 2**63, -(2**64), 2**64])
+
+
+@st.composite
+def net_docs(draw):
+    """A net of distinct unit and larger cones near a corner that may sit past int64."""
+    names = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    t0, x0 = draw(CORNERS), draw(CORNERS)
+    cones = []
+    for t, x in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(-4, 4)), max_size=8, unique=True)):
+        a, b = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        gens = draw(st.lists(st.sampled_from(names), max_size=2, unique=True))
+        cones.append({"lo": [t0 + t, x0 + x], "hi": [t0 + t + a + b, x0 + x + a - b], "generators": gens})
+    return {
+        "schema": 1,
+        "hdim": 1,
+        "objects": [{"name": "I", "dim": 1}],
+        "generators": [{"name": n, "dom": "I", "cod": "I", "matrix": [[draw(st.integers(-3, 3))]]} for n in names],
+        "net": {"bounds": {"t": [t0, t0 + 5], "x": [x0 - 5, x0 + 5]}, "cones": cones},
+        "commands": ["causality"],
+    }
+
+
+PARTS = st.sampled_from([0, 1, -2, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e16]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+ZERO = st.sampled_from([0, -0.0, 0.0, [0, 0], [-0.0, 0.0], [0.0, -0.0], 5e-324])
+
+
+@st.composite
+def matrix_docs(draw):
+    """Generators of any entries, and C2 acting by a diagonal sign rep, spelt in every way."""
+    h = draw(st.integers(1, 3))
+    dims = {"I": 1, "A": 2}
+    gens = []
+    for name in draw(st.lists(NAMES, max_size=3, unique=True)):
+        dom, cod = draw(st.sampled_from("IA")), draw(st.sampled_from("IA"))
+        entries = PARTS | st.lists(PARTS, min_size=2, max_size=2)
+        matrix = [[draw(entries) for _ in range(dims[dom] * h)] for _ in range(dims[cod] * h)]
+        gens.append({"name": name, "dom": dom, "cod": cod, "matrix": matrix})
+    signs = [[1] * h, draw(st.lists(st.sampled_from([1, -1]), min_size=h, max_size=h))]
+    unit = {1: st.sampled_from([1, 1.0, [1, 0], [1, -0.0]]), -1: st.sampled_from([-1, -1.0, [-1, 0.0]])}
+    rep = [[[draw(unit[s[i]]) if i == j else draw(ZERO) for j in range(h)] for i in range(h)] for s in signs]
+    return {
+        "schema": 1,
+        "hdim": h,
+        "objects": [{"name": n, "dim": d} for n, d in dims.items()],
+        "universe": ["I"],
+        "generators": gens,
+        "group": {"elements": ["e", "s"], "table": [[0, 1], [1, 0]]},
+        "rep": rep,
+        "commands": ["centre"],
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=net_docs() | matrix_docs())
+def test_generated_reports_have_stdlib_layout(tmp_path_factory, doc):
+    text = report_text(tmp_path_factory.mktemp("report"), doc, "dims")
+    assert_stdlib_layout(text)
+    # the echo holds the parsed values, -0.0 and ints past int64 included
+    assert json.dumps(json.loads(text)["scenario"]) == json.dumps(parse_scenario(doc).normalized)
 
 
 SPECIAL = [-0.0, 5e-324, 1e-5, 1e16, 1e22, 0.1 + 0.2]

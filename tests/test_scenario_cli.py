@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vncat import ScenarioError, load_scenario, parse_scenario, run_scenario
+from vncat import Arrow, Context, LatticeBounds, ScenarioError, load_scenario, parse_scenario, run_scenario
+from vncat import scenario
+from vncat.category import unit_obj
 from vncat.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -117,6 +119,45 @@ def cyclic_doc(n):
             lambda d: d.update(net={"bounds": NET_BOUNDS, "cones": [dict(CONE, generators="a")]}),
             "$.net.cones[0].generators: must be a list of generator names",
             id="net-cone-generators-not-a-list",
+        ),
+        pytest.param(
+            lambda d: d.update(net={"bounds": NET_BOUNDS, "cones": [{"lo": [0, 1.0], "hi": [1, 0]}]}),
+            "$.net.cones[0].lo: must be [t, x] integers",
+            id="net-cone-end-float",
+        ),
+        pytest.param(
+            lambda d: d.update(net={"bounds": NET_BOUNDS, "cones": [CONE, {"lo": [1, 0], "hi": [2, True]}]}),
+            "$.net.cones[1].hi",
+            id="net-second-cone-end-bool",
+        ),
+        # every per-cone check precedes the net's bounds check
+        pytest.param(
+            lambda d: d.update(
+                net={"bounds": NET_BOUNDS, "cones": [{"lo": [0, 0], "hi": [5, 0]}, {"lo": [0.5, 0], "hi": [1, 0]}]}
+            ),
+            "$.net.cones[1].lo",
+            id="net-cone-field-before-bounds",
+        ),
+        pytest.param(
+            lambda d: d.update(net={"bounds": NET_BOUNDS, "cones": [dict(CONE, generators=[1])]}),
+            "$.net.cones[0].generators[0]: unknown generator name 1",
+            id="net-cone-generator-not-a-name",
+        ),
+        # type errors win over finiteness, wherever they sit
+        pytest.param(
+            lambda d: d.update(generators=[{"dom": "I", "cod": "I", "matrix": [[10**400, 0], [0, "x"]]}]),
+            "$.generators[0].matrix[1][1]: matrix entries must be numbers or [re, im] pairs",
+            id="matrix-type-error-after-huge-int",
+        ),
+        pytest.param(
+            lambda d: d.update(generators=[{"dom": "I", "cod": "I", "matrix": [[[1, True], 0], [0, 1]]}]),
+            "$.generators[0].matrix[0][0]",
+            id="matrix-pair-with-bool",
+        ),
+        pytest.param(
+            lambda d: d.update(generators=[{"dom": "I", "cod": "I", "matrix": [[1, 0], [0, [1, 0, 0]]]}]),
+            "$.generators[0].matrix[1][1]",
+            id="matrix-three-part-entry",
         ),
         pytest.param(
             lambda d: d.update(group={"elements": ["e", ""], "table": [[0, 1], [1, 0]]}),
@@ -296,6 +337,177 @@ def test_cone_pair_bound_admits_2048_cones():
     big = base_doc(**unit_cones_doc(2049))
     big["commands"] = ["commutant"]
     assert len(parse_scenario(big).net.cones()) == 2049
+
+
+def test_cone_coordinates_past_int64_parse_and_echo_exactly(tmp_path):
+    t, x = 2**63, 2**64
+    cones = [
+        {"lo": [t, -x], "hi": [t + 1, -x], "generators": []},
+        {"lo": [t, x], "hi": [t + 1, x], "generators": []},
+    ]
+    doc = base_doc(net={"bounds": {"t": [t, t + 2], "x": [-x, x]}, "cones": cones}, commands=["causality"])
+    assert [(c.lo, c.hi) for c in parse_scenario(doc).net.cones()] == [
+        ((t, -x), (t + 1, -x)),
+        ((t, x), (t + 1, x)),
+    ]
+    out = tmp_path / "r.json"
+    assert main(["--input", write_doc(tmp_path, doc), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["scenario"]["net"]["cones"] == cones
+
+
+def test_mixed_entries_echo_as_pairs(tmp_path):
+    gens = [{"dom": "I", "cod": "I", "matrix": [[1, [0, 1]], [-0.0, 2]]}]
+    doc = base_doc(dagger_close=True, generators=gens)
+    want = "[[[1.0, 0.0], [0.0, 1.0]], [[-0.0, 0.0], [2.0, 0.0]]]"
+    assert json.dumps(parse_scenario(doc).normalized["generators"][0]["matrix"]) == want
+    out = tmp_path / "r.json"
+    assert run_scenario(write_doc(tmp_path, doc), str(out)) == 0
+    assert json.dumps(json.loads(out.read_text())["scenario"]["generators"][0]["matrix"]) == want
+
+
+def test_unwritable_report_exits_2(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "dir" / "r.json"
+    assert main(["--input", str(GOLDEN_DIR / "commutant_basic.json"), "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot write report: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def outcome(parse):
+    """("ok", value) or ("error", path, message) of ``parse()``."""
+    try:
+        return ("ok", parse())
+    except ScenarioError as e:
+        return ("error", e.path, str(e))
+
+
+# numbers the walk accepts, and values it rejects: bools, a 400-digit int,
+# a string, None, 3-part and bad pairs, and lists in place of numbers
+GOOD_PARTS = [0, 1, -3, 2**70, 0.5, -0.0, 5e-324, 1.7976931348623157e308]
+GOOD_ENTRY = st.sampled_from(GOOD_PARTS) | st.floats(allow_nan=False, allow_infinity=False) | st.lists(
+    st.sampled_from(GOOD_PARTS), min_size=2, max_size=2
+)
+# copied as drawn, since the edits below change lists in place
+HOSTILE = st.sampled_from(
+    [True, False, 10**400, -(10**400), "x", None, float("inf"), [1, True], [1, 0, 0], [10**400, 0], [], [[1]]]
+).map(copy.deepcopy)
+ENTRY = GOOD_ENTRY | HOSTILE
+
+
+def damage(draw, items, hostile):
+    """Apply 0-2 drawn edits inside the items of a list: replace, drop or add a value at any depth."""
+    for _ in range(draw(st.integers(0, 2)) if items else 0):
+        node = items[draw(st.integers(0, len(items) - 1))]
+        while isinstance(node, list) and node and draw(st.booleans()):
+            child = node[draw(st.integers(0, len(node) - 1))]
+            if not isinstance(child, list):
+                break
+            node = child
+        if not isinstance(node, list) or not node:
+            continue
+        k = draw(st.integers(0, len(node) - 1))
+        edit = draw(st.sampled_from(["replace", "drop", "add"]))
+        if edit == "replace":
+            node[k] = draw(hostile)
+        elif edit == "drop":
+            del node[k]
+        else:
+            node.insert(k, copy.deepcopy(node[k]))
+
+
+@st.composite
+def matrix_sections(draw):
+    """A section of 1-3 matrices of 1-3 x 1-3 entries, each shape its own, some damaged."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3))
+    entry = GOOD_ENTRY if draw(st.booleans()) else ENTRY
+    section = [[[draw(entry) for _ in range(c)] for _ in range(r)] for r, c in shapes]
+    damage(draw, section, HOSTILE)
+    if draw(st.integers(0, 9)) == 0:
+        section[draw(st.integers(0, len(section) - 1))] = draw(HOSTILE)
+    return section, shapes
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix_sections())
+def test_bulk_matrix_parse_matches_the_walk(case):
+    raws, shapes = case
+    paths = [f"$.m[{k}]" for k in range(len(raws))]
+    walk = outcome(lambda: [scenario._walk_matrix(v, r, c, p) for v, (r, c), p in zip(raws, shapes, paths)])
+    got = outcome(lambda: scenario._parse_matrices(raws, shapes, paths))
+    if walk[0] == "error":
+        assert got == walk
+        return
+    # the walk runs only on what the bulk check rejects: here nothing
+    bulk = scenario._bulk_matrices(raws, shapes)
+    assert bulk is not None and got[0] == "ok"
+    for a, b in zip(bulk, walk[1]):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()  # -0.0 included
+
+
+NET_CTX = Context(1)
+NET_GENERATORS = {name: Arrow(unit_obj(), unit_obj(), NET_CTX, [[k + 1.0]]) for k, name in enumerate("ab")}
+COORD_HOSTILE = st.sampled_from([True, 1.0, "1", None, 10**400, [0, 0, 0], [0], {}]).map(copy.deepcopy)
+
+
+def _is_int_pair(v):
+    return type(v) is list and len(v) == 2 and all(type(c) is int for c in v)
+
+
+@st.composite
+def cone_sections(draw):
+    """Cones near a corner that may sit past int64, inside the bounds unless an edit moves them."""
+    t0, x0 = draw(st.sampled_from([(0, 0), (2**63, -(2**64)), (-(2**64), 2**64), (5, -7)]))
+    cones = []
+    for _ in range(draw(st.integers(0, 5))):
+        t, x = t0 + draw(st.integers(0, 3)), x0 + draw(st.integers(-3, 3))
+        a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        cone = {"lo": [t, x], "hi": [t + a + b, x + a - b]}
+        if draw(st.booleans()):
+            cone["generators"] = draw(st.lists(st.sampled_from(["a", "b"]), max_size=2, unique=True))
+        cones.append(cone)
+    for _ in range(draw(st.integers(0, 2)) if cones else 0):
+        cone = cones[draw(st.integers(0, len(cones) - 1))]
+        edit = draw(st.sampled_from(["swap", "move", "duplicate", "end", "coordinate", "names", "name", "drop"]))
+        if not (isinstance(cone, dict) and all(_is_int_pair(cone.get(end)) for end in ("lo", "hi"))):
+            continue  # a cone that an earlier edit broke
+        if edit == "swap":
+            cone["lo"], cone["hi"] = cone["hi"], cone["lo"]
+        elif edit == "move":
+            cone["hi"] = [v + 20 for v in cone["hi"]]  # still ordered, but out of bounds
+        elif edit == "duplicate":
+            cones.append(copy.deepcopy(cone))
+        elif edit == "end":
+            cone[draw(st.sampled_from(["lo", "hi"]))] = draw(COORD_HOSTILE)
+        elif edit == "coordinate":
+            cone[draw(st.sampled_from(["lo", "hi"]))][draw(st.integers(0, 1))] = draw(COORD_HOSTILE)
+        elif edit == "names":
+            cone["generators"] = draw(st.sampled_from(["a", None, {"a": 1}]))
+        elif edit == "name":
+            cone["generators"] = ["a", draw(st.sampled_from(["zz", 1, None, ["a"], True]))]
+        else:  # the cone itself
+            cones[cones.index(cone)] = draw(st.sampled_from([None, [], "cone", {}]))
+    bounds = LatticeBounds(t0, t0 + 8, x0 - 6, x0 + 6)
+    return cones, bounds
+
+
+@settings(max_examples=400, deadline=None)
+@given(cone_sections())
+def test_bulk_net_parse_matches_the_walk(case):
+    raw_cones, bounds = case
+    args = (raw_cones, bounds, NET_CTX, NET_GENERATORS)
+    walk = outcome(lambda: scenario._walk_net(*args))
+    got = outcome(lambda: scenario._bulk_net(*args) or scenario._walk_net(*args))
+    if walk[0] == "error":
+        assert got == walk
+        return
+    bulk = scenario._bulk_net(*args)
+    assert bulk is not None and got[0] == "ok"
+    (net, echo), (want, want_echo) = bulk, walk[1]
+    assert echo == want_echo
+    assert list(net.assignments.items()) == list(want.assignments.items())
+    for a, b in zip(net._ends, want._ends):
+        assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
 
 
 def test_load_scenario_file_errors(tmp_path):
