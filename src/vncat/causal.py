@@ -8,15 +8,16 @@ asks nested cones to have nested spans, and causality asks every arrow pair
 across spacelike cones to interchange, each pair measured once.
 
 Both checks get the cone relations of all pairs at once by comparing the
-stacked endpoints, ``_CHUNK`` rows of cones at a time.  A net stacks its
-endpoints once, when it is built, in light-cone coordinates (t + x, t - x),
-where the causal order is two comparisons.  Causality hands the ordered
-arrow pairs that occur to the stacked kernel ``interchange_norms``, one
-call per pair of block shapes and batch, whose values equal
-``interchange_residuals`` bit for bit.  A cone pair's value is the largest
-residual over its arrow pairs, 0.0 when either cone is empty.  ``worst`` is
-the first pair with the largest value in ``combinations`` order, and None
-when no pair is spacelike; ``violations`` keep that order.
+stacked endpoints, a block of cone rows at a time (``linalg.batches``).  A
+net stacks its endpoints once, when it is built, in light-cone coordinates
+(t + x, t - x), where the causal order is two comparisons.  Causality hands
+the ordered arrow pairs that occur to the stacked kernel
+``interchange_norms``, one call per pair of block shapes and batch, whose
+values equal ``interchange_residuals`` bit for bit.  A cone pair's value is
+the largest residual over its arrow pairs, 0.0 when either cone is empty.
+``worst`` is the first pair with the largest value in ``combinations``
+order, and None when no pair is spacelike; ``violations`` keep that order,
+whatever the blocks.
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ __all__ = [
     "check_isotony",
     "check_causality",
 ]
-
-_CHUNK = 64  # cone rows per broadcast block: temporaries hold O(_CHUNK * n) entries
-
 
 class Event(NamedTuple):
     t: int
@@ -171,11 +169,6 @@ def _leq(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (p[0] <= q[0]) & (p[1] <= q[1])
 
 
-def _row_blocks(n: int):
-    """Slices of at most ``_CHUNK`` cone rows covering range(n)."""
-    return [slice(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
-
-
 def _spacelike_rows(lo: np.ndarray, hi: np.ndarray, rows: slice) -> np.ndarray:
     """(a, b) with a in ``rows`` and a < b, spacelike: a (len(rows), n) bool block."""
     a_lo, a_hi = lo[:, rows, None], hi[:, rows, None]
@@ -201,7 +194,7 @@ def check_isotony(net: CausalNet, tol: float = 1e-9) -> IsotonyReport:
     lo, hi = net._ends
     contains = {}  # (inner arrows, outer arrows) of one hom -> verdict
     violations = []
-    for rows in _row_blocks(len(cones)):
+    for rows in batches(len(cones), len(cones)):
         inner_idx, outer_idx = np.nonzero(_nested_rows(lo, hi, rows))
         for i, o in zip((inner_idx + rows.start).tolist(), outer_idx.tolist()):
             for (dom, cod), small in spans[i].items():
@@ -230,10 +223,11 @@ def check_causality(net: CausalNet, tol: float = 1e-9) -> CausalityReport:
     flat = np.array([i for ids in members for i in ids], dtype=np.intp)
     incidence = np.zeros((n, len(arrows)))
     incidence[np.repeat(np.arange(n), counts), flat] = 1.0
+    blocks = batches(n, max(n, len(flat)))  # a cone row's widest temporary
 
     # ordered arrow pairs (f of the earlier cone, g of the later) that occur
     occurs = np.zeros((len(arrows), len(arrows)), dtype=bool)
-    for rows in _row_blocks(n):
+    for rows in blocks:
         occurs |= incidence[rows].T @ (_spacelike_rows(lo, hi, rows) @ incidence) > 0
     # the arrows of one block shape form one stack, and the pairs that occur
     # between two stacks are measured by the stacked kernel, in batches
@@ -274,7 +268,7 @@ def check_causality(net: CausalNet, tol: float = 1e-9) -> CausalityReport:
     row_top[full] = np.maximum.reduceat(rank[flat], starts, axis=0)
     worst = None
     violations = []
-    for rows in _row_blocks(n):
+    for rows in blocks:
         pair_top = np.zeros((rows.stop - rows.start, n), dtype=np.intp)
         pair_top[:, full] = np.maximum.reduceat(row_top[rows][:, flat], starts, axis=1)
         ia, ib = np.nonzero(_spacelike_rows(lo, hi, rows))

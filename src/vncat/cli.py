@@ -1,30 +1,31 @@
 """Scenario runner.
 
-Reads a scenario JSON file, runs its commands in order, and writes a single
-JSON report.  Exit status: 0 when every command passes, 1 when any command
-reports failure, 2 on scenario validation or parse errors and when the
-report cannot be written.  Reports are deterministic byte for byte given
-the same scenario and flags; wall-clock timings only appear behind
---timings because they would break that.
+Reads a scenario JSON file, runs its commands in order, and writes one JSON
+report.  Exit status: 0 when every command passes, 1 when any fails, 2 on
+scenario validation or parse errors and when the report cannot be written.
+Reports are deterministic byte for byte given the same scenario and flags;
+wall-clock timings appear only behind --timings, as they would break that.
 
 A report is laid out exactly as ``json.dumps(report, indent=2)`` lays it
-out, by one walk of the report that gives every value the stdlib encoder's
-text (see ``_write_report``).  The echoed cone list of a net is one text
-layout per count of generator names, filled in by one format call
-(``_ConeEcho``).  Basis matrices (``--emit-bases full``) are
-the bulk of a report; each stack is rendered straight from its array, one
-innermost row at a time, and written at its place and indent, never joined
-into the rest of the text.  Every exact-zero row shares one rendered text,
-and distinct values are sorted and formatted only among the non-zero parts.
+out, by ``_encode``: one walk of the report that gives every value the
+stdlib encoder's text, and the one owner of that layout.  Two holders take
+their layout from it, as the text of a small skeleton split at its holes
+(``_layout``): a net's echoed cone list (``_ConeEcho``), filled in by one
+format call, and each basis stack of ``--emit-bases full`` (``MatrixJson``),
+rendered from its array one innermost row at a time and written at its
+place, never joined into the rest of the report.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
 from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .category import central_defect, cstar_residuals, identity_arrow, pair_swap_family
 from .commutant import (
@@ -40,7 +41,7 @@ from .causal import check_causality, check_isotony
 from .crossed import CrossedContext, covariance_residuals, crossed_product
 from .crossed import covariance_residual  # noqa: F401  (wrapped by bench/spans.py)
 from .linalg import relative
-from .scenario import MatrixJson, Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, _matrix_json, load_scenario
 
 __all__ = ["main", "run_scenario"]
 
@@ -58,11 +59,12 @@ def _bases_json(cat: FinPremonCat) -> list:
     ]
 
 
-def _attach_cat(entry: dict, cat: FinPremonCat, emit: str):
+def _attach_cat(entry: dict, cat: FinPremonCat, emit: str) -> dict:
     if emit in ("dims", "full"):
         entry["dims"] = _dims_json(cat)
     if emit == "full":
         entry["bases"] = _bases_json(cat)
+    return entry
 
 
 def _cmd_centre(sc: Scenario, tol: float, emit: str) -> dict:
@@ -72,22 +74,17 @@ def _cmd_centre(sc: Scenario, tol: float, emit: str) -> dict:
     defects = [central_defect(f) for f in arrows]
     ok = all(relative(d, f.norm()) <= tol for d, f in zip(defects, arrows))
     entry = {"command": "centre", "pass": ok, "max_factor_defect": max(defects, default=0.0)}
-    _attach_cat(entry, cat, emit)
-    return entry
+    return _attach_cat(entry, cat, emit)
 
 
 def _cmd_commutant(sc: Scenario, tol: float, emit: str) -> dict:
     cat = commutant(sc.generators, sc.universe, tol, auto_close=sc.dagger_close)
-    entry = {"command": "commutant", "pass": True}
-    _attach_cat(entry, cat, emit)
-    return entry
+    return _attach_cat({"command": "commutant", "pass": True}, cat, emit)
 
 
 def _cmd_double_commutant(sc: Scenario, tol: float, emit: str) -> dict:
     cat = double_commutant(sc.generators, sc.universe, tol, auto_close=sc.dagger_close)
-    entry = {"command": "double-commutant", "pass": True}
-    _attach_cat(entry, cat, emit)
-    return entry
+    return _attach_cat({"command": "double-commutant", "pass": True}, cat, emit)
 
 
 def _cmd_vn_check(sc: Scenario, tol: float, emit: str) -> dict:
@@ -101,8 +98,7 @@ def _cmd_vn_check(sc: Scenario, tol: float, emit: str) -> dict:
             for d, c, a, b in report.failures
         ],
     }
-    _attach_cat(entry, cat, emit)
-    return entry
+    return _attach_cat(entry, cat, emit)
 
 
 def _cmd_endo_algebra(sc: Scenario, tol: float, emit: str) -> dict:
@@ -140,8 +136,7 @@ def _cmd_crossed_product(sc: Scenario, tol: float, emit: str) -> dict:
         "pass": True,
         "endo_dim": len(endo_algebra(cat)),
     }
-    _attach_cat(entry, cat, emit)
-    return entry
+    return _attach_cat(entry, cat, emit)
 
 
 def _cmd_covariance(sc: Scenario, tol: float, emit: str) -> dict:
@@ -203,13 +198,79 @@ _RUNNERS = {
 }
 
 
+class MatrixJson:
+    """Stands in a report for ``_matrix_json(mats)``: one matrix, or a stack of them.
+
+    ``text`` renders it from the array, one innermost row at a time, between
+    the layout pieces of a skeleton of the same rank.  Full-basis stacks are
+    matrix units tensored with hidden blocks, so nearly all their entries
+    are an exact ``0+0j``: every all-zero row shares one text, and distinct
+    values are sorted and formatted only among the non-zero parts.
+    """
+
+    __slots__ = ("mats",)
+
+    def __init__(self, mats):
+        self.mats = np.asarray(mats, dtype=np.complex128)
+
+    def text(self, level: int) -> str:
+        """The value's indented JSON, nested ``level`` deep."""
+        m = self.mats
+        if m.size == 0:
+            return _text(_matrix_json(m), level)
+        # The skeleton's pieces: the head, the text inside an entry, the
+        # text between two entries where w trailing axes wrap (piece
+        # 2**(w + 1), since entry 2**w is the first such), and the tail.
+        pieces = _layout(_stack_of, m.ndim, level)
+        seps = [pieces[2 ** (w + 1)] for w in range(m.ndim)]
+        # Parts are keyed by their bit patterns, so -0.0 and NaN payloads
+        # stay apart from +0.0 and from each other.  A part whose bits are 0
+        # takes code 0, and so does the entry 0+0j; only the other parts and
+        # entries, in rows with any non-zero bits, are sorted.
+        cols = m.shape[-1]
+        parts = np.ascontiguousarray(m).view(np.uint64).reshape(-1, 2 * cols)
+        live = parts.any(axis=1)
+        parts = parts[live]
+        nonzero = parts != 0
+        floats, part_inv = np.unique(parts[nonzero], return_inverse=True)
+        part_code = np.zeros(parts.shape, dtype=np.intp)
+        part_code[nonzero] = part_inv + 1
+        radix = len(floats) + 1
+        entry_code = part_code[:, 0::2] * radix + part_code[:, 1::2]
+        nonzero = entry_code != 0
+        entries, entry_inv = np.unique(entry_code[nonzero], return_inverse=True)
+        code = np.zeros(entry_code.shape, dtype=np.intp)
+        code[nonzero] = entry_inv + 1
+        # each distinct float gets the stdlib's own text (NaN and Infinity
+        # included), each distinct entry one leaf string
+        words = np.array(["0.0", *map(_float_text, floats.view(np.float64).tolist())], dtype=object)
+        re_word, im_word = np.divmod(np.concatenate([[0], entries]), radix)
+        leaves = words[re_word] + pieces[1] + words[im_word]
+        # Between rows r and r + 1, w counts the last axis and each product
+        # of the axes before it, from the last one back, that divides r + 1.
+        wraps = np.ones(len(live) - 1, dtype=np.intp)
+        period = 1
+        for size in m.shape[-2:0:-1]:
+            period *= size
+            wraps[period - 1 :: period] += 1
+        # a row is its leaves joined by the w = 0 separator; every all-zero
+        # row is one shared string (assigned as a scalar, so not copied)
+        text = np.empty(2 * len(live) + 1, dtype=object)
+        text[0] = pieces[0]
+        rows = text[1::2]
+        rows[...] = seps[0].join([leaves[0]] * cols)
+        rows[live] = [seps[0].join(row) for row in leaves[code].tolist()]
+        text[2:-1:2] = np.array(seps, dtype=object)[wraps]
+        text[-1] = pieces[-1]
+        return "".join(text.tolist())
+
+
 class _ConeEcho:
     """Stands in a report for the net's echoed cone list.
 
-    ``text`` lays the list out as ``json.dumps(..., indent=2)`` would: one
-    layout per count of generator names, filled in by one format call with
-    each coordinate's ``int.__repr__`` and each name's
-    ``encode_basestring_ascii``.
+    ``text`` joins one cone layout per count of generator names into the
+    list's frame and fills them by one format call, with each coordinate's
+    ``int.__repr__`` and each name's ``encode_basestring_ascii``.
     """
 
     __slots__ = ("cones",)
@@ -217,24 +278,18 @@ class _ConeEcho:
     def __init__(self, cones: list):
         self.cones = cones
 
-    def text(self, indent: str) -> str:
+    def text(self, level: int) -> str:
+        """The list's indented JSON, nested ``level`` deep."""
         if not self.cones:
             return "[]"
-        nl = ["\n" + indent + "  " * n for n in range(4)]  # nl[n]: a line n levels in
-        pair = "[" + nl[3] + "%s," + nl[3] + "%s" + nl[2] + "]"
-        layouts: dict = {}  # name count -> a cone's layout
-        items, args = [], []
+        counts = [len(c["generators"]) for c in self.cones]
+        layouts = {k: "%s".join(_layout(_cone_of, k, level + 1)) for k in set(counts)}
+        args = []
         for c in self.cones:
-            names = c["generators"]
-            k = len(names)
-            if k not in layouts:
-                listed = "[" + nl[3] + ("," + nl[3]).join(["%s"] * k) + nl[2] + "]" if k else "[]"
-                fields = f'"lo": {pair},{nl[2]}"hi": {pair},{nl[2]}"generators": {listed}'
-                layouts[k] = "{" + nl[2] + fields + nl[1] + "}"
-            items.append(layouts[k])
             args += map(int.__repr__, c["lo"] + c["hi"])
-            args += map(encode_basestring_ascii, names)
-        return ("[" + nl[1] + ("," + nl[1]).join(items) + nl[0] + "]") % tuple(args)
+            args += map(encode_basestring_ascii, c["generators"])
+        head, sep, tail = _layout(_stack_of, 0, level)
+        return (head + sep.join(map(layouts.__getitem__, counts)) + tail) % tuple(args)
 
 
 def _echo(normalized: dict) -> dict:
@@ -252,10 +307,7 @@ def _write_report(report: dict, write) -> None:
     text so far goes to ``write``, then the holder's own text, so a basis
     text is never joined into the rest.
     """
-    out: list = []
-    _encode(report, 0, out, write)
-    out.append("\n")
-    write("".join(out))
+    write(_text(report, 0, write) + "\n")
 
 
 def _float_text(x: float) -> str:
@@ -269,14 +321,48 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-# the texts of the JSON scalar types, in the stdlib encoder's order
+class _Hole:
+    """A skeleton's leaf, written as NUL: no layout holds one, as every string escapes it."""
+
+
+_HOLE = _Hole()
+
+# the texts of the JSON scalar types, in the stdlib encoder's order, and
+# of a skeleton's hole
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     type(None): lambda _: "null",
     bool: lambda b: "true" if b else "false",
     int: int.__repr__,
     float: _float_text,
+    _Hole: lambda _: "\0",
 }
+
+
+def _stack_of(ndim: int) -> list:
+    """A 2 x ... x 2 stack, ``ndim`` axes deep, of ``[hole, hole]`` entries."""
+    return [_stack_of(ndim - 1)] * 2 if ndim else [_HOLE, _HOLE]
+
+
+def _cone_of(names: int) -> dict:
+    """An echoed cone with ``names`` generator names, every value a hole."""
+    return {"lo": [_HOLE, _HOLE], "hi": [_HOLE, _HOLE], "generators": [_HOLE] * names}
+
+
+@functools.cache
+def _layout(skeleton, n: int, level: int) -> tuple:
+    """The text of ``skeleton(n)`` nested ``level`` deep, split at its holes.
+
+    Reports hold few ranks, name counts and depths, so the memo stays small.
+    """
+    return tuple(_text(skeleton(n), level).split("\0"))
+
+
+def _text(value, level: int, write=None) -> str:
+    """The indented JSON of ``value`` nested ``level`` deep, past what its holders wrote."""
+    out: list = []
+    _encode(value, level, out, write)
+    return "".join(out)
 
 
 def _encode(value, level: int, out: list, write) -> None:
@@ -317,11 +403,11 @@ def _encode(value, level: int, out: list, write) -> None:
             prefix = "," + nl
         out.append(nl[:-2] + "}")
     elif isinstance(value, _ConeEcho):
-        out.append(value.text("  " * level))
+        out.append(value.text(level))
     elif isinstance(value, MatrixJson):
         write("".join(out))
         out.clear()
-        write(value.text("  " * level))
+        write(value.text(level))
     elif isinstance(value, (str, int, float)):
         out.append(_base_text(value))
     else:

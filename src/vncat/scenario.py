@@ -6,9 +6,11 @@ matrices as row-major nested lists.  ``parse_scenario`` validates the whole
 document and raises ScenarioError with a path like ``generators[2].matrix``
 pointing at the offending field, also when the engine's arrays would pass
 2**26 complex entries or a net checked for causality has over 2**21 cone
-pairs.  ``Scenario.normalized`` is the canonical dict echoed into reports,
-written section by section as each is validated, and a fixed point:
-parsing it gives it back.
+pairs; ``load_scenario`` raises it at ``$`` for a file it cannot read,
+decode or parse.  ``Scenario.normalized`` is the canonical dict echoed into
+reports, written section by section as each is validated, and a fixed
+point: parsing it gives it back.  This module writes no report text; the
+echoed matrices are ``[re, im]`` lists from ``_matrix_json``.
 
 The generator matrices, the rep matrices and the net's cones are checked
 whole-array: one set of types and of lengths per nesting level, then one
@@ -86,7 +88,7 @@ def load_scenario(path: str) -> Scenario:
             doc = json.load(fh)
     except OSError as e:
         raise ScenarioError("$", f"cannot read scenario file: {e}") from None
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # not JSON, not UTF-8 or nested too deeply
         raise ScenarioError("$", f"not valid JSON: {e}") from None
     return parse_scenario(doc)
 
@@ -254,89 +256,6 @@ def _bulk_net(raw_cones: list, bounds: LatticeBounds, ctx: Context, generators: 
 def _matrix_json(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=np.complex128)
     return np.stack([m.real, m.imag], axis=-1).tolist()
-
-
-class MatrixJson:
-    """Stands in a report for ``_matrix_json(mats)``: one matrix, or a stack of them.
-
-    ``text`` renders it as ``json.dumps(..., indent=2)`` would, straight
-    from the array, one innermost row at a time.  Full-basis stacks are
-    matrix units tensored with hidden blocks, so nearly all their entries
-    are an exact ``0+0j``: every all-zero row shares one rendered text, and
-    distinct values are sorted and formatted only among the non-zero parts.
-    """
-
-    __slots__ = ("mats",)
-
-    def __init__(self, mats):
-        self.mats = np.asarray(mats, dtype=np.complex128)
-
-    def text(self, indent: str) -> str:
-        """The value's indented JSON, for a value whose line starts with ``indent``."""
-        m = self.mats
-        if m.size == 0:
-            # nested empty lists hold no strings, so every newline is layout
-            return json.dumps(_matrix_json(m), indent=2).replace("\n", "\n" + indent)
-        # nl[n] starts a line at nesting level n; a leaf [re, im] sits at
-        # level ndim, its two numbers at depth = ndim + 1.
-        ndim = m.ndim
-        depth = ndim + 1
-        nl = ["\n" + indent + "  " * n for n in range(depth + 1)]
-        # Between two entries, w lists close and w open, where w counts the
-        # trailing axes whose index wraps there; w = 0 inside a row.
-        seps = [
-            "".join(nl[n] + "]" for n in range(ndim - 1, ndim - 1 - w, -1))
-            + ","
-            + "".join(nl[n] + "[" for n in range(ndim - w, ndim))
-            + nl[ndim]
-            for w in range(ndim)
-        ]
-        # Parts are keyed by their bit patterns, so -0.0 and NaN payloads
-        # stay apart from +0.0 and from each other.  A part whose bits are 0
-        # takes code 0, and so does the entry 0+0j; only the other parts and
-        # entries, in rows with any non-zero bits, are sorted.
-        cols = m.shape[-1]
-        parts = np.ascontiguousarray(m).view(np.uint64).reshape(-1, 2 * cols)
-        live = parts.any(axis=1)
-        parts = parts[live]
-        nonzero = parts != 0
-        floats, part_inv = np.unique(parts[nonzero], return_inverse=True)
-        part_code = np.zeros(parts.shape, dtype=np.intp)
-        part_code[nonzero] = part_inv + 1
-        radix = len(floats) + 1
-        entry_code = part_code[:, 0::2] * radix + part_code[:, 1::2]
-        nonzero = entry_code != 0
-        entries, entry_inv = np.unique(entry_code[nonzero], return_inverse=True)
-        code = np.zeros(entry_code.shape, dtype=np.intp)
-        code[nonzero] = entry_inv + 1
-        # each distinct float gets the stdlib's own text (NaN and Infinity
-        # included), each distinct entry one leaf string
-        words = ["0.0"] + json.dumps(floats.view(np.float64).tolist())[1:-1].split(", ")
-        re_word, im_word = np.divmod(np.concatenate([[0], entries]), radix)
-        leaves = np.array(
-            [
-                "[" + nl[depth] + words[r] + "," + nl[depth] + words[i] + nl[ndim] + "]"
-                for r, i in zip(re_word.tolist(), im_word.tolist())
-            ],
-            dtype=object,
-        )
-        # Between rows r and r + 1, w counts the last axis and each product
-        # of the axes before it, from the last one back, that divides r + 1.
-        wraps = np.ones(len(live) - 1, dtype=np.intp)
-        period = 1
-        for size in m.shape[-2:0:-1]:
-            period *= size
-            wraps[period - 1 :: period] += 1
-        # a row is its leaves joined by the w = 0 separator; every all-zero
-        # row is one shared string (assigned as a scalar, so not copied)
-        text = np.empty(2 * len(live) + 1, dtype=object)
-        text[0] = "".join("[" + nl[n] for n in range(1, ndim + 1))
-        rows = text[1::2]
-        rows[...] = seps[0].join([leaves[0]] * cols)
-        rows[live] = [seps[0].join(row) for row in leaves[code].tolist()]
-        text[2:-1:2] = np.array(seps, dtype=object)[wraps]
-        text[-1] = "".join(nl[n] + "]" for n in range(ndim - 1, -1, -1))
-        return "".join(text.tolist())
 
 
 def parse_scenario(doc) -> Scenario:

@@ -330,14 +330,13 @@ CONE_POOL = [
     data=st.data(),
     central_only=st.booleans(),
     offset=st.sampled_from([0, 2**61 - 6, -(2**70)]),
-    chunk=st.sampled_from([1, 3, causal._CHUNK]),
     entries=st.sampled_from([1, 40, linalg.CHUNK_ENTRIES]),
     tol=st.sampled_from([1e-9, 0.5]),
 )
-def test_net_checks_match_brute_force(picks, data, central_only, offset, chunk, entries, tol):
-    # empty cones, arrows shared across cones, chunk boundaries inside the
-    # net, batches of arrow pairs and coordinates past int64 differences all
-    # agree with the oracles
+def test_net_checks_match_brute_force(picks, data, central_only, offset, entries, tol):
+    # empty cones, arrows shared across cones, row-block boundaries inside
+    # the net, batches of arrow pairs and coordinates past int64 differences
+    # all agree with the oracles
     palette = CENTRAL_PALETTE if central_only else PALETTE
     arrows = st.lists(st.sampled_from(palette), max_size=3)
     assignments = {}
@@ -347,7 +346,7 @@ def test_net_checks_match_brute_force(picks, data, central_only, offset, chunk, 
         assignments[cone] = data.draw(arrows)
     bounds = LatticeBounds(offset, offset + 4, offset - 4, offset + 4)
     net = CausalNet(bounds, CTX, assignments)
-    with mock.patch.object(causal, "_CHUNK", chunk), mock.patch.object(linalg, "CHUNK_ENTRIES", entries):
+    with mock.patch.object(linalg, "CHUNK_ENTRIES", entries):
         rep = check_causality(net, tol)
         assert rep == causality_by_brute_force(net, tol)
         assert check_isotony(net, tol) == isotony_by_brute_force(net, tol)
@@ -395,7 +394,9 @@ def test_large_closed_form_net(monkeypatch):
     # 600 unit cones two steps apart: every pair is spacelike, none nested,
     # and only the 300 swap cones fail against each other
     cones = [DoubleCone(Event(0, 2 * k), Event(1, 2 * k)) for k in range(600)]
-    assert causal._CHUNK < len(cones)
+    # blocks of 64 cone rows, so the checks cross block boundaries
+    monkeypatch.setattr(linalg, "CHUNK_ENTRIES", 64 * len(cones))
+    assert len(linalg.batches(len(cones), len(cones))) > 1
     assignments = {c: [(f, g)[k % 2]] for k, c in enumerate(cones)}
     net = CausalNet(LatticeBounds(0, 1, 0, 1200), CTX, assignments)
     rep = check_causality(net, 1e-8)

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vncat import parse_scenario, run_scenario
-from vncat.cli import _write_report
-from vncat.scenario import MatrixJson, _matrix_json
+from vncat.cli import MatrixJson, _ConeEcho, _write_report
+from vncat.scenario import _matrix_json
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDENS = sorted(GOLDEN_DIR.glob("*.json"))
@@ -261,6 +261,38 @@ def test_sparse_matrix_text_matches_stdlib_at_any_depth(m, path):
 @pytest.mark.parametrize("path", [[], ["value", "item", "value"]], ids=["top", "nested"])
 def test_matrix_text_of_empty_stacks(shape, path):
     assert_matrix_text(np.zeros(shape, dtype=complex), path)
+
+
+def test_holders_at_mixed_depths_match_stdlib():
+    # stacks of rank 2 and 3 and cone lists whose cones hold 0, 1 and 3
+    # names, at depths 0-4 of one report, deepest first and then back up: a
+    # layout kept under the wrong key would show at its second depth
+    rng = np.random.default_rng(5)
+    rank2 = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    rank3 = np.zeros((2, 3, 2), dtype=complex)
+    rank3[1, 0, 1] = 0.5 - 2j
+    cones = [
+        {"lo": [0, 0], "hi": [1, 1], "generators": []},
+        {"lo": [-3, 2**64], "hi": [9, 2**64], "generators": ["a%s"]},
+        {"lo": [1, -1], "hi": [4, 0], "generators": ["\0b", '"q', "é→∂"]},
+    ]
+    paths = [["value", "item", "value"], ["item", "value"], ["value"], [], ["item"], ["item"] * 3]
+
+    def report(stack, echo):
+        leaves = [echo(cones), echo(cones[1:2]), echo([]), stack(rank2), stack(rank3), echo(cones[:1])]
+        return [place(leaf, path) for path in paths for leaf in leaves]
+
+    plain = report(_matrix_json, list)
+    for tree, want in [
+        (report(MatrixJson, _ConeEcho), plain),
+        (_ConeEcho(cones), cones),
+        (MatrixJson(rank3), _matrix_json(rank3)),
+        ({"m": MatrixJson(rank2), "net": {"cones": _ConeEcho(cones)}},
+         {"m": _matrix_json(rank2), "net": {"cones": cones}}),
+    ]:
+        out = io.StringIO()
+        _write_report(tree, out.write)
+        assert out.getvalue() == json.dumps(want, indent=2) + "\n"
 
 
 def test_write_report_frees_every_stack():

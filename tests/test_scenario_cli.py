@@ -521,6 +521,22 @@ def test_load_scenario_file_errors(tmp_path):
     assert exc.value.path == "$"
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [json.dumps(base_doc(objects=[{"name": "@", "dim": 1}])).encode().replace(b"@", b"\xff"), b"[" * 100_000],
+    ids=["undecodable-name", "deep-nesting"],
+)
+def test_unparseable_scenario_file_exits_2(tmp_path, capsys, raw):
+    # a raw 0xff byte is no UTF-8, and 100,000 open brackets nest past the
+    # recursion limit of json.load: both are scenario errors, not tracebacks
+    src = tmp_path / "scenario.json"
+    src.write_bytes(raw)
+    capsys.readouterr()
+    assert main(["--input", str(src), "--output", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: $:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("golden", GOLDENS, ids=lambda p: p.stem)
 def test_normalize_is_idempotent(golden):
     doc = json.loads(golden.read_text())
