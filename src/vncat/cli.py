@@ -28,15 +28,9 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .category import central_defect, cstar_residuals, identity_arrow, pair_swap_family
-from .commutant import (
-    FinPremonCat,
-    ObjectUniverse,
-    commutant,
-    double_commutant,
-    endo_algebra,
-    is_von_neumann,
-    span_category,
-)
+from .commutant import FinPremonCat, HiddenAlgebra, _tensor_view, _vn_report
+from .commutant import commutant, endo_algebra, span_category
+from .commutant import double_commutant, is_von_neumann  # noqa: F401  (wrapped by bench/spans.py)
 from .causal import check_causality, check_isotony
 from .crossed import CrossedContext, covariance_residuals, crossed_product
 from .crossed import covariance_residual  # noqa: F401  (wrapped by bench/spans.py)
@@ -67,7 +61,7 @@ def _attach_cat(entry: dict, cat: FinPremonCat, emit: str) -> dict:
     return entry
 
 
-def _cmd_centre(sc: Scenario, tol: float, emit: str) -> dict:
+def _cmd_centre(sc: Scenario, tol: float, emit: str, hidden: HiddenAlgebra) -> dict:
     family = pair_swap_family(sc.ctx)
     cat = commutant(family, sc.universe, tol)
     arrows = cat.all_arrows()
@@ -77,19 +71,20 @@ def _cmd_centre(sc: Scenario, tol: float, emit: str) -> dict:
     return _attach_cat(entry, cat, emit)
 
 
-def _cmd_commutant(sc: Scenario, tol: float, emit: str) -> dict:
-    cat = commutant(sc.generators, sc.universe, tol, auto_close=sc.dagger_close)
+def _cmd_commutant(sc: Scenario, tol: float, emit: str, hidden: HiddenAlgebra) -> dict:
+    cat = _tensor_view(sc.universe, hidden.checked(sc.dagger_close).commutant)
     return _attach_cat({"command": "commutant", "pass": True}, cat, emit)
 
 
-def _cmd_double_commutant(sc: Scenario, tol: float, emit: str) -> dict:
-    cat = double_commutant(sc.generators, sc.universe, tol, auto_close=sc.dagger_close)
+def _cmd_double_commutant(sc: Scenario, tol: float, emit: str, hidden: HiddenAlgebra) -> dict:
+    cat = _tensor_view(sc.universe, hidden.checked(sc.dagger_close).bicommutant)
     return _attach_cat({"command": "double-commutant", "pass": True}, cat, emit)
 
 
-def _cmd_vn_check(sc: Scenario, tol: float, emit: str) -> dict:
+def _cmd_vn_check(sc: Scenario, tol: float, emit: str, hidden: HiddenAlgebra) -> dict:
+    # the span category's closure is M (x) S'' of the run's always star-closed S
     cat = span_category(sc.generators, sc.universe, tol)
-    report = is_von_neumann(cat, tol)
+    report = _vn_report(cat, hidden.bicommutant)
     entry = {
         "command": "vn-check",
         "pass": report.passed,
@@ -101,17 +96,15 @@ def _cmd_vn_check(sc: Scenario, tol: float, emit: str) -> dict:
     return _attach_cat(entry, cat, emit)
 
 
-def _cmd_endo_algebra(sc: Scenario, tol: float, emit: str) -> dict:
-    unit_only = ObjectUniverse((sc.universe.unit,), sc.ctx)
-    cat = double_commutant(sc.generators, unit_only, tol, auto_close=sc.dagger_close)
-    basis = endo_algebra(cat)
+def _cmd_endo_algebra(sc: Scenario, tol: float, emit: str, hidden: HiddenAlgebra) -> dict:
+    basis = hidden.checked(sc.dagger_close).bicommutant  # the unit hom M_1 (x) S''
     entry = {"command": "endo-algebra", "pass": True, "dim": len(basis)}
     if emit == "full":
         entry["basis"] = MatrixJson(basis)
     return entry
 
 
-def _cmd_cstar_check(sc: Scenario, tol: float, emit: str) -> dict:
+def _cmd_cstar_check(sc: Scenario, tol: float, emit: str, hidden: HiddenAlgebra) -> dict:
     gens = sc.generators
     pairs = [(s, t) for s in gens for t in gens if t.cod == s.dom]
     if not pairs:
@@ -129,7 +122,7 @@ def _cmd_cstar_check(sc: Scenario, tol: float, emit: str) -> dict:
     return {"command": "cstar-check", "pass": ok, "max_residuals": worst}
 
 
-def _cmd_crossed_product(sc: Scenario, tol: float, emit: str) -> dict:
+def _cmd_crossed_product(sc: Scenario, tol: float, emit: str, hidden: HiddenAlgebra) -> dict:
     cat = crossed_product(sc.generators, sc.rep, sc.universe, tol, auto_close=sc.dagger_close)
     entry = {
         "command": "crossed-product",
@@ -139,7 +132,7 @@ def _cmd_crossed_product(sc: Scenario, tol: float, emit: str) -> dict:
     return _attach_cat(entry, cat, emit)
 
 
-def _cmd_covariance(sc: Scenario, tol: float, emit: str) -> dict:
+def _cmd_covariance(sc: Scenario, tol: float, emit: str, hidden: HiddenAlgebra) -> dict:
     cc = CrossedContext(sc.ctx, sc.group)
     worst = max(float(covariance_residuals(f, sc.rep, cc).max()) for f in sc.generators)
     scale = max(f.norm() for f in sc.generators)
@@ -154,7 +147,7 @@ def _cone_json(cone) -> list:
     return [[cone.lo.t, cone.lo.x], [cone.hi.t, cone.hi.x]]
 
 
-def _cmd_causality(sc: Scenario, tol: float, emit: str) -> dict:
+def _cmd_causality(sc: Scenario, tol: float, emit: str, hidden: HiddenAlgebra) -> dict:
     iso = check_isotony(sc.net, tol)
     cau = check_causality(sc.net, tol)
     worst = None
@@ -444,11 +437,13 @@ def run_scenario(
         sc = load_scenario(input_path)
         effective_tol = tol if tol is not None else (sc.tol if sc.tol is not None else _DEFAULT_TOL)
 
+        # the generators' hidden algebra, shared by this run's commands alone
+        hidden = HiddenAlgebra(sc.generators, sc.ctx, effective_tol)
         results = []
         for cmd in sc.commands:
             start = time.perf_counter()
             try:
-                entry = _RUNNERS[cmd](sc, effective_tol, emit_bases)
+                entry = _RUNNERS[cmd](sc, effective_tol, emit_bases, hidden)
             except ValueError as e:
                 # engine-level input rejection (e.g. generators not dagger-closed)
                 raise ScenarioError(f"$.commands[{sc.commands.index(cmd)}]", str(e)) from None

@@ -16,10 +16,11 @@ real positive; the basis of hom(B, D) is kron(E_db, s) over the matrix
 units E_db (row-major) and the basis elements s.  Identical inputs
 therefore produce identical bases.
 
-A hom space is stored as one read-only ``(k, dD*h, dB*h)`` stack of basis
-matrices, ``HomSubspace.mats``; for a commutant it is a view of the array
-the tensor layout is written into.  ``FinPremonCat.all_arrows`` wraps the
-matrices as ``Arrow`` objects only when asked.
+A hom space reads as a ``(k, dD*h, dB*h)`` stack of basis matrices,
+``HomSubspace.mats``.  A computed category holds only the algebra A of
+each hom M_{dD x dB} (x) A, so its dims are arithmetic and a stack is
+written when first read; ``FinPremonCat.all_arrows`` wraps it as ``Arrow``
+objects.  ``HiddenAlgebra`` solves one set's S' and S'' at most once each.
 
 Generator sets must be closed under dagger.  Closure is checked at the
 level of spans (the commutant only sees the span), so a computed basis of
@@ -30,6 +31,7 @@ dagger of another.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +43,7 @@ __all__ = [
     "ObjectUniverse",
     "HomSubspace",
     "FinPremonCat",
+    "HiddenAlgebra",
     "standard_universe",
     "span_category",
     "span_basis",
@@ -85,7 +88,7 @@ class ObjectUniverse:
 
 def span_category(gens: Sequence[Arrow], universe: ObjectUniverse, tol: float = 1e-9) -> FinPremonCat:
     """Category whose hom spaces are the spans of the given arrows."""
-    _check_context(gens, universe)
+    _check_context(gens, universe.ctx)
     by_pair = group_by_hom(gens)
     h = universe.ctx.hdim
     homs = {}
@@ -119,26 +122,29 @@ def standard_universe(ctx: Context, dims=(1, 2, 3), gens: Sequence[Arrow] = ()) 
     return ObjectUniverse(tuple(objs), ctx)
 
 
-@dataclass(frozen=True, eq=False)
 class HomSubspace:
-    """The span of ``mats``, a ``(k, cod.dim*h, dom.dim*h)`` stack of matrices.
+    """The span of ``mats``, a read-only ``(dim, cod.dim*h, dom.dim*h)`` complex128 stack.
 
-    ``mats`` is held as a read-only complex128 array; a sequence of matrices
-    is stacked, and an empty one is the zero subspace.
+    ``mats`` is given (a sequence is stacked, an empty one is the zero
+    subspace), or it is M_{cod.dim x dom.dim} (x) span(``factor``) for a
+    ``(k, h, h)`` algebra, written as kron(E_db, a) when first read.
     """
 
-    dom: Obj
-    cod: Obj
-    mats: np.ndarray
+    def __init__(self, dom: Obj, cod: Obj, mats=(), *, factor: np.ndarray | None = None):
+        self.dom, self.cod, self.factor = dom, cod, factor
+        if factor is None:
+            self.mats = np.asarray(mats, dtype=np.complex128).view()
+            self.mats.setflags(write=False)
+        self.dim = len(self.mats) if factor is None else cod.dim * dom.dim * len(factor)
 
-    def __post_init__(self):
-        m = np.asarray(self.mats, dtype=np.complex128).view()
-        m.setflags(write=False)
-        object.__setattr__(self, "mats", m)
-
-    @property
-    def dim(self) -> int:
-        return len(self.mats)
+    @cached_property
+    def mats(self) -> np.ndarray:
+        (k, _, h), dd, db = self.factor.shape, self.cod.dim, self.dom.dim
+        d, b = np.indices((dd, db)).reshape(2, -1)
+        mats = np.zeros((dd * db * k, dd * h, db * h), dtype=np.complex128)
+        block_view(mats.reshape(dd, db, k, dd * h, db * h), h)[d, b, :, d, b] = self.factor
+        mats.setflags(write=False)
+        return mats
 
 
 @dataclass(frozen=True)
@@ -250,20 +256,12 @@ def star_closure(gens: Sequence[Arrow], tol: float = 1e-9) -> list[Arrow]:
     return list(gens) + _missing_daggers(gens, tol)
 
 
-def _star_checked(gens: Sequence[Arrow], tol: float, auto_close: bool) -> list[Arrow]:
-    """``gens`` plus its missing daggers, which only ``auto_close`` allows."""
-    missing = _missing_daggers(gens, tol)
-    if missing and not auto_close:
-        raise ValueError("generator set is not dagger-closed; pass auto_close=True to extend it")
-    return list(gens) + missing
-
-
 # -- the hidden algebra ---------------------------------------------------------
 
 
-def _check_context(gens: Sequence[Arrow], universe: ObjectUniverse):
+def _check_context(gens: Sequence[Arrow], ctx: Context):
     for g in gens:
-        if g.ctx != universe.ctx:
+        if g.ctx != ctx:
             raise ValueError("generator context differs from the universe context")
 
 
@@ -294,28 +292,46 @@ def _hidden_commutant(mats: np.ndarray, h: int, tol: float) -> np.ndarray:
     return _unvecs(kern, h, h)
 
 
-def _hidden_bicommutant(blocks: np.ndarray, h: int, tol: float) -> np.ndarray:
-    """Basis (k, h, h) of S'' for a dagger-closed stack S: S' is dagger-closed, so S'' = (S')'."""
-    return _hidden_commutant(_hidden_commutant(blocks, h, tol), h, tol)
+class HiddenAlgebra:
+    """The star-closed hidden blocks S of one generator set, with S' and S'' solved once each.
 
+    ``blocks_of`` reads S from the generators and the daggers their spans
+    miss, whether or not ``checked`` lets the set through.  Each part is
+    computed when first read, and kept by this value alone.
+    """
 
-def _generator_blocks(gens, universe: ObjectUniverse, tol: float, auto_close: bool) -> np.ndarray:
-    """The blocks S of ``gens``, after the context and dagger checks."""
-    gens = list(gens)
-    _check_context(gens, universe)
-    return _blocks(_star_checked(gens, tol, auto_close), universe.ctx.hdim)
+    def __init__(self, gens: Sequence[Arrow], ctx: Context, tol: float, blocks_of=_blocks):
+        self.gens, self.h, self.tol, self.blocks_of = list(gens), ctx.hdim, tol, blocks_of
+        _check_context(self.gens, ctx)
+
+    @cached_property
+    def missing(self) -> list[Arrow]:
+        return _missing_daggers(self.gens, self.tol)
+
+    def checked(self, auto_close: bool) -> HiddenAlgebra:
+        """This value, if no dagger is missing or ``auto_close`` lets S add them."""
+        if self.missing and not auto_close:
+            raise ValueError("generator set is not dagger-closed; pass auto_close=True to extend it")
+        return self
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        return self.blocks_of(self.gens + self.missing, self.h)
+
+    @cached_property
+    def commutant(self) -> np.ndarray:
+        """Basis (k, h, h) of S'."""
+        return _hidden_commutant(self.blocks, self.h, self.tol)
+
+    @cached_property
+    def bicommutant(self) -> np.ndarray:
+        """Basis (k, h, h) of S'': S is dagger-closed, so S' is too and S'' = (S')'."""
+        return _hidden_commutant(self.commutant, self.h, self.tol)
 
 
 def _tensor_view(universe: ObjectUniverse, algebra: np.ndarray) -> FinPremonCat:
     """Category with hom(B, D) = M_{dD x dB} (x) span(algebra) at every pair."""
-    h = universe.ctx.hdim
-    homs = {}
-    for dom, cod in universe.pairs():
-        db, dd = dom.dim, cod.dim
-        d, b = np.indices((dd, db)).reshape(2, -1)
-        mats = np.zeros((dd, db, len(algebra), dd * h, db * h), dtype=np.complex128)
-        block_view(mats, h)[d, b, :, d, b] = algebra
-        homs[(dom, cod)] = HomSubspace(dom, cod, mats.reshape(-1, dd * h, db * h))
+    homs = {(d, c): HomSubspace(d, c, factor=algebra) for d, c in universe.pairs()}
     return FinPremonCat(universe, homs)
 
 
@@ -332,8 +348,8 @@ def commutant(
     have the missing daggers appended instead of rejected.  The empty set
     yields the full hom space at every pair.
     """
-    blocks = _generator_blocks(gens, universe, tol, auto_close)
-    return _tensor_view(universe, _hidden_commutant(blocks, universe.ctx.hdim, tol))
+    hidden = HiddenAlgebra(gens, universe.ctx, tol).checked(auto_close)
+    return _tensor_view(universe, hidden.commutant)
 
 
 def double_commutant(
@@ -344,8 +360,8 @@ def double_commutant(
     auto_close: bool = False,
 ) -> FinPremonCat:
     """Commutant of the commutant; always contains the span of ``gens``."""
-    blocks = _generator_blocks(gens, universe, tol, auto_close)
-    return _tensor_view(universe, _hidden_bicommutant(blocks, universe.ctx.hdim, tol))
+    hidden = HiddenAlgebra(gens, universe.ctx, tol).checked(auto_close)
+    return _tensor_view(universe, hidden.bicommutant)
 
 
 @dataclass(frozen=True)
@@ -364,7 +380,15 @@ def is_von_neumann(cat: FinPremonCat, tol: float = 1e-9) -> VnReport:
     double commutant of a set holding it, so each hom is inside its closure
     and the two are equal exactly when their dimensions are.
     """
-    closure = double_commutant(cat.all_arrows(), cat.universe, tol, auto_close=True)
+    return _vn_report(cat, HiddenAlgebra(cat.all_arrows(), cat.universe.ctx, tol).bicommutant)
+
+
+def _vn_report(cat: FinPremonCat, bicommutant: np.ndarray) -> VnReport:
+    """``cat`` against M (x) S'', from any set whose star-closed blocks span what its arrows' do.
+
+    A commutant sees only the span of the blocks, so any such set has the same S''.
+    """
+    closure = _tensor_view(cat.universe, bicommutant)
     dims = zip(cat.dims(), closure.dims())  # both in universe.pairs() order
     failures = tuple((d, c, a, b) for (d, c, a), (_, _, b) in dims if a != b)
     return VnReport(not failures, failures, closure)

@@ -27,8 +27,7 @@ from itertools import permutations
 import numpy as np
 
 from .category import Arrow, Context, unit_obj
-from .commutant import FinPremonCat, ObjectUniverse, _blocks, _hidden_bicommutant
-from .commutant import _star_checked, _tensor_view
+from .commutant import FinPremonCat, HiddenAlgebra, ObjectUniverse, _blocks, _tensor_view
 from .commutant import double_commutant  # noqa: F401  (wrapped by bench/spans.py)
 from .linalg import as_matrix, batches, kron, operator_norm, operator_norms, relative
 
@@ -400,10 +399,11 @@ def crossed_product(
     gens = list(gens) + [Arrow(unit_obj(), unit_obj(), cc.base, np.eye(h))]
     if any(f.ctx != cc.base for f in gens):
         raise ValueError("arrow context differs from the crossed base context")
-    checked = _star_checked(gens, tol, auto_close)
-    # generator-major, then g, then block: the order the hidden solve's QR chunks follow
-    orbit = np.concatenate([_twist(rep._stack, _blocks([f], h)).reshape(-1, h, h) for f in checked])
-    algebra = _hidden_bicommutant(orbit, h, tol)
+
+    def orbit(fs, h):  # generator-major, then g, then block: the order the QR chunks follow
+        return np.concatenate([_twist(rep._stack, _blocks([f], h)).reshape(-1, h, h) for f in fs])
+
+    algebra = HiddenAlgebra(gens, cc.base, tol, orbit).checked(auto_close).bicommutant
     n, dim_b = group.order, len(algebra)
     # the algebra as one dim_b x 1 column of blocks: each enlarged matrix
     # splits row-wise into the dim_b matrices pi(b) lambda(g) of one g

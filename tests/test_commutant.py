@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -419,6 +421,47 @@ def test_hom_subspace_stacks_without_touching_its_input():
     # identity equality: dataclass == would compare the arrays and raise
     other = HomSubspace(I, I, m)
     assert sub == sub and sub != other
+
+
+def _commutant_peak(dims):
+    """tracemalloc peak of a commutant's dims() over a universe of the given object dims."""
+    ctx = Context(4)
+    uni = standard_universe(ctx, dims=dims)
+    gens = random_closed_set(np.random.default_rng(15), ObjectUniverse((uni.unit,), ctx), 2)
+    tracemalloc.start()
+    try:
+        got = commutant(gens, uni).dims()
+        return tracemalloc.get_traced_memory()[1], got
+    finally:
+        tracemalloc.stop()
+
+
+def test_commutant_dims_write_no_stacks():
+    # hom(B, D) = M_{dD x dB} (x) S' has dim dD*dB*dim S' by arithmetic: the
+    # dense stacks of objects of dims 8 and 16 (4 MB and more) are never built
+    _commutant_peak((1, 2, 3))
+    small, _ = _commutant_peak((1, 2, 3))
+    big, dims = _commutant_peak((1, 8, 16))
+    assert [n for _, _, n in dims] == [d * c * dims[0][2] for d in (1, 8, 16) for c in (1, 8, 16)]
+    assert big <= small + 64 * 1024
+
+
+def test_tensor_homs_read_as_kron_of_matrix_units():
+    # each hom's stack, once read, is kron(E_db, s) over the matrix units
+    # (row-major) and then the unit hom's basis s, entry for entry
+    uni = standard_universe(CTX, dims=(1, 2))
+    gens = random_closed_set(np.random.default_rng(16), uni, 1)
+    for cat in (commutant(gens, uni), is_von_neumann(span_category(gens, uni)).closure):
+        algebra = endo_algebra(cat)
+        arrows = iter(cat.all_arrows())
+        for d, c in uni.pairs():
+            units = np.eye(c.dim * d.dim).reshape(c.dim * d.dim, c.dim, d.dim)
+            want = np.array([np.kron(e, s) for e in units for s in algebra])
+            assert cat.homs[(d, c)].dim == len(want)
+            assert np.array_equal(cat.homs[(d, c)].mats, want)
+            for m in want:
+                f = next(arrows)
+                assert (f.dom, f.cod) == (d, c) and np.array_equal(f.mat, m)
 
 
 @settings(max_examples=60, deadline=None)

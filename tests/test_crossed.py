@@ -733,19 +733,15 @@ def test_near_tolerance_dagger_gets_the_enlarged_verdict(offset):
 
 
 def test_crossed_product_solves_on_the_base_hidden_space(monkeypatch):
-    # one S'' solve on End(H) and one dagger check of the generators per
-    # call, whatever the group order; the orbit is twisted blocks, not arrows
-    hdims, checks, passes = [], [], []
-    solve, check = crossed._hidden_bicommutant, crossed._star_checked
-    missing = commutant_module._missing_daggers
+    # one S'' solve (S' then S'') on End(H) and one dagger check of the
+    # generators per call, whatever the group order; the orbit is twisted
+    # blocks, not arrows
+    hdims, passes = [], []
+    solve, missing = commutant_module._hidden_commutant, commutant_module._missing_daggers
 
     def spied(blocks, h, *args):
         hdims.append(h)
         return solve(blocks, h, *args)
-
-    def counted(gens, *args):
-        checks.append(len(gens))
-        return check(gens, *args)
 
     def passed(gens, *args):
         passes.append(len(gens))
@@ -754,8 +750,7 @@ def test_crossed_product_solves_on_the_base_hidden_space(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built an orbit Arrow")
 
-    monkeypatch.setattr(crossed, "_hidden_bicommutant", spied)
-    monkeypatch.setattr(crossed, "_star_checked", counted)
+    monkeypatch.setattr(commutant_module, "_hidden_commutant", spied)
     monkeypatch.setattr(commutant_module, "_missing_daggers", passed)
     monkeypatch.setattr(Arrow, "from_blocks", refuse)
     r = np.random.default_rng(10)
@@ -766,9 +761,8 @@ def test_crossed_product_solves_on_the_base_hidden_space(monkeypatch):
     for auto_close, gens in ((False, [f, dagger(f)]), (True, [f]), (False, [])):
         cat = crossed_product(gens, rep, uni, auto_close=auto_close)
         assert cat.universe.ctx.hdim == 9
-    assert hdims == [3, 3, 3]
-    assert checks == [3, 2, 1]
-    assert passes == checks
+    assert hdims == [3] * 6
+    assert passes == [3, 2, 1]
 
 
 REPS = {

@@ -1,19 +1,26 @@
 import copy
+import gc
+import importlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vncat import Arrow, Context, LatticeBounds, ScenarioError, load_scenario, parse_scenario, run_scenario
-from vncat import scenario
+from vncat import Obj, ObjectUniverse, classical_commutant, cli, double_commutant, scenario
 from vncat.category import unit_obj
+from vncat.commutant import HiddenAlgebra
 from vncat.cli import main
 
+commutant_module = importlib.import_module("vncat.commutant")
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDENS = sorted(GOLDEN_DIR.glob("*.json"))
 
@@ -809,3 +816,182 @@ def test_subprocess_entry_points(tmp_path):
     )
     assert run.returncode == 2
     assert "scenario error" in run.stderr
+
+
+# -- one hidden algebra per run -------------------------------------------------
+
+
+def matrix_json(m):
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
+
+
+def block_element(rng, blocks, u, hermitian=True):
+    """A generic element of u ((+)_k M_{n_k} (x) 1_{m_k}) u*."""
+    h = sum(n * m for n, m in blocks)
+    out = np.zeros((h, h), dtype=complex)
+    at = 0
+    for n, m in blocks:
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        out[at : at + n * m, at : at + n * m] = np.kron(a + a.conj().T if hermitian else a, np.eye(m))
+        at += n * m
+    return u @ out @ u.conj().T
+
+
+def closure_doc(rng, blocks, hermitian=True, **extra):
+    """Two generators of one block algebra, on I and on I -> X2, for every closure command."""
+    h = sum(n * m for n, m in blocks)
+    q = np.linalg.qr(rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h)))[0]
+    on_x2 = np.vstack([block_element(rng, blocks, q, hermitian) for _ in range(2)])
+    doc = base_doc(
+        hdim=h,
+        objects=[{"name": "I", "dim": 1}, {"name": "X2", "dim": 2}],
+        generators=[
+            {"name": "a", "dom": "I", "cod": "I", "matrix": matrix_json(block_element(rng, blocks, q, hermitian))},
+            {"name": "b", "dom": "I", "cod": "X2", "matrix": matrix_json(on_x2)},
+            {"name": "b*", "dom": "X2", "cod": "I", "matrix": matrix_json(on_x2.conj().T)},
+        ],
+        commands=["commutant", "double-commutant", "vn-check", "endo-algebra"],
+    )
+    doc.update(extra)
+    return doc
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_closure_commands_share_one_check_and_two_solves(tmp_path, monkeypatch, hermitian):
+    # commutant, double-commutant, vn-check and endo-algebra on one generator
+    # set: one dagger check, one S' solve and one S'' solve for the whole run
+    solves, checks = [], []
+    solve, missing = commutant_module._hidden_commutant, commutant_module._missing_daggers
+
+    def spied(mats, h, *args):
+        solves.append(h)
+        return solve(mats, h, *args)
+
+    def checked(gens, *args):
+        checks.append(len(gens))
+        return missing(gens, *args)
+
+    monkeypatch.setattr(commutant_module, "_hidden_commutant", spied)
+    monkeypatch.setattr(commutant_module, "_missing_daggers", checked)
+    doc = closure_doc(np.random.default_rng(5), [(1, 1), (2, 1)], hermitian, dagger_close=not hermitian)
+    # three generators span less than M (x) S'', so vn-check fails: exit 1
+    assert run_scenario(write_doc(tmp_path, doc), str(tmp_path / "r.json")) == 1
+    assert solves == [3, 3]
+    assert checks == [3]
+
+
+def test_dagger_check_follows_command_order(tmp_path, capsys):
+    # vn-check closes the set itself; a later command that may not is refused
+    # at its own path, as if vn-check had not run
+    gen = {"name": "n", "dom": "I", "cod": "I", "matrix": [[0, 1], [0, 0]]}
+    out = tmp_path / "r.json"
+    doc = base_doc(generators=[gen], commands=["vn-check", "commutant"])
+    assert run_scenario(write_doc(tmp_path, doc), str(out)) == 2
+    assert "scenario error: $.commands[1]: generator set is not dagger-closed" in capsys.readouterr().err
+    doc["commands"] = ["vn-check"]
+    assert run_scenario(write_doc(tmp_path, doc), str(out)) == 1
+    failures = json.loads(out.read_text())["results"][0]["failures"]
+    assert failures == [{"dom": "I", "cod": "I", "dim": 1, "closure_dim": 4}]
+
+
+def test_runs_share_nothing_across_scenarios(tmp_path, monkeypatch):
+    # scenarios A, B, A, B in one process, same hdim, different algebras: each
+    # report is the one a lone process writes for that scenario, and each
+    # run's hidden algebra is gone once the run returns, so no later
+    # scenario (one at a reused address, say) can read it
+    made = []
+
+    def tracked(*args):
+        hidden = HiddenAlgebra(*args)
+        made.append(weakref.ref(hidden))
+        return hidden
+
+    monkeypatch.setattr(cli, "HiddenAlgebra", tracked)
+    env = dict(os.environ)
+    src = str(GOLDEN_DIR.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    paths, lone = [], []
+    for name, blocks in (("a", [(1, 1)] * 3), ("b", [(1, 1), (2, 1)])):
+        paths.append(write_doc(tmp_path, closure_doc(np.random.default_rng(6), blocks), f"{name}.json"))
+        out = tmp_path / f"{name}.lone.json"
+        run = subprocess.run(
+            [sys.executable, "-m", "vncat", "--input", paths[-1], "--output", str(out), "--emit-bases", "full"],
+            capture_output=True, text=True, env=env,
+        )
+        assert run.returncode == 1, run.stderr  # vn-check fails, as above
+        lone.append(out.read_bytes())
+    assert lone[0] != lone[1]
+    for i in (0, 1, 0, 1):
+        out = tmp_path / "shared.json"
+        assert run_scenario(paths[i], str(out), emit_bases="full") == 1
+        assert out.read_bytes() == lone[i]
+        gc.collect()
+        assert made[-1]() is None
+    assert len(made) == 4
+
+
+def star_closed_blocks(gens, h):
+    """Every h x h block of every generator matrix, with its conjugate transpose."""
+    blocks = [np.eye(h)]  # commutes with everything, so no commutant changes
+    for m in gens:
+        for y in range(0, len(m), h):
+            for x in range(0, len(m[0]), h):
+                blocks += [m[y : y + h, x : x + h], m[y : y + h, x : x + h].conj().T]
+    return blocks
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    blocks=st.sampled_from([[(1, 1)], [(1, 1)] * 2, [(2, 1)], [(1, 2)], [(1, 1)] * 3,
+                            [(1, 1), (2, 1)], [(1, 1), (1, 2)], [(3, 1)], [(1, 3)]]),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["closed", "open", "near", "closure"]),
+    ends=st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=3),
+    offset=st.sampled_from([1e-3, 1e-13]),
+)
+def test_vn_check_matches_the_classical_oracle(blocks, seed, kind, ends, offset):
+    # vn-check reads its closure from the run's shared S''; the classical
+    # route solves S' and S'' again from the star-closed blocks of the
+    # generators, with no premonoidal machinery, and must give every
+    # closure_dim and the verdict
+    rng = np.random.default_rng(seed)
+    h = sum(n * m for n, m in blocks)
+    q = np.linalg.qr(rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h)))[0]
+    dims = {"I": 1, "X2": 2}
+    gens = []
+    for dom, cod in (("X2" if a else "I", "X2" if b else "I") for a, b in ends):
+        grid = [[block_element(rng, blocks, q, False) for _ in range(dims[dom])] for _ in range(dims[cod])]
+        g = (dom, cod, np.block(grid))
+        gens.append(g)
+        if kind == "closed":
+            gens.append((cod, dom, g[2].conj().T))
+        elif kind == "near":  # a partner within ``offset`` of g
+            gens.append((dom, cod, g[2] + offset * rng.standard_normal(g[2].shape)))
+    if kind == "closure":  # every basis arrow of the double commutant: vn-check passes
+        ctx, objs = Context(h), {n: Obj(n, d) for n, d in dims.items()}
+        arrows = [Arrow(objs[d], objs[c], ctx, m) for d, c, m in gens]
+        closed = double_commutant(arrows, ObjectUniverse(tuple(objs.values()), ctx), auto_close=True)
+        gens = [(f.dom.name, f.cod.name, f.mat) for f in closed.all_arrows()]
+    doc = base_doc(
+        hdim=h,
+        objects=[{"name": n, "dim": d} for n, d in dims.items()],
+        generators=[{"dom": d, "cod": c, "matrix": matrix_json(m)} for d, c, m in gens],
+        commands=["vn-check"],
+    )
+    second = classical_commutant(classical_commutant(star_closed_blocks([m for _, _, m in gens], h)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "s.json", Path(tmp) / "r.json"
+        path.write_text(json.dumps(doc))
+        code = run_scenario(str(path), str(out))
+        result = json.loads(out.read_text())["results"][0]
+    want = [
+        {"dom": d["dom"], "cod": d["cod"], "dim": d["dim"], "closure_dim": closure}
+        for d in result["dims"]
+        for closure in [dims[d["dom"]] * dims[d["cod"]] * len(second)]
+        if d["dim"] != closure
+    ]
+    assert result["failures"] == want
+    assert result["pass"] == (not want)
+    assert code == (0 if not want else 1)
+    if kind == "closure":
+        assert code == 0
