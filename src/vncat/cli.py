@@ -8,12 +8,14 @@ wall-clock timings appear only behind --timings, as they would break that.
 
 A report is laid out exactly as ``json.dumps(report, indent=2)`` lays it
 out, by ``_encode``: one walk of the report that gives every value the
-stdlib encoder's text, and the one owner of that layout.  Two holders take
-their layout from it, as the text of a small skeleton split at its holes
-(``_layout``): a net's echoed cone list (``_ConeEcho``), filled in by one
-format call, and each basis stack of ``--emit-bases full`` (``MatrixJson``),
-rendered from its array one innermost row at a time and written at its
-place, never joined into the rest of the report.
+stdlib encoder's text, and the one owner of that layout.  It takes a
+report's own value types (exact str, int, float, bool and None, lists,
+str-keyed dicts and two holders) and raises TypeError on anything else.
+The holders take their layout from it, as the text of a small skeleton
+split at its holes (``_layout``): a net's echoed cone list (``_ConeEcho``),
+filled in by one format call, and each basis stack of ``--emit-bases full``
+(``MatrixJson``), rendered from its array one innermost row at a time.
+Each is written at its place, never joined into the rest of the report.
 """
 
 from __future__ import annotations
@@ -29,13 +31,14 @@ import numpy as np
 
 from .category import central_defect, cstar_residuals, identity_arrow, pair_swap_family
 from .commutant import FinPremonCat, HiddenAlgebra, _tensor_view, _vn_report
-from .commutant import commutant, endo_algebra, span_category
+from .commutant import commutant, span_category
 from .commutant import double_commutant, is_von_neumann  # noqa: F401  (wrapped by bench/spans.py)
+from .commutant import endo_algebra  # noqa: F401  (wrapped by bench/spans.py)
 from .causal import check_causality, check_isotony
 from .crossed import CrossedContext, covariance_residuals, crossed_product
 from .crossed import covariance_residual  # noqa: F401  (wrapped by bench/spans.py)
 from .linalg import relative
-from .scenario import Scenario, ScenarioError, _matrix_json, load_scenario
+from .scenario import Scenario, ScenarioError, load_scenario
 
 __all__ = ["main", "run_scenario"]
 
@@ -113,22 +116,21 @@ def _cmd_cstar_check(sc: Scenario, tol: float, emit: str, hidden: HiddenAlgebra)
     keys = ("submult", "cstar_id", "whisker_left_norm", "whisker_right_norm")
     worst = {k: 0.0 for k in keys}
     scale = 0.0
+    norm = {id(f): f.norm() for pair in pairs for f in pair}
     for s, t in pairs:
         res = cstar_residuals(s, t, whisk)
         for k in keys:
             worst[k] = max(worst[k], res[k])
-        scale = max(scale, s.norm() * t.norm(), s.norm() ** 2)
+        ns = norm[id(s)]
+        scale = max(scale, ns * norm[id(t)], ns**2)
     ok = all(relative(worst[k], scale) <= tol for k in keys)
     return {"command": "cstar-check", "pass": ok, "max_residuals": worst}
 
 
 def _cmd_crossed_product(sc: Scenario, tol: float, emit: str, hidden: HiddenAlgebra) -> dict:
     cat = crossed_product(sc.generators, sc.rep, sc.universe, tol, auto_close=sc.dagger_close)
-    entry = {
-        "command": "crossed-product",
-        "pass": True,
-        "endo_dim": len(endo_algebra(cat)),
-    }
+    unit = cat.universe.unit
+    entry = {"command": "crossed-product", "pass": True, "endo_dim": cat.homs[(unit, unit)].dim}
     return _attach_cat(entry, cat, emit)
 
 
@@ -210,7 +212,7 @@ class MatrixJson:
         """The value's indented JSON, nested ``level`` deep."""
         m = self.mats
         if m.size == 0:
-            return _text(_matrix_json(m), level)
+            return _text(m.real.tolist(), level)  # no leaves, so the text of _matrix_json(m)
         # The skeleton's pieces: the head, the text inside an entry, the
         # text between two entries where w trailing axes wrap (piece
         # 2**(w + 1), since entry 2**w is the first such), and the tail.
@@ -294,7 +296,7 @@ def _echo(normalized: dict) -> dict:
 
 
 def _write_report(report: dict, write) -> None:
-    """Write ``json.dumps(report, indent=2) + "\\n"``, MatrixJson holders as their lists.
+    """Write ``json.dumps(report, indent=2) + "\\n"``, each holder as what it stands for.
 
     One walk of the report collects its text in a list.  At each holder the
     text so far goes to ``write``, then the holder's own text, so a basis
@@ -320,8 +322,7 @@ class _Hole:
 
 _HOLE = _Hole()
 
-# the texts of the JSON scalar types, in the stdlib encoder's order, and
-# of a skeleton's hole
+# the texts of the JSON scalar types, by exact type, and of a skeleton's hole
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     type(None): lambda _: "null",
@@ -361,16 +362,15 @@ def _text(value, level: int, write=None) -> str:
 def _encode(value, level: int, out: list, write) -> None:
     """Append the indented JSON of ``value``, nested ``level`` deep, to ``out``.
 
-    Every value gets the stdlib encoder's text.  The exact scalar types are
-    looked up first, and a subclass of one (np.float64, say), which can be
-    no container, comes last and takes its first base in the stdlib's order.
-    A MatrixJson holder's text (``MatrixJson.text``) is written straight to
-    ``write``, after what ``out`` has collected so far.
+    A report holds the exact scalar types of ``_SCALAR_TEXT``, lists, dicts
+    with str keys and the two holders, and each gets the stdlib encoder's
+    text.  A holder's text is written straight to ``write``, after what
+    ``out`` has collected so far.  Anything else raises TypeError.
     """
     text = _SCALAR_TEXT.get(type(value))
     if text is not None:
         out.append(text(value))
-    elif isinstance(value, (list, tuple)):
+    elif type(value) is list:
         if not value:
             out.append("[]")
             return
@@ -382,43 +382,23 @@ def _encode(value, level: int, out: list, write) -> None:
             out.append(sep)
             _encode(item, level + 1, out, write)
         out.append(nl[:-2] + "]")
-    elif isinstance(value, dict):
+    elif type(value) is dict:
         if not value:
             out.append("{}")
             return
         nl = "\n" + "  " * (level + 1)
         prefix = "{" + nl
         for key, item in value.items():
-            if type(key) is not str:
-                key = _key_text(key)
             out.append(prefix + encode_basestring_ascii(key) + ": ")
             _encode(item, level + 1, out, write)
             prefix = "," + nl
         out.append(nl[:-2] + "}")
-    elif isinstance(value, _ConeEcho):
-        out.append(value.text(level))
-    elif isinstance(value, MatrixJson):
+    elif type(value) in (MatrixJson, _ConeEcho):
         write("".join(out))
         out.clear()
         write(value.text(level))
-    elif isinstance(value, (str, int, float)):
-        out.append(_base_text(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _base_text(value) -> str:
-    """A JSON scalar's text, by its first base in the stdlib encoder's order."""
-    return next(text for base, text in _SCALAR_TEXT.items() if isinstance(value, base))(value)
-
-
-def _key_text(key) -> str:
-    """A dict key as the stdlib encoder turns it into a string."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _base_text(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def run_scenario(
@@ -435,7 +415,7 @@ def run_scenario(
     """
     try:
         sc = load_scenario(input_path)
-        effective_tol = tol if tol is not None else (sc.tol if sc.tol is not None else _DEFAULT_TOL)
+        effective_tol = float(next(t for t in (tol, sc.tol, _DEFAULT_TOL) if t is not None))
 
         # the generators' hidden algebra, shared by this run's commands alone
         hidden = HiddenAlgebra(sc.generators, sc.ctx, effective_tol)

@@ -267,7 +267,12 @@ def _check_context(gens: Sequence[Arrow], ctx: Context):
 
 def _blocks(gens: Sequence[Arrow], h: int) -> np.ndarray:
     """Every nonzero h x h hidden block of every generator, as a (k, h, h) stack."""
-    parts = [g.blocks.reshape(-1, h, h) for g in gens]
+    return _nonzero([g.blocks for g in gens], h)
+
+
+def _nonzero(stacks, h: int) -> np.ndarray:
+    """The nonzero matrices of ``(..., h, h)`` stacks, as one (k, h, h) stack."""
+    parts = [s.reshape(-1, h, h) for s in stacks]
     blocks = np.concatenate([np.zeros((0, h, h), dtype=np.complex128), *parts])
     return blocks[blocks.any(axis=(1, 2))]
 
@@ -374,13 +379,17 @@ class VnReport:
 def is_von_neumann(cat: FinPremonCat, tol: float = 1e-9) -> VnReport:
     """Whether ``cat`` equals its own double commutant pair by pair.
 
-    The category's hom bases are dagger-closed automatically before the
-    closure is taken, so non-self-adjoint spans are probed rather than
-    rejected; they simply fail the comparison.  Every arrow lies in the
-    double commutant of a set holding it, so each hom is inside its closure
-    and the two are equal exactly when their dimensions are.
+    S is every nonzero hidden block of each hom (read from its factor when it
+    has one) and its conjugate transpose, which is a dagger's block: spans
+    need not be self-adjoint, and those that are not fail the comparison.
+    An arrow lies in the double commutant of a set holding it, so each hom is
+    inside its closure and the two are equal exactly when their dims are.
     """
-    return _vn_report(cat, HiddenAlgebra(cat.all_arrows(), cat.universe.ctx, tol).bicommutant)
+    h = cat.universe.ctx.hdim
+    homs = cat.homs.values()
+    s = _nonzero([block_view(hom.mats, h) if hom.factor is None else hom.factor for hom in homs], h)
+    s = np.concatenate([s, s.conj().transpose(0, 2, 1)])
+    return _vn_report(cat, _hidden_commutant(_hidden_commutant(s, h, tol), h, tol))
 
 
 def _vn_report(cat: FinPremonCat, bicommutant: np.ndarray) -> VnReport:

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -36,7 +37,7 @@ from vncat import (
     subspace_equal,
 )
 from vncat.category import block_view
-from vncat.commutant import _in_span, _vecs
+from vncat.commutant import HiddenAlgebra, _in_span, _vecs, _vn_report
 from vncat.linalg import relative
 from helpers import random_arrow, random_closed_set, random_matrix, random_unitary
 
@@ -489,6 +490,69 @@ def test_is_von_neumann_dims_agree_with_subspace_comparison(h, seed, count, kind
     assert rep.passed == (not failed)
     if kind == "closure":
         assert rep.passed
+
+
+def test_is_von_neumann_reads_factors_not_stacks():
+    # S' = C + C + C for M_2 + 1 + 2 at h = 4: over objects of dims 8 and 16
+    # the dense closure stacks would take hundreds of MB, the factors 0.1 MB
+    ctx = Context(4)
+    m = np.diag([0, 0, 1, 2]).astype(complex)
+    m[:2, :2] = random_matrix(np.random.default_rng(15), 2, 2)
+    uni = standard_universe(ctx, dims=(1, 8, 16))
+    g = Arrow(uni.unit, uni.unit, ctx, m)
+    cat = commutant([g, dagger(g)], uni)
+    assert cat.dims()[0][2] == 3
+    is_von_neumann(commutant([g, dagger(g)], standard_universe(ctx)))  # warm-up
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        rep = is_von_neumann(cat)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.closure.dims() == cat.dims()
+    assert elapsed < 0.1 and peak < 5 * 2**20
+
+
+def _polynomial_arrows(rng, uni, count):
+    """Arrows whose hidden blocks are polynomials in one random x: no daggers,
+    so S'' is C[x] without them and all of End(H) with them."""
+    ctx, h = uni.ctx, uni.ctx.hdim
+    powers = np.array([np.linalg.matrix_power(random_matrix(rng, h, h), k) for k in range(h)])
+    out = []
+    for _ in range(count):
+        dom, cod = (uni.objects[i] for i in rng.integers(len(uni.objects), size=2))
+        coeffs = random_matrix(rng, cod.dim * dom.dim, h).reshape(cod.dim, dom.dim, h)
+        out.append(Arrow.from_blocks(dom, cod, ctx, np.einsum("cdk,kij->cdij", coeffs, powers)))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    h=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(0, 3),
+    kind=st.sampled_from(["closed_span", "open_span", "polynomial_span", "commutant", "double_commutant"]),
+)
+def test_is_von_neumann_matches_the_all_arrows_route(h, seed, count, kind):
+    # S read from factors and hom blocks with their conjugate transposes
+    # spans what the blocks of every basis arrow and its missing dagger do
+    ctx = Context(h)
+    uni = standard_universe(ctx, dims=(1, 2))
+    rng = np.random.default_rng(seed)
+    gens = random_closed_set(rng, uni, count)
+    cat = {
+        "closed_span": lambda: span_category(gens, uni),
+        "open_span": lambda: span_category(gens[::2], uni),
+        "polynomial_span": lambda: span_category(_polynomial_arrows(rng, uni, count), uni),
+        "commutant": lambda: commutant(gens, uni),
+        "double_commutant": lambda: double_commutant(gens, uni),
+    }[kind]()
+    rep = is_von_neumann(cat)
+    old = _vn_report(cat, HiddenAlgebra(cat.all_arrows(), ctx, 1e-9).bicommutant)
+    assert (rep.passed, rep.failures) == (old.passed, old.failures)
+    assert rep.closure.dims() == old.closure.dims()
 
 
 # -- the block lemma behind the commutant kernel -------------------------------
