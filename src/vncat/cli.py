@@ -3,6 +3,10 @@
 Reads a scenario JSON file, runs its commands in order, and writes one JSON
 report.  Exit status: 0 when every command passes, 1 when any fails, 2 on
 scenario validation or parse errors and when the report cannot be written.
+A report file is written over in place, not truncated first, then cut to the
+length written; a failed write leaves it empty.  Until the cut, the old
+report's last byte is NUL, so a run killed mid-write leaves text that does
+not parse, never new text on a stale tail.  Devices and pipes are never cut.
 Reports are deterministic byte for byte given the same scenario and flags;
 wall-clock timings appear only behind --timings, as they would break that.
 
@@ -21,8 +25,11 @@ Each is written at its place, never joined into the rest of the report.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
+import os
+import stat
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -38,7 +45,7 @@ from .causal import check_causality, check_isotony
 from .crossed import CrossedContext, covariance_residuals, crossed_product
 from .crossed import covariance_residual  # noqa: F401  (wrapped by bench/spans.py)
 from .linalg import relative
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, _valid_tol, load_scenario
 
 __all__ = ["main", "run_scenario"]
 
@@ -401,6 +408,28 @@ def _encode(value, level: int, out: list, write) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _write_over(fd: int, report: dict) -> None:
+    """Write ``report`` over a file's old bytes, then cut off the rest; devices and pipes are never cut."""
+    st = os.fstat(fd)
+    old = st.st_size if stat.S_ISREG(st.st_mode) else None
+    try:
+        if old:  # the old last byte turns NUL first: until the cut, no mix of old and new text parses
+            os.lseek(fd, old - 1, os.SEEK_SET)
+            os.write(fd, b"\0")
+            os.lseek(fd, 0, os.SEEK_SET)
+        with open(fd, "w", encoding="utf-8", closefd=False) as fh:
+            _write_report(report, fh.write)
+    except BaseException:
+        if old is not None:
+            with contextlib.suppress(OSError):
+                os.ftruncate(fd, 0)
+        raise
+    if old:
+        end = os.lseek(fd, 0, os.SEEK_CUR)
+        if end < old:
+            os.ftruncate(fd, end)
+
+
 def run_scenario(
     input_path: str,
     output_path: str | None = None,
@@ -413,6 +442,9 @@ def run_scenario(
 
     ``threads`` is accepted for compatibility and has no effect.
     """
+    if tol is not None and not _valid_tol(tol):
+        print(f"tol must be strictly between 0 and 1, not {tol!r}", file=sys.stderr)
+        return 2
     try:
         sc = load_scenario(input_path)
         effective_tol = float(next(t for t in (tol, sc.tol, _DEFAULT_TOL) if t is not None))
@@ -445,8 +477,15 @@ def run_scenario(
         if output_path is None:
             _write_report(report, sys.stdout.write)
         else:
-            with open(output_path, "w", encoding="utf-8") as fh:
-                _write_report(report, fh.write)
+            # no O_TRUNC: an old report's blocks are written over, not freed and allocated again
+            fd = os.open(output_path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+            try:
+                _write_over(fd, report)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.close(fd)
+                raise
+            os.close(fd)
     except OSError as e:
         print(f"cannot write report: {e}", file=sys.stderr)
         return 2
@@ -473,7 +512,7 @@ def main(argv=None) -> int:
         help="add wall_ms per command (reports stop being byte-reproducible)",
     )
     args = ap.parse_args(argv)
-    if args.tol is not None and not (0 < args.tol < 1):
+    if args.tol is not None and not _valid_tol(args.tol):
         ap.error("--tol must be strictly between 0 and 1")
     return run_scenario(
         args.input,

@@ -114,6 +114,14 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _valid_tol(tol) -> bool:
+    """Whether a tolerance, taken as a float, lies strictly between 0 and 1, which NaN does not."""
+    try:
+        return 0 < float(tol) < 1
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def _get_int(doc, key, path, minimum=None):
     v = doc.get(key)
     _expect(_is_int(v), f"{path}.{key}", "must be an integer")
@@ -268,8 +276,8 @@ def parse_scenario(doc) -> Scenario:
 
     tol = doc.get("tol")
     if tol is not None:
-        # compared as given: float() overflows on an integer past the float range
-        _expect(_is_number(tol) and 0 < tol < 1, "$.tol", "must be a number strictly between 0 and 1")
+        # checked first: float() overflows on an integer past the float range
+        _expect(_is_number(tol) and _valid_tol(tol), "$.tol", "must be a number strictly between 0 and 1")
         tol = normalized["tol"] = float(tol)
 
     dagger_close = doc.get("dagger_close", False)

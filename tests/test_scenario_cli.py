@@ -3,6 +3,7 @@ import gc
 import importlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -379,6 +380,141 @@ def test_unwritable_report_exits_2(tmp_path, capsys):
     assert captured.err.startswith("cannot write report: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+BASIC = str(GOLDEN_DIR / "commutant_basic.json")
+
+
+def fresh_report(tmp_path, emit_bases="dims"):
+    """The report bytes ``run_scenario`` writes for the basic golden into a new file."""
+    out = tmp_path / f"fresh_{emit_bases}.json"
+    assert run_scenario(BASIC, str(out), emit_bases=emit_bases) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("old", ["a megabyte of x", "the full report"])
+def test_report_over_a_longer_file_is_cut_to_length(tmp_path, old):
+    out = tmp_path / "r.json"
+    out.write_bytes(b"x" * 2**20 if old == "a megabyte of x" else fresh_report(tmp_path, "full"))
+    assert run_scenario(BASIC, str(out)) == 0
+    assert out.read_bytes() == fresh_report(tmp_path)
+
+
+def test_longer_report_over_a_shorter_file(tmp_path):
+    out = tmp_path / "r.json"
+    assert run_scenario(BASIC, str(out), emit_bases="none") == 0
+    assert run_scenario(BASIC, str(out), emit_bases="full") == 0
+    assert out.read_bytes() == fresh_report(tmp_path, "full")
+
+
+@pytest.mark.parametrize("mask", [0o002, 0o077])
+def test_new_report_file_mode_follows_the_umask(tmp_path, mask):
+    old = os.umask(mask)
+    try:
+        assert run_scenario(BASIC, str(tmp_path / "r.json")) == 0
+        open(tmp_path / "plain", "w").close()
+    finally:
+        os.umask(old)
+    assert os.stat(tmp_path / "r.json").st_mode == os.stat(tmp_path / "plain").st_mode
+
+
+def test_report_to_dev_null(capsys):
+    assert main(["--input", BASIC, "--output", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("sized", [False, True])
+def test_report_to_a_fifo_is_neither_seeked_nor_cut(tmp_path, monkeypatch, sized):
+    new = fresh_report(tmp_path)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        if sized:  # as where a pipe's st_size counts its unread bytes
+            real = os.fstat
+            monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(real(fd)[:6] + (5,) + real(fd)[7:]))
+        assert run_scenario(BASIC, str(fifo)) == 0
+        monkeypatch.undo()
+        data = b"".join(iter(lambda: os.read(reader, 1 << 16), b""))
+    finally:
+        os.close(reader)
+    assert data == new
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_report_to_a_full_device_exits_2(capsys):
+    assert main(["--input", BASIC, "--output", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot write report: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_failed_write_leaves_an_empty_file(tmp_path, monkeypatch, capsys):
+    new = fresh_report(tmp_path)
+    out = tmp_path / "r.json"
+    out.write_bytes(fresh_report(tmp_path, "full"))
+
+    def part_then_fail(report, write):
+        write(new[: len(new) // 2].decode())
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(cli, "_write_report", part_then_fail)
+    assert run_scenario(BASIC, str(out)) == 2
+    assert capsys.readouterr().err == "cannot write report: disk gone\n"
+    assert out.read_bytes() == b""
+
+
+KILLED_MID_WRITE = """
+import io, os, signal, sys
+from vncat import cli
+
+def head_then_die(report, write):
+    text = io.StringIO()
+    real(report, text.write)
+    write(text.getvalue()[:40])  # past the tol
+    write.__self__.flush()
+    os.kill(os.getpid(), signal.SIGKILL)
+
+real, cli._write_report = cli._write_report, head_then_die
+cli.run_scenario(sys.argv[1], sys.argv[2], tol=1e-8)
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_run_killed_mid_write_leaves_no_report_that_parses(tmp_path):
+    out = tmp_path / "r.json"
+    assert run_scenario(BASIC, str(out), tol=1e-9) == 0
+    old = out.read_bytes()
+    env = dict(os.environ)
+    src = str(GOLDEN_DIR.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", KILLED_MID_WRITE, BASIC, str(out)], env=env)
+    assert run.returncode == -signal.SIGKILL
+    mixed = out.read_bytes()
+    assert len(mixed) == len(old) and mixed.endswith(b"\0")
+    with pytest.raises(ValueError):
+        json.loads(mixed)
+    # but for its last byte, it would pass for a report with the new tol
+    assert json.loads(mixed[:-1])["tol"] == 1e-8
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 5.0, float("nan"), "abc", 10**400])
+def test_run_scenario_rejects_tol_outside_0_1(tmp_path, capsys, tol):
+    out = tmp_path / "r.json"
+    assert run_scenario(BASIC, str(out), tol=tol) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and repr(tol) in err
+    assert "Traceback" not in err and "scenario error" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", [1e-9, np.float64(1e-9), "1e-9"])
+def test_run_scenario_takes_a_float_like_tol(tmp_path, tol):
+    out = tmp_path / "r.json"
+    assert run_scenario(BASIC, str(out), tol=tol) == 0
+    assert json.loads(out.read_text())["tol"] == 1e-9
 
 
 def outcome(parse):
