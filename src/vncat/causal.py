@@ -257,29 +257,23 @@ def check_causality(net: CausalNet, tol: float = 1e-9) -> CausalityReport:
                 residual[i, j] = relative(values, norms[i] * norms[j])
 
     # a cone pair's worst value is its largest residual, 0.0 when either cone
-    # is empty: maxima over each cone's run of ``flat``, taken on ranks into
-    # the sorted distinct values so that equal values share one float object
-    levels = np.unique(np.append(residual, 0.0))
-    values = np.array(levels.tolist(), dtype=object)
-    rank = np.searchsorted(levels, residual)
+    # is empty: maxima over each cone's run of ``flat``
     full = np.flatnonzero(counts)
     starts = (np.cumsum(counts) - counts)[full]
-    row_top = np.zeros((n, len(arrows)), dtype=np.intp)
-    row_top[full] = np.maximum.reduceat(rank[flat], starts, axis=0)
+    row_top = np.zeros((n, len(arrows)))
+    row_top[full] = np.maximum.reduceat(residual[flat], starts, axis=0)
     worst = None
     violations = []
     for rows in blocks:
-        pair_top = np.zeros((rows.stop - rows.start, n), dtype=np.intp)
+        pair_top = np.zeros((rows.stop - rows.start, n))
         pair_top[:, full] = np.maximum.reduceat(row_top[rows][:, flat], starts, axis=1)
         ia, ib = np.nonzero(_spacelike_rows(lo, hi, rows))
         tops = pair_top[ia, ib]
         ia += rows.start
         if len(tops):
             k = int(tops.argmax())  # the first maximum, in combinations order
-            if worst is None or values[tops[k]] > worst[2]:
-                worst = (cone_of[ia[k]], cone_of[ib[k]], values[tops[k]])
-        bad = levels[tops] > tol
-        violations += zip(
-            cone_of[ia[bad]].tolist(), cone_of[ib[bad]].tolist(), values[tops[bad]].tolist()
-        )
+            if worst is None or tops[k] > worst[2]:
+                worst = (cone_of[ia[k]], cone_of[ib[k]], float(tops[k]))
+        bad = tops > tol
+        violations += zip(cone_of[ia[bad]].tolist(), cone_of[ib[bad]].tolist(), tops[bad].tolist())
     return CausalityReport(not violations, worst, tuple(violations))

@@ -2,7 +2,8 @@
 
 Reads a scenario JSON file, runs its commands in order, and writes one JSON
 report.  Exit status: 0 when every command passes, 1 when any fails, 2 on
-scenario validation or parse errors and when the report cannot be written.
+a bad tol or emit_bases, scenario validation or parse errors and when the
+report cannot be written.
 A report file is written over in place, not truncated first, then cut to the
 length written; a failed write leaves it empty.  Until the cut, the old
 report's last byte is NUL, so a run killed mid-write leaves text that does
@@ -36,7 +37,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .category import central_defect, cstar_residuals, identity_arrow, pair_swap_family
+from .category import Arrow, central_defect, cstar_residuals, identity_arrow
 from .commutant import FinPremonCat, HiddenAlgebra, _tensor_view, _vn_report
 from .commutant import commutant, span_category
 from .commutant import double_commutant, is_von_neumann  # noqa: F401  (wrapped by bench/spans.py)
@@ -50,6 +51,12 @@ from .scenario import Scenario, ScenarioError, _valid_tol, load_scenario
 __all__ = ["main", "run_scenario"]
 
 _DEFAULT_TOL = 1e-9
+_EMIT_BASES = ("none", "dims", "full")
+
+
+def _valid_emit(emit) -> bool:
+    """Whether ``emit`` is one of the report detail levels of ``_EMIT_BASES``."""
+    return isinstance(emit, str) and emit in _EMIT_BASES
 
 
 def _dims_json(cat: FinPremonCat) -> list:
@@ -72,7 +79,11 @@ def _attach_cat(entry: dict, cat: FinPremonCat, emit: str) -> dict:
 
 
 def _cmd_centre(sc: Scenario, tol: float, emit: str, hidden: HiddenAlgebra) -> dict:
-    family = pair_swap_family(sc.ctx)
+    h, unit = sc.ctx.hdim, sc.universe.unit
+    units = np.eye(h * h).reshape(h, h, h, h)  # units[a, b] is the matrix unit E_ab
+    # pair_swap_family's S, not its h^4-entry arrows: for i < j, E_ji then E_ij as unit endos
+    ends = [p for i in range(h) for j in range(i + 1, h) for p in ((j, i), (i, j))]
+    family = [Arrow(unit, unit, sc.ctx, units[p]) for p in ends]
     cat = commutant(family, sc.universe, tol)
     arrows = cat.all_arrows()
     defects = [central_defect(f) for f in arrows]
@@ -116,20 +127,20 @@ def _cmd_endo_algebra(sc: Scenario, tol: float, emit: str, hidden: HiddenAlgebra
 
 def _cmd_cstar_check(sc: Scenario, tol: float, emit: str, hidden: HiddenAlgebra) -> dict:
     gens = sc.generators
-    pairs = [(s, t) for s in gens for t in gens if t.cod == s.dom]
+    normed = list(zip(gens, [f.norm() for f in gens]))  # each generator with its norm
+    pairs = [(s, t) for s in normed for t in normed if t[0].cod == s[0].dom]
     if not pairs:
-        pairs = [(s, identity_arrow(s.dom, sc.ctx)) for s in gens]
+        ids = [identity_arrow(s.dom, sc.ctx) for s in gens]
+        pairs = [(s, (t, t.norm())) for s, t in zip(normed, ids)]
     whisk = max(sc.universe.objects, key=lambda o: o.dim)
     keys = ("submult", "cstar_id", "whisker_left_norm", "whisker_right_norm")
     worst = {k: 0.0 for k in keys}
     scale = 0.0
-    norm = {id(f): f.norm() for pair in pairs for f in pair}
-    for s, t in pairs:
+    for (s, ns), (t, nt) in pairs:
         res = cstar_residuals(s, t, whisk)
         for k in keys:
             worst[k] = max(worst[k], res[k])
-        ns = norm[id(s)]
-        scale = max(scale, ns * norm[id(t)], ns**2)
+        scale = max(scale, ns * nt, ns**2)
     ok = all(relative(worst[k], scale) <= tol for k in keys)
     return {"command": "cstar-check", "pass": ok, "max_residuals": worst}
 
@@ -445,6 +456,10 @@ def run_scenario(
     if tol is not None and not _valid_tol(tol):
         print(f"tol must be strictly between 0 and 1, not {tol!r}", file=sys.stderr)
         return 2
+    if not _valid_emit(emit_bases):
+        modes = ", ".join(_EMIT_BASES)
+        print(f"emit_bases must be one of {modes}, not {emit_bases!r}", file=sys.stderr)
+        return 2
     try:
         sc = load_scenario(input_path)
         effective_tol = float(next(t for t in (tol, sc.tol, _DEFAULT_TOL) if t is not None))
@@ -502,7 +517,7 @@ def main(argv=None) -> int:
     ap.add_argument("--tol", type=float, default=None, help="override the scenario tolerance")
     ap.add_argument(
         "--emit-bases",
-        choices=("none", "dims", "full"),
+        choices=_EMIT_BASES,
         default="dims",
         help="how much hom-space detail reports carry (default: dims)",
     )

@@ -238,12 +238,11 @@ def _missing_daggers(gens: Sequence[Arrow], tol: float) -> list[Arrow]:
     Each hom pair's daggers are tested together, against the span of the
     generators at that pair (the zero subspace when there are none).
     """
-    daggers = [dagger(g) for g in gens]
     spans, missing = group_by_hom(gens), set()
-    for key, ds in group_by_hom(daggers).items():
-        inside = _spanned([g.mat for g in spans.get(key, [])], [d.mat for d in ds], tol)
-        missing.update(id(d) for d, ok in zip(ds, inside) if not ok)
-    return [d for d in daggers if id(d) in missing]
+    for (b, d), gs in spans.items():
+        inside = _spanned([f.mat for f in spans.get((d, b), [])], [g.mat.conj().T for g in gs], tol)
+        missing.update(g for g, ok in zip(gs, inside) if not ok)
+    return [dagger(g) for g in gens if g in missing]
 
 
 def is_star_closed(gens: Sequence[Arrow], tol: float = 1e-9) -> bool:

@@ -440,8 +440,9 @@ def parse_scenario(doc) -> Scenario:
         )
 
     # an upper bound, in exact ints, on the complex entries the engine holds:
-    # the universe's hom stacks, the hidden solve's chunk and centre's
-    # pair-swap family; the error names the factor that dominates
+    # the universe's hom stacks and the hidden solve's chunk, with h^6 / 2 for
+    # centre, which caps its solve's ~h^8 time; the error names the factor
+    # that dominates
     if _ALLOCATING.intersection(raw_commands):
         side = sum(o.dim**2 for o in uni_objs.values()) ** 2
         g3 = group.order**3 if "crossed-product" in raw_commands else 1

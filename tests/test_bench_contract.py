@@ -10,18 +10,28 @@ benchmark.
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import vncat.cli
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS = BENCH / "spans.py"
+
+
+def load_bench(stem):
+    """``bench/<stem>.py`` as a module, registered so that its dataclasses resolve."""
+    name = f"bench_{stem}"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, BENCH / f"{stem}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_bench("spans")
 
 
 def test_every_wrapped_name_resolves():
@@ -39,6 +49,14 @@ def test_run_scenario_takes_the_benchmark_keywords():
     # bench/run.py calls run_scenario(path, out, emit_bases=..., threads=1)
     sig = inspect.signature(vncat.cli.run_scenario)
     sig.bind("in.json", "out.json", emit_bases="full", threads=1)
+
+
+def test_run_scenario_accepts_every_benchmark_emit_mode():
+    # run_scenario exits 2 on an emit_bases it does not know, which would
+    # fail every run of the workload that asks for it
+    workloads = load_bench("workloads")
+    modes = {c.emit_bases for w in workloads.WORKLOADS for c in workloads.generate(w, 101, limit=1)}
+    assert modes and all(vncat.cli._valid_emit(m) for m in modes)
 
 
 def test_every_import_kept_for_the_benchmark_is_wrapped():

@@ -402,6 +402,7 @@ def test_large_closed_form_net(monkeypatch):
     rep = check_causality(net, 1e-8)
     assert len(rep.violations) == 300 * 299 // 2
     assert rep.worst[:2] == (cones[0], cones[2]) and rep.worst[2] > 0.5
+    assert type(rep.worst[2]) is type(rep.violations[-1][2]) is float
     assert rep.violations[:2] == ((cones[0], cones[2], rep.worst[2]), (cones[0], cones[4], rep.worst[2]))
     assert len(pairs) <= 4
     assert check_isotony(net, 1e-8) == causal.IsotonyReport(True, ())

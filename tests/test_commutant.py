@@ -1,3 +1,4 @@
+import importlib
 import time
 import tracemalloc
 
@@ -40,6 +41,8 @@ from vncat.category import block_view
 from vncat.commutant import HiddenAlgebra, _in_span, _vecs, _vn_report
 from vncat.linalg import relative
 from helpers import random_arrow, random_closed_set, random_matrix, random_unitary
+
+commutant_module = importlib.import_module("vncat.commutant")
 
 CTX = Context(2)
 UNI = standard_universe(CTX)
@@ -369,6 +372,20 @@ def test_missing_daggers_match_sequential_projection():
         # the lonely arrow's dagger is always missing, the zero arrow's never;
         # f and the partner miss each other's daggers by the offset
         assert [a.cod for a in got] == ([I, x3, x2] if offset > 1 else [x3])
+
+
+def test_missing_daggers_build_only_the_missing_arrows(monkeypatch):
+    # the check reads each generator's conjugate transpose; an Arrow is made
+    # for a dagger only when the span at the flipped pair misses it
+    built = []
+    monkeypatch.setattr(commutant_module, "dagger", lambda g: built.append(g) or dagger(g))
+    r = np.random.default_rng(17)
+    gens = random_closed_set(r, UNI, 3)
+    assert is_star_closed(gens) and built == []
+    lonely = random_arrow(r, I, Obj("X2", 2), CTX)
+    missing = star_closure(gens + [lonely])[len(gens) + 1 :]
+    assert built == [lonely] and len(missing) == 1
+    assert np.array_equal(missing[0].mat, lonely.mat.conj().T)
 
 
 def test_span_category_groups_by_hom():

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vncat import Arrow, Context, LatticeBounds, ScenarioError, load_scenario, parse_scenario, run_scenario
-from vncat import Obj, ObjectUniverse, classical_commutant, cli, double_commutant, scenario
+from vncat import Obj, ObjectUniverse, classical_commutant, cli, double_commutant, pair_swap_family, scenario
 from vncat.category import unit_obj
 from vncat.commutant import HiddenAlgebra
 from vncat.cli import main
@@ -35,6 +36,14 @@ def base_doc(**extra):
     }
     doc.update(extra)
     return doc
+
+
+def src_env(**extra):
+    """This environment with the package's source first on PYTHONPATH, plus ``extra``."""
+    env = dict(os.environ, **extra)
+    src = str(GOLDEN_DIR.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def write_doc(tmp_path, doc, name="scenario.json"):
@@ -487,10 +496,7 @@ def test_run_killed_mid_write_leaves_no_report_that_parses(tmp_path):
     out = tmp_path / "r.json"
     assert run_scenario(BASIC, str(out), tol=1e-9) == 0
     old = out.read_bytes()
-    env = dict(os.environ)
-    src = str(GOLDEN_DIR.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    run = subprocess.run([sys.executable, "-c", KILLED_MID_WRITE, BASIC, str(out)], env=env)
+    run = subprocess.run([sys.executable, "-c", KILLED_MID_WRITE, BASIC, str(out)], env=src_env())
     assert run.returncode == -signal.SIGKILL
     mixed = out.read_bytes()
     assert len(mixed) == len(old) and mixed.endswith(b"\0")
@@ -508,6 +514,18 @@ def test_run_scenario_rejects_tol_outside_0_1(tmp_path, capsys, tol):
     assert err.count("\n") == 1 and repr(tol) in err
     assert "Traceback" not in err and "scenario error" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("emit", ["everything", "", "DIMS", None, 1, ["dims"]])
+def test_run_scenario_rejects_unknown_emit_bases(tmp_path, capsys, monkeypatch, emit):
+    # rejected before the scenario is read, and the old report stays as it was
+    monkeypatch.setattr(cli, "load_scenario", lambda path: pytest.fail("scenario was read"))
+    out = tmp_path / "r.json"
+    out.write_bytes(b"old report")
+    assert run_scenario(BASIC, str(out), emit_bases=emit) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and repr(emit) in err and "none, dims, full" in err
+    assert out.read_bytes() == b"old report"
 
 
 @pytest.mark.parametrize("tol", [1e-9, np.float64(1e-9), "1e-9"])
@@ -781,6 +799,54 @@ def test_centre_golden_dims(tmp_path):
     assert dims == {
         (a, b): sizes[a] * sizes[b] for a in sizes for b in sizes
     }
+
+
+CENTRE_OBJECTS = [{"name": "I", "dim": 1}, {"name": "A", "dim": 2}, {"name": "B", "dim": 3}]
+
+
+@pytest.mark.parametrize("h", range(1, 7))
+def test_centre_solves_the_pair_swap_blocks(tmp_path, monkeypatch, h):
+    # the hidden solve gets the non-zero blocks of the pair-swap family, bit
+    # for bit and in the same order, so S' is the family's
+    seen = []
+    solve = commutant_module._hidden_commutant
+    monkeypatch.setattr(
+        commutant_module, "_hidden_commutant", lambda mats, *rest: seen.append(mats) or solve(mats, *rest)
+    )
+    doc = base_doc(hdim=h, objects=CENTRE_OBJECTS, commands=["centre"])
+    assert run_scenario(write_doc(tmp_path, doc), str(tmp_path / "r.json")) == 0
+    want = commutant_module._blocks(pair_swap_family(Context(h)), h)
+    assert len(seen) == 1 and seen[0].dtype == want.dtype and np.array_equal(seen[0], want)
+
+
+def test_centre_builds_no_pair_swap_arrows(tmp_path):
+    # the 28 pair-swap arrows of h = 8 (h^4 entries each), their daggers and
+    # the span test over them took the run's peak to 11 MB
+    path = write_doc(tmp_path, base_doc(hdim=8, objects=CENTRE_OBJECTS, commands=["centre"]))
+    out = str(tmp_path / "r.json")
+    assert run_scenario(path, out) == 0  # warm-up
+    tracemalloc.start()
+    try:
+        code = run_scenario(path, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("emit", ["dims", "full"])
+@pytest.mark.parametrize("golden", GOLDENS, ids=lambda p: p.stem)
+def test_goldens_reproduce_across_processes(tmp_path, golden, emit):
+    # str hashes are salted per process: a report that followed the order of
+    # a set or a hash-keyed table would differ between the two seeds
+    want = tmp_path / "in_process.json"
+    assert run_scenario(str(golden), str(want), emit_bases=emit) == 0
+    for seed in ("0", "1"):
+        out = tmp_path / f"hashseed{seed}.json"
+        argv = [sys.executable, "-m", "vncat", "--input", str(golden), "--output", str(out)]
+        argv += ["--emit-bases", emit]
+        assert subprocess.run(argv, env=src_env(PYTHONHASHSEED=seed)).returncode == 0
+        assert out.read_bytes() == want.read_bytes()
 
 
 def test_causality_golden_report(tmp_path):
