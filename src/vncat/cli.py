@@ -21,6 +21,10 @@ split at its holes (``_layout``): a net's echoed cone list (``_ConeEcho``),
 filled in by one format call, and each basis stack of ``--emit-bases full``
 (``MatrixJson``), rendered from its array one innermost row at a time.
 Each is written at its place, never joined into the rest of the report.
+The writer emits ASCII bytes to a binary handle, and a basis stack goes
+out in writes of at most ``_CHUNK`` pieces (rows and the separators between
+them), so no stack's text is ever held or encoded whole and a ``full``
+run's memory does not grow with its report text.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .scenario import Scenario, ScenarioError, _valid_tol, load_scenario
 __all__ = ["main", "run_scenario"]
 
 _DEFAULT_TOL = 1e-9
+_CHUNK = 1024  # holder pieces joined per write: about 0.7 MB of an hdim-7 basis stack
 _EMIT_BASES = ("none", "dims", "full")
 
 
@@ -214,11 +219,13 @@ _RUNNERS = {
 class MatrixJson:
     """Stands in a report for ``_matrix_json(mats)``: one matrix, or a stack of them.
 
-    ``text`` renders it from the array, one innermost row at a time, between
-    the layout pieces of a skeleton of the same rank.  Full-basis stacks are
-    matrix units tensored with hidden blocks, so nearly all their entries
-    are an exact ``0+0j``: every all-zero row shares one text, and distinct
-    values are sorted and formatted only among the non-zero parts.
+    ``pieces`` renders it from the array as ASCII bytes, one innermost row
+    at a time, between the layout pieces of a skeleton of the same rank:
+    the head, the rows and the separators between them, and the tail.
+    Full-basis stacks are matrix units tensored with hidden blocks, so
+    nearly all their entries are an exact ``0+0j``: every all-zero row is
+    one shared object, and distinct values are sorted and formatted only
+    among the non-zero parts.
     """
 
     __slots__ = ("mats",)
@@ -226,15 +233,15 @@ class MatrixJson:
     def __init__(self, mats):
         self.mats = np.asarray(mats, dtype=np.complex128)
 
-    def text(self, level: int) -> str:
-        """The value's indented JSON, nested ``level`` deep."""
+    def pieces(self, level: int) -> list:
+        """The value's indented JSON, nested ``level`` deep, as a list of ASCII bytes."""
         m = self.mats
         if m.size == 0:
-            return _text(m.real.tolist(), level)  # no leaves, so the text of _matrix_json(m)
+            return [_text(m.real.tolist(), level).encode("ascii")]  # no leaves: _matrix_json(m)
         # The skeleton's pieces: the head, the text inside an entry, the
         # text between two entries where w trailing axes wrap (piece
         # 2**(w + 1), since entry 2**w is the first such), and the tail.
-        pieces = _layout(_stack_of, m.ndim, level)
+        pieces = [p.encode("ascii") for p in _layout(_stack_of, m.ndim, level)]
         seps = [pieces[2 ** (w + 1)] for w in range(m.ndim)]
         # Parts are keyed by their bit patterns, so -0.0 and NaN payloads
         # stay apart from +0.0 and from each other.  A part whose bits are 0
@@ -255,8 +262,9 @@ class MatrixJson:
         code = np.zeros(entry_code.shape, dtype=np.intp)
         code[nonzero] = entry_inv + 1
         # each distinct float gets the stdlib's own text (NaN and Infinity
-        # included), each distinct entry one leaf string
-        words = np.array(["0.0", *map(_float_text, floats.view(np.float64).tolist())], dtype=object)
+        # included), each distinct entry one leaf
+        texts = [_float_text(x).encode("ascii") for x in floats.view(np.float64).tolist()]
+        words = np.array([b"0.0", *texts], dtype=object)
         re_word, im_word = np.divmod(np.concatenate([[0], entries]), radix)
         leaves = words[re_word] + pieces[1] + words[im_word]
         # Between rows r and r + 1, w counts the last axis and each product
@@ -267,7 +275,7 @@ class MatrixJson:
             period *= size
             wraps[period - 1 :: period] += 1
         # a row is its leaves joined by the w = 0 separator; every all-zero
-        # row is one shared string (assigned as a scalar, so not copied)
+        # row is one shared object (assigned as a scalar, so not copied)
         text = np.empty(2 * len(live) + 1, dtype=object)
         text[0] = pieces[0]
         rows = text[1::2]
@@ -275,13 +283,13 @@ class MatrixJson:
         rows[live] = [seps[0].join(row) for row in leaves[code].tolist()]
         text[2:-1:2] = np.array(seps, dtype=object)[wraps]
         text[-1] = pieces[-1]
-        return "".join(text.tolist())
+        return text.tolist()
 
 
 class _ConeEcho:
     """Stands in a report for the net's echoed cone list.
 
-    ``text`` joins one cone layout per count of generator names into the
+    ``pieces`` joins one cone layout per count of generator names into the
     list's frame and fills them by one format call, with each coordinate's
     ``int.__repr__`` and each name's ``encode_basestring_ascii``.
     """
@@ -291,10 +299,10 @@ class _ConeEcho:
     def __init__(self, cones: list):
         self.cones = cones
 
-    def text(self, level: int) -> str:
-        """The list's indented JSON, nested ``level`` deep."""
+    def pieces(self, level: int) -> list:
+        """The list's indented JSON, nested ``level`` deep, as one piece of ASCII bytes."""
         if not self.cones:
-            return "[]"
+            return [b"[]"]
         counts = [len(c["generators"]) for c in self.cones]
         layouts = {k: "%s".join(_layout(_cone_of, k, level + 1)) for k in set(counts)}
         args = []
@@ -302,7 +310,8 @@ class _ConeEcho:
             args += map(int.__repr__, c["lo"] + c["hi"])
             args += map(encode_basestring_ascii, c["generators"])
         head, sep, tail = _layout(_stack_of, 0, level)
-        return (head + sep.join(map(layouts.__getitem__, counts)) + tail) % tuple(args)
+        text = (head + sep.join(map(layouts.__getitem__, counts)) + tail) % tuple(args)
+        return [text.encode("ascii")]
 
 
 def _echo(normalized: dict) -> dict:
@@ -314,13 +323,14 @@ def _echo(normalized: dict) -> dict:
 
 
 def _write_report(report: dict, write) -> None:
-    """Write ``json.dumps(report, indent=2) + "\\n"``, each holder as what it stands for.
+    """Write ``json.dumps(report, indent=2) + "\\n"`` as ASCII bytes, each holder as what it stands for.
 
     One walk of the report collects its text in a list.  At each holder the
-    text so far goes to ``write``, then the holder's own text, so a basis
-    text is never joined into the rest.
+    text so far goes to ``write``, then the holder's own pieces, at most
+    ``_CHUNK`` of them joined per call, so a basis stack's text is never
+    held whole.  A report without holders is one call.
     """
-    write(_text(report, 0, write) + "\n")
+    write((_text(report, 0, write) + "\n").encode("ascii"))
 
 
 def _float_text(x: float) -> str:
@@ -382,7 +392,7 @@ def _encode(value, level: int, out: list, write) -> None:
 
     A report holds the exact scalar types of ``_SCALAR_TEXT``, lists, dicts
     with str keys and the two holders, and each gets the stdlib encoder's
-    text.  A holder's text is written straight to ``write``, after what
+    text.  A holder's pieces are written straight to ``write``, after what
     ``out`` has collected so far.  Anything else raises TypeError.
     """
     text = _SCALAR_TEXT.get(type(value))
@@ -412,9 +422,11 @@ def _encode(value, level: int, out: list, write) -> None:
             prefix = "," + nl
         out.append(nl[:-2] + "}")
     elif type(value) in (MatrixJson, _ConeEcho):
-        write("".join(out))
+        write("".join(out).encode("ascii"))
         out.clear()
-        write(value.text(level))
+        pieces = value.pieces(level)
+        for i in range(0, len(pieces), _CHUNK):
+            write(b"".join(pieces[i : i + _CHUNK]))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -428,7 +440,7 @@ def _write_over(fd: int, report: dict) -> None:
             os.lseek(fd, old - 1, os.SEEK_SET)
             os.write(fd, b"\0")
             os.lseek(fd, 0, os.SEEK_SET)
-        with open(fd, "w", encoding="utf-8", closefd=False) as fh:
+        with open(fd, "wb", closefd=False) as fh:
             _write_report(report, fh.write)
     except BaseException:
         if old is not None:
@@ -490,7 +502,9 @@ def run_scenario(
     }
     try:
         if output_path is None:
-            _write_report(report, sys.stdout.write)
+            sys.stdout.flush()  # what was printed before goes first
+            _write_report(report, sys.stdout.buffer.write)
+            sys.stdout.buffer.flush()
         else:
             # no O_TRUNC: an old report's blocks are written over, not freed and allocated again
             fd = os.open(output_path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)

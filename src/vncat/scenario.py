@@ -453,6 +453,19 @@ def parse_scenario(doc) -> Scenario:
             message = f"needs over {_MAX_ENTRIES} complex entries (1 GiB)"
             raise ScenarioError(max(blame, key=blame.get), message)
 
+    # cstar-check whiskers each generator by the universe's largest object,
+    # up to an n x n matrix with n that object's dim times the largest
+    # generator side; its SVD takes ~n^3 time, charged as n^3 / 16 entries,
+    # so n <= 1024 passes
+    if "cstar-check" in raw_commands:
+        big = max(uni_objs.values(), key=lambda o: o.dim)
+        n = big.dim * max(map(max, shapes))
+        _expect(
+            n**3 // 16 <= _MAX_ENTRIES,
+            f"$.objects[{list(by_name).index(big.name)}].dim",
+            f"cstar-check whiskers a generator into a {n} x {n} matrix, past the size budget",
+        )
+
     return Scenario(
         ctx=ctx,
         tol=tol,

@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +33,9 @@ def place(leaf, path):
 
 
 def assert_matrix_text(m, path):
-    out = io.StringIO()
+    out = io.BytesIO()
     _write_report(place(MatrixJson(m), path), out.write)
-    assert out.getvalue() == json.dumps(place(_matrix_json(m), path), indent=2) + "\n"
+    assert out.getvalue() == (json.dumps(place(_matrix_json(m), path), indent=2) + "\n").encode()
 
 
 def report_text(tmp_path, doc, emit):
@@ -94,6 +95,32 @@ def test_full_bases_sized_report_has_stdlib_layout(tmp_path):
     # the report exercises the shared zero-row text
     zero_rows = (stack == 0).all(axis=(-2, -1))
     assert zero_rows.mean() > 0.9 and not zero_rows.all()
+
+
+def test_full_report_is_never_held_whole(tmp_path):
+    # the full_bases/h7 shape: a 20 MB report, nearly all of it basis stacks
+    objects = [{"name": "I", "dim": 1}, {"name": "X2", "dim": 2}, {"name": "X3", "dim": 3}]
+    diagonal = np.diag([1.25, 2.5, 1.25, 1.25, 2.5, 1.25, 2.5])  # values repeated 4 and 3 times
+    doc = {
+        "schema": 1,
+        "hdim": 7,
+        "objects": objects,
+        "generators": [{"name": "d", "dom": "I", "cod": "I", "matrix": diagonal.tolist()}],
+        "commands": ["commutant"],
+    }
+    src = tmp_path / "scenario.json"
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert run_scenario(str(src), str(out), emit_bases="full") == 0  # warm-up
+    tracemalloc.start()
+    try:
+        code = run_scenario(str(src), str(out), emit_bases="full")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert code == 0 and size > 2**24
+    assert peak < size / 2
 
 
 def test_scenario_strings_cannot_forge_markers(tmp_path):
@@ -290,9 +317,9 @@ def test_holders_at_mixed_depths_match_stdlib():
         ({"m": MatrixJson(rank2), "net": {"cones": _ConeEcho(cones)}},
          {"m": _matrix_json(rank2), "net": {"cones": cones}}),
     ]:
-        out = io.StringIO()
+        out = io.BytesIO()
         _write_report(tree, out.write)
-        assert out.getvalue() == json.dumps(want, indent=2) + "\n"
+        assert out.getvalue() == (json.dumps(want, indent=2) + "\n").encode()
 
 
 def test_write_report_frees_every_stack():
@@ -300,7 +327,7 @@ def test_write_report_frees_every_stack():
     start = sys.getrefcount(stack)
     gc.disable()
     try:
-        _write_report({"bases": [MatrixJson(stack), MatrixJson(stack)]}, io.StringIO().write)
+        _write_report({"bases": [MatrixJson(stack), MatrixJson(stack)]}, io.BytesIO().write)
         assert sys.getrefcount(stack) == start
     finally:
         gc.enable()
@@ -314,7 +341,7 @@ def test_write_report_leaves_no_cycles():
     gc.collect()
     gc.disable()
     try:
-        _write_report(report, io.StringIO().write)
+        _write_report(report, io.BytesIO().write)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -334,9 +361,9 @@ TREES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(tree=TREES)
 def test_writer_matches_stdlib_on_any_tree(tree):
-    out = io.StringIO()
+    out = io.BytesIO()
     _write_report(tree, out.write)
-    assert out.getvalue() == json.dumps(tree, indent=2) + "\n"
+    assert out.getvalue() == (json.dumps(tree, indent=2) + "\n").encode()
 
 
 @pytest.mark.parametrize(
@@ -349,7 +376,7 @@ def test_writer_rejects_what_stdlib_rejects(bad):
     with pytest.raises(TypeError) as stdlib:
         json.dumps(doc, indent=2)
     with pytest.raises(TypeError) as ours:
-        _write_report(doc, io.StringIO().write)
+        _write_report(doc, io.BytesIO().write)
     assert str(ours.value) == str(stdlib.value)
 
 
@@ -365,7 +392,7 @@ class Label(str):
 def test_writer_rejects_what_a_report_cannot_hold(bad):
     # the stdlib writes the first four; no report holds any of them
     with pytest.raises(TypeError):
-        _write_report({"ok": [1, "two"], "bad": [bad]}, io.StringIO().write)
+        _write_report({"ok": [1, "two"], "bad": [bad]}, io.BytesIO().write)
 
 
 def test_numpy_tol_writes_the_same_report(tmp_path):

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -466,7 +467,7 @@ def test_failed_write_leaves_an_empty_file(tmp_path, monkeypatch, capsys):
     out.write_bytes(fresh_report(tmp_path, "full"))
 
     def part_then_fail(report, write):
-        write(new[: len(new) // 2].decode())
+        write(new[: len(new) // 2])
         raise OSError("disk gone")
 
     monkeypatch.setattr(cli, "_write_report", part_then_fail)
@@ -480,7 +481,7 @@ import io, os, signal, sys
 from vncat import cli
 
 def head_then_die(report, write):
-    text = io.StringIO()
+    text = io.BytesIO()
     real(report, text.write)
     write(text.getvalue()[:40])  # past the tol
     write.__self__.flush()
@@ -504,6 +505,36 @@ def test_run_killed_mid_write_leaves_no_report_that_parses(tmp_path):
         json.loads(mixed)
     # but for its last byte, it would pass for a report with the new tol
     assert json.loads(mixed[:-1])["tol"] == 1e-8
+
+
+def cstar_doc(dim):
+    """cstar-check of a unit flip at hdim 2, whiskered by an object of ``dim``."""
+    objects = [{"name": "I", "dim": 1}, {"name": "A", "dim": dim}]
+    gens = [{"dom": "I", "cod": "I", "matrix": [[0, 1], [1, 0]]}]
+    return base_doc(objects=objects, generators=gens, commands=["cstar-check"])
+
+
+def test_cstar_check_past_the_size_budget_exits_2(tmp_path, capsys):
+    # a 6000 x 6000 whisker: its SVD would run for minutes
+    start = time.perf_counter()
+    assert run_scenario(write_doc(tmp_path, cstar_doc(3000)), str(tmp_path / "r.json")) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err == "scenario error: $.objects[1].dim: cstar-check whiskers a generator into a 6000 x 6000 matrix, past the size budget\n"
+
+
+def test_cstar_check_size_budget_stops_at_1024():
+    parse_scenario(cstar_doc(512))  # n = 1024
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(cstar_doc(513))
+    assert exc.value.path == "$.objects[1].dim"
+
+
+def test_cstar_check_within_the_size_budget_runs(tmp_path):
+    out = tmp_path / "r.json"
+    assert run_scenario(write_doc(tmp_path, cstar_doc(300)), str(out)) == 0
+    (result,) = json.loads(out.read_text())["results"]
+    assert result["command"] == "cstar-check" and result["pass"] is True
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 5.0, float("nan"), "abc", 10**400])
@@ -847,6 +878,17 @@ def test_goldens_reproduce_across_processes(tmp_path, golden, emit):
         argv += ["--emit-bases", emit]
         assert subprocess.run(argv, env=src_env(PYTHONHASHSEED=seed)).returncode == 0
         assert out.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("emit", ["none", "dims", "full"])
+@pytest.mark.parametrize("golden", GOLDENS, ids=lambda p: p.stem)
+def test_stdout_through_a_pipe_matches_the_report_file(tmp_path, golden, emit):
+    out = tmp_path / "report.json"
+    code = main(["--input", str(golden), "--output", str(out), "--emit-bases", emit])
+    argv = [sys.executable, "-m", "vncat", "--input", str(golden), "--emit-bases", emit]
+    run = subprocess.run(argv, env=src_env(), stdout=subprocess.PIPE)
+    assert run.returncode == code
+    assert run.stdout == out.read_bytes()
 
 
 def test_causality_golden_report(tmp_path):
