@@ -48,6 +48,8 @@ __all__ = [
     "central_factor",
     "central_defect",
     "cstar_residuals",
+    "cstar_submult",
+    "cstar_arrow_residuals",
     "arrow_close",
 ]
 
@@ -293,16 +295,19 @@ def central_defect(f: Arrow) -> float:
 
 
 def cstar_residuals(s: Arrow, t: Arrow, a: Obj) -> dict[str, float]:
-    """Numerical defects of the C*-identities for composable s, t.
+    """The C*-identity defects of composable s, t, zero in exact arithmetic: the pair's, then s's own."""
+    return {"submult": cstar_submult(s, t), **cstar_arrow_residuals(s, a)}
 
-    submult: max(0, ||s.t|| - ||s||*||t||); cstar_id: | ||s*.s|| - ||s||^2 |;
-    whisker_*_norm: | ||a (x) s|| - ||s|| | and | ||s (x) a|| - ||s|| |.
-    All are zero in exact arithmetic.
-    """
+
+def cstar_submult(s: Arrow, t: Arrow) -> float:
+    """max(0, ||s.t|| - ||s||*||t||) for composable s, t."""
+    return max(0.0, compose(s, t).norm() - s.norm() * t.norm())
+
+
+def cstar_arrow_residuals(s: Arrow, a: Obj) -> dict[str, float]:
+    """s's own defects: cstar_id | ||s*.s|| - ||s||^2 |; whisker_*_norm | ||a (x) s|| - ||s|| | per side."""
     ns = s.norm()
-    nt = t.norm()
     return {
-        "submult": max(0.0, compose(s, t).norm() - ns * nt),
         "cstar_id": abs(compose(dagger(s), s).norm() - ns * ns),
         "whisker_left_norm": abs(whisker_left(a, s).norm() - ns),
         "whisker_right_norm": abs(whisker_right(s, a).norm() - ns),

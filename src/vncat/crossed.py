@@ -397,8 +397,6 @@ def crossed_product(
     cc = CrossedContext(universe.ctx, rep.group)
     group, h = rep.group, cc.base.hdim
     gens = list(gens) + [Arrow(unit_obj(), unit_obj(), cc.base, np.eye(h))]
-    if any(f.ctx != cc.base for f in gens):
-        raise ValueError("arrow context differs from the crossed base context")
 
     def orbit(fs, h):  # generator-major, then g, then block: the order the QR chunks follow
         return np.concatenate([_twist(rep._stack, _blocks([f], h)).reshape(-1, h, h) for f in fs])

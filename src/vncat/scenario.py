@@ -4,13 +4,13 @@ A scenario is a single JSON object.  Complex numbers are encoded as
 ``[re, im]`` pairs (bare reals are accepted on input and normalized), and
 matrices as row-major nested lists.  ``parse_scenario`` validates the whole
 document and raises ScenarioError with a path like ``generators[2].matrix``
-pointing at the offending field, also when the engine's arrays would pass
-2**26 complex entries or a net checked for causality has over 2**21 cone
-pairs; ``load_scenario`` raises it at ``$`` for a file it cannot read,
-decode or parse.  ``Scenario.normalized`` is the canonical dict echoed into
-reports, written section by section as each is validated, and a fixed
-point: parsing it gives it back.  This module writes no report text; the
-echoed matrices are ``[re, im]`` lists from ``_matrix_json``.
+pointing at the offending field, also when a command would cost more than
+2**26 complex entries (``_cost_table``); ``load_scenario`` raises it at
+``$`` for a file it cannot read, decode or parse.  ``Scenario.normalized``
+is the canonical dict echoed into reports, written section by section as
+each is validated, and a fixed point: parsing it gives it back.  This
+module writes no report text; the echoed matrices are ``[re, im]`` lists
+from ``_matrix_json``.
 
 The generator matrices, the rep matrices and the net's cones are checked
 whole-array: one set of types and of lengths per nesting level, then one
@@ -55,9 +55,7 @@ COMMANDS = (
 _NEEDS_GENERATORS = {"cstar-check", "covariance"}
 _NEEDS_REP = {"crossed-product", "covariance"}
 _NEEDS_NET = {"causality"}
-_ALLOCATING = {"centre", "commutant", "double-commutant", "vn-check", "endo-algebra", "crossed-product"}
-_MAX_ENTRIES = 2**26  # complex entries the engine may hold: 1 GiB
-_MAX_CONE_PAIRS = 2**21  # cone pairs causality may compare: 2,048 cones
+_MAX_ENTRIES = 2**26  # what one command may cost, in complex entries: 1 GiB
 
 
 class ScenarioError(ValueError):
@@ -82,7 +80,7 @@ class Scenario:
     normalized: dict
 
 
-def load_scenario(path: str) -> Scenario:
+def load_scenario(path: str, emit_bases: str = "full") -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -90,7 +88,7 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError("$", f"cannot read scenario file: {e}") from None
     except (ValueError, RecursionError) as e:  # not JSON, not UTF-8 or nested too deeply
         raise ScenarioError("$", f"not valid JSON: {e}") from None
-    return parse_scenario(doc)
+    return parse_scenario(doc, emit_bases)
 
 
 def _expect(cond: bool, path: str, message: str):
@@ -266,8 +264,47 @@ def _matrix_json(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
-def parse_scenario(doc) -> Scenario:
-    """Validate, build and echo each section of ``doc`` in one pass."""
+def _cost_table(h: int, universe: dict, objects: dict, shapes: list, order: int, cones: int, full: bool):
+    """Each command's cost terms: (JSON path, complex entries, the message that rejects it).
+
+    ``universe`` maps names to the universe's objects, ``objects`` to all of
+    them in document order.  A term is what the command holds, or n**3 // 16
+    for each n x n SVD or QR it runs.  A row lists its terms from the fewest
+    sizes they grow with to the most, so the first past ``_MAX_ENTRIES``
+    names the field to blame.
+    """
+    widest = max(universe.values(), key=lambda o: o.dim)
+    obj = f"$.objects[{list(objects).index(widest.name)}].dim"
+    n = widest.dim * max(map(max, shapes), default=0)  # the widest whisker's side
+    stacks = sum(o.dim**2 for o in universe.values()) ** 2 * h**4  # every hom's dense basis stack
+    text = 32 * full  # a stack written out: itself, and up to ~31 entries' bytes of text per entry
+    held = max(1, text)  # a stack the command holds, written out or not
+    products = order**3 * h**4  # the crossed product's |G| dim B <= |G| h^2 products, of side h |G|
+    over = f"needs over {_MAX_ENTRIES} complex entries (1 GiB)"
+    whiskered = f"cstar-check whiskers a generator into a {n} x {n} matrix, past the size budget"
+    paired = f"{cones} cones make over {_MAX_ENTRIES // 32} cone pairs"
+    chunk = max(4 * h**5, h**7 // 16)  # a hidden solve's QR chunk: h^3 + h^2 by h^2, from four h^5 stacks
+    solve = [("$.hdim", chunk, over)]
+    return {
+        "centre": [("$.hdim", max(chunk, h**8 // 16), over), (obj, held * stacks, over)],  # S': h - 1 chunks
+        "commutant": solve + [(obj, text * stacks, over)],
+        "double-commutant": solve + [(obj, text * stacks, over)],
+        "vn-check": solve,
+        "endo-algebra": [("$.hdim", max(chunk, text * h**4), over)],
+        "cstar-check": [(obj, sum((widest.dim * max(s)) ** 3 for s in shapes) // 16, whiskered)],
+        "crossed-product": solve
+        + [("$.group", held * products, over), (obj, text * order**3 * stacks, over)],
+        "covariance": [("$.group", sum(order * (order * max(s)) ** 3 for s in shapes) // 16, over)],
+        # 32 per cone pair (kernels, violation tuple); an interchange SVD of side m m' / h per generator pair
+        "causality": [
+            ("$.net.cones", 32 * (cones * (cones - 1) // 2), paired),
+            ("$.generators", sum(max(s) ** 3 for s in shapes) ** 2 // (16 * h**3), over),
+        ],
+    }
+
+
+def parse_scenario(doc, emit_bases: str = "full") -> Scenario:
+    """Validate, build and echo each section of ``doc`` in one pass, then charge its commands."""
     _expect(isinstance(doc, dict), "$", "scenario must be a JSON object")
     _expect(_is_int(doc.get("schema")) and doc["schema"] == 1, "$.schema", "must be the integer 1")
     hdim = _get_int(doc, "hdim", "$", minimum=1)
@@ -377,7 +414,6 @@ def parse_scenario(doc) -> Scenario:
             "table": [list(r) for r in group.table],
         }
 
-    rep = None
     raw_rep = doc.get("rep")
     if raw_rep is not None:
         _expect(group is not None, "$.rep", "requires a group section")
@@ -387,9 +423,8 @@ def parse_scenario(doc) -> Scenario:
             "must list one matrix per group element, in element order",
         )
         paths = [f"$.rep[{i}]" for i in range(len(raw_rep))]
-        mats = _parse_matrices(raw_rep, [(hdim, hdim)] * len(paths), paths)
-        rep = _built("$.rep", UnitaryRep, group, tuple(mats))
-        normalized["rep"] = _matrix_json(rep.mats)
+        rep_mats = _parse_matrices(raw_rep, [(hdim, hdim)] * len(paths), paths)
+        normalized["rep"] = _matrix_json(rep_mats)
 
     # causal net
     net = None
@@ -425,46 +460,19 @@ def parse_scenario(doc) -> Scenario:
         if cmd in _NEEDS_GENERATORS:
             _expect(bool(generators), p, f"command {cmd!r} needs a non-empty generators section")
         if cmd in _NEEDS_REP:
-            _expect(rep is not None, p, f"command {cmd!r} needs group and rep sections")
+            _expect(raw_rep is not None, p, f"command {cmd!r} needs group and rep sections")
         if cmd in _NEEDS_NET:
             _expect(net is not None, p, f"command {cmd!r} needs a net section")
     normalized["commands"] = list(raw_commands)
 
-    # each violating cone pair is a tuple in the causality report
-    if "causality" in raw_commands:
-        n = len(net.assignments)
-        _expect(
-            n * (n - 1) // 2 <= _MAX_CONE_PAIRS,
-            "$.net.cones",
-            f"{n} cones make over {_MAX_CONE_PAIRS} cone pairs",
-        )
+    order, cones = group.order if group else 1, len(net.assignments) if net else 0
+    costs = _cost_table(hdim, uni_objs, by_name, shapes, order, cones, emit_bases == "full")
+    for cmd in raw_commands:
+        for path, entries, message in costs[cmd]:
+            _expect(entries <= _MAX_ENTRIES, path, message)
 
-    # an upper bound, in exact ints, on the complex entries the engine holds:
-    # the universe's hom stacks and the hidden solve's chunk, with h^6 / 2 for
-    # centre, which caps its solve's ~h^8 time; the error names the factor
-    # that dominates
-    if _ALLOCATING.intersection(raw_commands):
-        side = sum(o.dim**2 for o in uni_objs.values()) ** 2
-        g3 = group.order**3 if "crossed-product" in raw_commands else 1
-        hpow = max(hdim**5, hdim**6 // 2 if "centre" in raw_commands else 0)
-        if max(side * hdim**4 * g3, hpow) > _MAX_ENTRIES:
-            big = list(by_name).index(max(uni_objs.values(), key=lambda o: o.dim).name)
-            blame = {f"$.objects[{big}].dim": side, "$.hdim": hpow, "$.group": g3}
-            message = f"needs over {_MAX_ENTRIES} complex entries (1 GiB)"
-            raise ScenarioError(max(blame, key=blame.get), message)
-
-    # cstar-check whiskers each generator by the universe's largest object,
-    # up to an n x n matrix with n that object's dim times the largest
-    # generator side; its SVD takes ~n^3 time, charged as n^3 / 16 entries,
-    # so n <= 1024 passes
-    if "cstar-check" in raw_commands:
-        big = max(uni_objs.values(), key=lambda o: o.dim)
-        n = big.dim * max(map(max, shapes))
-        _expect(
-            n**3 // 16 <= _MAX_ENTRIES,
-            f"$.objects[{list(by_name).index(big.name)}].dim",
-            f"cstar-check whiskers a generator into a {n} x {n} matrix, past the size budget",
-        )
+    # after the charges, as the homomorphism law alone takes |G|^2 products
+    rep = None if raw_rep is None else _built("$.rep", UnitaryRep, group, tuple(rep_mats))
 
     return Scenario(
         ctx=ctx,

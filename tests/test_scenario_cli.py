@@ -18,11 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vncat import Arrow, Context, LatticeBounds, ScenarioError, load_scenario, parse_scenario, run_scenario
-from vncat import Obj, ObjectUniverse, classical_commutant, cli, double_commutant, pair_swap_family, scenario
+from vncat import Obj, ObjectUniverse, classical_commutant, cli, cstar_residuals, double_commutant, pair_swap_family
+from vncat import cyclic_group, regular_rep, scenario, symmetric_group
 from vncat.category import unit_obj
 from vncat.commutant import HiddenAlgebra
 from vncat.cli import main
 
+category_module = importlib.import_module("vncat.category")
 commutant_module = importlib.import_module("vncat.commutant")
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDENS = sorted(GOLDEN_DIR.glob("*.json"))
@@ -535,6 +537,205 @@ def test_cstar_check_within_the_size_budget_runs(tmp_path):
     assert run_scenario(write_doc(tmp_path, cstar_doc(300)), str(out)) == 0
     (result,) = json.loads(out.read_text())["results"]
     assert result["command"] == "cstar-check" and result["pass"] is True
+
+
+def test_cstar_check_whiskers_each_generator_once(tmp_path, monkeypatch):
+    # 4 composable generators make 16 pairs; each generator is whiskered
+    # once, and the residuals are the maxima of cstar_residuals over the pairs
+    rng = np.random.default_rng(4)
+    mats = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+    gens = [{"dom": "I", "cod": "I", "matrix": np.stack([m.real, m.imag], -1).tolist()} for m in mats]
+    doc = dict(cstar_doc(40), generators=gens)
+    calls = []
+    whisker_left = category_module.whisker_left
+    monkeypatch.setattr(category_module, "whisker_left", lambda *a: calls.append(a) or whisker_left(*a))
+    out = tmp_path / "r.json"
+    assert run_scenario(write_doc(tmp_path, doc), str(out)) == 0
+    assert len(calls) == 4
+    sc = parse_scenario(doc)
+    whisk = max(sc.universe.objects, key=lambda o: o.dim)
+    pairs = [cstar_residuals(s, t, whisk) for s in sc.generators for t in sc.generators]
+    want = {k: max(res[k] for res in pairs) for k in pairs[0]}
+    assert json.loads(out.read_text())["results"][0]["max_residuals"] == want
+
+
+# Each command's cost row: a document just past the budget, the JSON path
+# that rejection names, and the document at the budget's edge.  A command
+# without a row fails test_every_command_has_a_cost_row.
+def at_hdim(cmd, h):
+    return base_doc(hdim=h, commands=[cmd])
+
+
+UNIT_GENERATOR = [{"dom": "I", "cod": "I", "matrix": [[1]]}]
+COST_ROWS = {
+    # h^8 / 16 for the h - 1 QR chunks of the S' solve of the h(h - 1) matrix units
+    "centre": (at_hdim("centre", 14), "$.hdim", at_hdim("centre", 13)),
+    # h^7 / 16 for one QR chunk of a hidden solve
+    "commutant": (at_hdim("commutant", 20), "$.hdim", at_hdim("commutant", 19)),
+    "double-commutant": (at_hdim("double-commutant", 20), "$.hdim", at_hdim("double-commutant", 19)),
+    "vn-check": (at_hdim("vn-check", 20), "$.hdim", at_hdim("vn-check", 19)),
+    "endo-algebra": (at_hdim("endo-algebra", 20), "$.hdim", at_hdim("endo-algebra", 19)),
+    # an n x n whisker's n^3 / 16, n = 1026 and 1024
+    "cstar-check": (cstar_doc(513), "$.objects[1].dim", cstar_doc(512)),
+    # the |G|^3 h^4 products at h = 1
+    "crossed-product": (
+        base_doc(**cyclic_doc(407), commands=["crossed-product"]),
+        "$.group",
+        base_doc(**cyclic_doc(406), commands=["crossed-product"]),
+    ),
+    # |G| SVDs of side |G| at h = 1, |G|^4 / 16
+    "covariance": (
+        base_doc(**cyclic_doc(182), generators=UNIT_GENERATOR, commands=["covariance"]),
+        "$.group",
+        base_doc(**cyclic_doc(181), generators=UNIT_GENERATOR, commands=["covariance"]),
+    ),
+    # 32 entries per cone pair
+    "causality": (base_doc(**unit_cones_doc(2049)), "$.net.cones", base_doc(**unit_cones_doc(2048))),
+}
+
+
+@pytest.mark.parametrize("cmd", scenario.COMMANDS)
+def test_every_command_has_a_cost_row(tmp_path, capsys, cmd):
+    over, path, edge = COST_ROWS[cmd]
+    assert over["commands"] == edge["commands"] == [cmd]
+    start = time.perf_counter()
+    assert run_scenario(write_doc(tmp_path, over), str(tmp_path / "r.json")) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith(f"scenario error: {path}: ")
+    parse_scenario(edge, "dims")
+
+
+def causality_pair_doc(side):
+    """causality of one generator of ``side`` at h = 1 on two spacelike cones."""
+    objects = [{"name": "I", "dim": 1}, {"name": "A", "dim": side}]
+    gens = [{"name": "a", "dom": "A", "cod": "A", "matrix": np.eye(side).tolist()}]
+    cones = [{"lo": [0, 2 * k], "hi": [1, 2 * k], "generators": ["a"]} for k in range(2)]
+    net = {"bounds": {"t": [0, 1], "x": [0, 2]}, "cones": cones}
+    return base_doc(hdim=1, objects=objects, generators=gens, net=net, commands=["causality"])
+
+
+def test_causality_charges_each_pair_of_generators(tmp_path, capsys):
+    # the generator's pair with itself is an SVD of side m^2, charged m^6 / 16
+    parse_scenario(causality_pair_doc(32), "dims")
+    assert run_scenario(write_doc(tmp_path, causality_pair_doc(33)), str(tmp_path / "r.json")) == 2
+    assert capsys.readouterr().err == "scenario error: $.generators: " + OVER_SIZE + "\n"
+
+
+def universe_doc(hdim, dims, commands=("commutant",)):
+    objects = [{"name": "I", "dim": 1}] + [{"name": f"X{d}", "dim": d} for d in dims]
+    return base_doc(hdim=hdim, objects=objects, commands=list(commands))
+
+
+@pytest.mark.parametrize(
+    "doc,path",
+    [
+        pytest.param(universe_doc(2, [3000]), "$.objects[1].dim", id="size-object-dim"),
+        pytest.param(universe_doc(2, [10**30]), "$.objects[1].dim", id="size-huge-object-dim"),
+        pytest.param(
+            universe_doc(4, [16, 24], ["commutant", "double-commutant", "endo-algebra"]),
+            "$.objects[2].dim",
+            id="dims-1-16-24",
+        ),
+    ],
+)
+def test_object_dims_are_charged_only_for_full_stacks(tmp_path, capsys, doc, path):
+    # under dims a commutant's hom dims are arithmetic, whatever the objects
+    scenario_path, out = write_doc(tmp_path, doc), tmp_path / "r.json"
+    assert run_scenario(scenario_path, str(out), emit_bases="full") == 2
+    assert capsys.readouterr().err == f"scenario error: {path}: {OVER_SIZE}\n"
+    start = time.perf_counter()
+    assert run_scenario(scenario_path, str(out), emit_bases="dims") == 0
+    assert time.perf_counter() - start < 1
+    sizes = {o["name"]: o["dim"] for o in doc["objects"]}
+    h2 = doc["hdim"] ** 2  # no generators: S' is all of End(H)
+    dims = json.loads(out.read_text())["results"][0]["dims"]
+    assert all(d["dim"] == sizes[d["dom"]] * sizes[d["cod"]] * h2 for d in dims)
+
+
+def test_s6_covariance_exits_2_before_checking_the_rep(tmp_path, capsys, monkeypatch):
+    # a 2.5 MB scenario: 720 SVDs of 720 x 720 matrices ran for minutes,
+    # and checking the rep's laws alone took most of a second
+    monkeypatch.setattr(scenario, "UnitaryRep", lambda *a: pytest.fail("the rep's laws were checked"))
+    g = symmetric_group(6)
+    group = {"elements": list(g.elements), "table": [list(r) for r in g.table]}
+    doc = base_doc(hdim=1, generators=UNIT_GENERATOR, group=group, rep=[[[1]]] * 720, commands=["covariance"])
+    path = write_doc(tmp_path, doc)
+    start = time.perf_counter()
+    assert run_scenario(path, str(tmp_path / "r.json")) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == "scenario error: $.group: " + OVER_SIZE + "\n"
+
+
+def random_cost_doc(rng, cmd):
+    """A small random scenario that runs ``cmd``, with a dagger-closed generator set."""
+    h = int(rng.integers(1, 6))
+    dims = [1] + sorted(rng.choice([2, 3, 4, 5], size=int(rng.integers(0, 3)), replace=False).tolist())
+    objects = [{"name": f"X{i}", "dim": d} for i, d in enumerate(dims)]
+    gens = []
+    for k in range(int(rng.integers(1, 4))):
+        dom, cod = rng.choice(len(dims), size=2)
+        m = rng.standard_normal((dims[cod] * h, dims[dom] * h, 2))
+        gens.append({"name": f"g{k}", "dom": f"X{dom}", "cod": f"X{cod}", "matrix": m.tolist()})
+    doc = base_doc(hdim=h, objects=objects, generators=gens, dagger_close=True, commands=[cmd])
+    if cmd in ("crossed-product", "covariance"):
+        # C_n acting by the phases u(r^k) = diag(w^(k m_j))
+        n = int(rng.integers(2, 5))
+        phases = rng.integers(0, n, size=h)
+        rep = [np.diag(np.exp(2j * np.pi * k * phases / n)) for k in range(n)]
+        doc.update(cyclic_doc(n), hdim=h, rep=[np.stack([u.real, u.imag], -1).tolist() for u in rep])
+    if cmd == "causality":
+        net = unit_cones_doc(int(rng.integers(2, 40)))["net"]
+        for cone in net["cones"]:
+            cone["generators"] = [g["name"] for g in gens if rng.random() < 0.5]
+        doc["net"] = net
+    return doc
+
+
+def assert_estimate_bounds_the_peak(tmp_path, monkeypatch, doc, emit):
+    """The peak of a run is at most 16 bytes per entry of its command's charge, plus 1 MiB."""
+    (cmd,) = doc["commands"]
+    charged = []
+    table = scenario._cost_table
+    monkeypatch.setattr(scenario, "_cost_table", lambda *a: charged.append(table(*a)[cmd]) or table(*a))
+    path, out = write_doc(tmp_path, doc), str(tmp_path / "r.json")
+    assert run_scenario(path, out, emit_bases=emit) in (0, 1)  # warm-up
+    tracemalloc.start()
+    try:
+        run_scenario(path, out, emit_bases=emit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = max(entries for _, entries, _ in charged[-1])
+    assert peak <= 16 * estimate + 2**20, (emit, estimate, peak)
+
+
+@pytest.mark.parametrize("cmd", scenario.COMMANDS)
+def test_cost_estimate_bounds_the_peak_allocation(tmp_path, monkeypatch, cmd):
+    rng = np.random.default_rng(list(map(ord, cmd)))
+    for draw in range(6):
+        emit = ("none", "dims", "full")[draw % 3]
+        assert_estimate_bounds_the_peak(tmp_path, monkeypatch, random_cost_doc(rng, cmd), emit)
+
+
+def hermitian_unit_generator(rng, h):
+    m = rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
+    m += m.conj().T
+    return [{"dom": "I", "cod": "I", "matrix": np.stack([m.real, m.imag], -1).tolist()}]
+
+
+@pytest.mark.parametrize("cmd", ["commutant", "crossed-product"])
+def test_cost_estimate_bounds_a_dense_full_report(tmp_path, monkeypatch, cmd):
+    # a generic generator's S' is dense, and writing a dense basis stack
+    # takes about 31 times the stack's own bytes
+    rng = np.random.default_rng(7)
+    if cmd == "commutant":
+        doc = universe_doc(6, [4])
+        doc["generators"] = hermitian_unit_generator(rng, 6)
+    else:
+        rep = [u.real.tolist() for u in regular_rep(cyclic_group(4)).mats]
+        doc = base_doc(**dict(cyclic_doc(4), hdim=4, rep=rep), commands=[cmd])
+        doc["generators"] = hermitian_unit_generator(rng, 4)
+    assert_estimate_bounds_the_peak(tmp_path, monkeypatch, doc, "full")
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 5.0, float("nan"), "abc", 10**400])
