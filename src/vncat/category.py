@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, kron, operator_norm, operator_norms, relative, swap_perm
+from .linalg import as_matrix, kron, operator_norm, operator_norms, swap_perm, within
 
 __all__ = [
     "Context",
@@ -271,13 +271,13 @@ def pair_swap_family(ctx: Context) -> list[Arrow]:
 
 
 def _central_part(f: Arrow):
-    """(fhat, ||f - fhat (x) id_H||) for fhat the normalized trace of each hidden block.
+    """(fhat, f - fhat (x) id_H) for fhat the normalized trace of each hidden block.
 
     That fhat (x) id_H is the orthogonal projection of f onto the central slice.
     """
     h = f.ctx.hdim
     fhat = np.trace(f.blocks, axis1=2, axis2=3) / h
-    return fhat, operator_norm(f.mat - kron(fhat, np.eye(h)))
+    return fhat, f.mat - kron(fhat, np.eye(h))
 
 
 def central_factor(f: Arrow, tol: float = 1e-9):
@@ -285,13 +285,13 @@ def central_factor(f: Arrow, tol: float = 1e-9):
 
     fhat is returned when ``relative(central_defect(f), ||f||) <= tol``.
     """
-    fhat, defect = _central_part(f)
-    return fhat if relative(defect, f.norm()) <= tol else None
+    fhat, diff = _central_part(f)
+    return fhat if within(None, f.norm, tol, mats=diff) else None
 
 
 def central_defect(f: Arrow) -> float:
     """Operator-norm distance from f to the nearest fhat (x) id_H."""
-    return _central_part(f)[1]
+    return operator_norm(_central_part(f)[1])
 
 
 def cstar_residuals(s: Arrow, t: Arrow, a: Obj) -> dict[str, float]:
@@ -318,4 +318,4 @@ def arrow_close(f: Arrow, g: Arrow, tol: float = 1e-9) -> bool:
     """Same hom space and operator-norm distance within tol (relative)."""
     if f.ctx != g.ctx or f.dom != g.dom or f.cod != g.cod:
         return False
-    return bool(relative(operator_norm(f.mat - g.mat), max(f.norm(), g.norm())) <= tol)
+    return bool(within(None, lambda: max(f.norm(), g.norm()), tol, mats=f.mat - g.mat))

@@ -50,7 +50,7 @@ from .commutant import endo_algebra  # noqa: F401  (wrapped by bench/spans.py)
 from .causal import check_causality, check_isotony
 from .crossed import CrossedContext, covariance_residuals, crossed_product
 from .crossed import covariance_residual  # noqa: F401  (wrapped by bench/spans.py)
-from .linalg import relative
+from .linalg import within
 from .scenario import Scenario, ScenarioError, _valid_tol, load_scenario
 
 __all__ = ["main", "run_scenario"]
@@ -85,7 +85,7 @@ def _cmd_centre(sc: Scenario, tol: float, emit: str, hidden: HiddenAlgebra) -> d
     cat = commutant(family, sc.universe, tol)
     arrows = cat.all_arrows()
     defects = [central_defect(f) for f in arrows]
-    ok = all(relative(d, f.norm()) <= tol for d, f in zip(defects, arrows))
+    ok = all(within(d, f.norm, tol) for d, f in zip(defects, arrows))
     entry = {"command": "centre", "pass": ok, "max_factor_defect": max(defects, default=0.0)}
     return _attach_cat(entry, cat, emit)
 
@@ -127,14 +127,17 @@ def _cmd_cstar_check(sc: Scenario, tol: float, emit: str, hidden: HiddenAlgebra)
     gens = sc.generators
     pairs = [(s, t) for s in gens for t in gens if t.cod == s.dom]
     pairs = pairs or [(s, identity_arrow(s.dom, sc.ctx)) for s in gens]
-    norm = {f: f.norm() for f in set().union(*pairs)}
     whisk = max(sc.universe.objects, key=lambda o: o.dim)
     # a generator's own defects, whiskers included, once for each that leads a pair
     own = [cstar_arrow_residuals(s, whisk) for s in dict.fromkeys(s for s, _ in pairs)]
     worst = {"submult": max(cstar_submult(s, t) for s, t in pairs)}
     worst.update({k: max(res[k] for res in own) for k in own[0]})
-    scale = max(max(norm[s] * norm[t], norm[s] ** 2) for s, t in pairs)
-    ok = all(relative(w, scale) <= tol for w in worst.values())
+
+    def scale():
+        norm = {f: f.norm() for f in set().union(*pairs)}
+        return max(max(norm[s] * norm[t], norm[s] ** 2) for s, t in pairs)
+
+    ok = bool(within(list(worst.values()), scale, tol).all())
     return {"command": "cstar-check", "pass": ok, "max_residuals": worst}
 
 
@@ -148,10 +151,10 @@ def _cmd_crossed_product(sc: Scenario, tol: float, emit: str, hidden: HiddenAlge
 def _cmd_covariance(sc: Scenario, tol: float, emit: str, hidden: HiddenAlgebra) -> dict:
     cc = CrossedContext(sc.ctx, sc.group)
     worst = max(float(covariance_residuals(f, sc.rep, cc).max()) for f in sc.generators)
-    scale = max(f.norm() for f in sc.generators)
+    ok = within(worst, lambda: max(f.norm() for f in sc.generators), tol)
     return {
         "command": "covariance",
-        "pass": bool(relative(worst, scale) <= tol),
+        "pass": bool(ok),
         "max_residual": worst,
     }
 

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .category import Arrow, Context, Obj, block_view, dagger
-from .linalg import as_matrix, cut_rank, kron, nullspace, relative
+from .linalg import as_matrix, cut_rank, kron, nullspace, within
 
 __all__ = [
     "ObjectUniverse",
@@ -212,7 +212,7 @@ def _in_span(q: np.ndarray, vs: np.ndarray, tol: float) -> np.ndarray:
     The residual r = v - Q Q* v must satisfy ``relative(||r||, ||v||) <= tol``.
     """
     r = vs - q @ (q.conj().T @ vs)
-    return relative(np.linalg.norm(r, axis=0), np.linalg.norm(vs, axis=0)) <= tol
+    return within(np.linalg.norm(r, axis=0), lambda: np.linalg.norm(vs, axis=0), tol)
 
 
 def _spanned(span, mats, tol: float) -> np.ndarray:

@@ -21,6 +21,8 @@ residuals stay bit-identical to the conjugation formula.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -29,7 +31,7 @@ import numpy as np
 from .category import Arrow, Context, unit_obj
 from .commutant import FinPremonCat, HiddenAlgebra, ObjectUniverse, _blocks, _tensor_view
 from .commutant import double_commutant  # noqa: F401  (wrapped by bench/spans.py)
-from .linalg import as_matrix, batches, kron, operator_norm, operator_norms, relative
+from .linalg import as_matrix, batches, kron, operator_norms, within
 
 __all__ = [
     "FiniteGroup",
@@ -88,7 +90,11 @@ class FiniteGroup:
         lacking = np.flatnonzero(~inverts.any(axis=1))
         if lacking.size:
             raise ValueError(f"element {self.elements[lacking[0]]!r} has no inverse")
-        object.__setattr__(self, "_inverse", tuple(int(j) for j in inverts.argmax(axis=1)))
+        inverse = inverts.argmax(axis=1)
+        object.__setattr__(self, "_inverse", tuple(int(j) for j in inverse))
+        t.setflags(write=False)
+        object.__setattr__(self, "_table", t)
+        object.__setattr__(self, "_quotients", t[inverse])  # [g, k] = g^-1 k
         # Light's test: (x a) y = x (a y) for every x, y and every a of a
         # generating set makes the whole table associative, because the
         # elements a passing it are closed under multiplication
@@ -111,13 +117,16 @@ class FiniteGroup:
         return self._inverse[i]
 
     def index(self, g) -> int:
-        """Accepts an element label or an index; returns the index."""
+        """Accepts an element label or an integer index (a numpy integer too); returns the index."""
         if isinstance(g, str):
             try:
                 return self.elements.index(g)
             except ValueError:
                 raise ValueError(f"unknown group element {g!r}") from None
-        i = int(g)
+        # a bool has __index__ too, but True is no group element
+        if isinstance(g, (bool, np.bool_)) or not hasattr(g, "__index__"):
+            raise ValueError(f"group element must be a label or an integer index, not {g!r}")
+        i = operator.index(g)
         if not (0 <= i < self.order):
             raise ValueError(f"group element index {i} out of range")
         return i
@@ -207,26 +216,29 @@ class UnitaryRep:
 
     @np.errstate(over="ignore", invalid="ignore")  # the verdicts below handle inf and NaN
     def _check_laws(self):
-        """Unitarity, the identity, then the table row by row, first failure named."""
+        """Unitarity, the identity, then the table row by row, first failure named.
+
+        Each verdict is ``linalg.within``'s, so a valid rep takes no SVD; the
+        operator norms that scale the relative defects are taken only when
+        some defect is left open.
+        """
         stack, group = self._stack, self.group
         n, d = len(stack), self.hdim
         eye = np.eye(d)
-        # ord 2 over the last two axes is the operator norm of each matrix
-        norms = np.linalg.norm(stack, 2, axis=(-2, -1))
-        gram = stack.conj().transpose(0, 2, 1) @ stack - eye
-        # not (x <= 1e-10): the NaN defect of an overflowing product fails
-        bad = np.flatnonzero(~(relative(np.linalg.norm(gram, 2, axis=(-2, -1)), norms) <= 1e-10))
-        if bad.size:
+        norms = functools.cache(lambda: operator_norms(stack))
+        # each matrix's unitarity defect, then the identity's, whose scale is ||1|| = 1
+        first = np.concatenate([stack.conj().swapaxes(1, 2) @ stack, stack[group.identity, None]]) - eye
+        bad = np.flatnonzero(~within(None, lambda: np.append(norms(), 1.0), 1e-10, mats=first))
+        if bad.size and bad[0] < n:
             raise ValueError(f"matrix for {group.elements[bad[0]]!r} is not unitary")
-        if not operator_norm(stack[group.identity] - eye) <= 1e-10:
+        if bad.size:
             raise ValueError("identity element must map to the identity matrix")
-        table = np.array(group.table)
+        table = group._table
         for rows in batches(n, n * d * d):
             block = table[rows]
             diff = stack[rows, None] @ stack
             diff -= stack[block]
-            err = np.linalg.norm(diff, 2, axis=(-2, -1))
-            bad = np.flatnonzero(~(relative(err, norms[block]) <= 1e-10))
+            bad = np.flatnonzero(~within(None, lambda: norms()[block], 1e-10, mats=diff))
             if bad.size:
                 i, j = divmod(int(bad[0]), n)
                 raise ValueError(
@@ -351,11 +363,12 @@ def covariance_residuals(
     _check_crossed(f, rep, cc)
     group = cc.group
     n = group.order
-    picked = np.array(
-        [group.index(g) for g in (range(n) if elements is None else elements)], dtype=np.intp
-    )
+    if elements is None:
+        picked = np.arange(n)
+    else:
+        picked = np.array([group.index(g) for g in elements], dtype=np.intp)
     # [m, k] = g_m^-1 k: fibre k of the right side is fibre g_m^-1 k of pi(f)
-    src = np.array([group.table[group.inverse(g)] for g in picked], dtype=np.intp)
+    src = group._quotients[picked]
     fibres = _fibres(rep, f.blocks)
     out = np.empty(len(picked))
     for part in batches(len(picked), n * n * f.mat.size):
@@ -399,13 +412,15 @@ def crossed_product(
     gens = list(gens) + [Arrow(unit_obj(), unit_obj(), cc.base, np.eye(h))]
 
     def orbit(fs, h):  # generator-major, then g, then block: the order the QR chunks follow
-        return np.concatenate([_twist(rep._stack, _blocks([f], h)).reshape(-1, h, h) for f in fs])
+        parts = [_blocks([f], h) for f in fs]
+        twisted = _twist(rep._stack, np.concatenate(parts))  # g-major: one call for the orbit
+        ends = np.cumsum([len(p) for p in parts])[:-1]
+        return np.concatenate([t.reshape(-1, h, h) for t in np.split(twisted, ends, axis=1)])
 
     algebra = HiddenAlgebra(gens, cc.base, tol, orbit).checked(auto_close).bicommutant
     n, dim_b = group.order, len(algebra)
     # the algebra as one dim_b x 1 column of blocks: each enlarged matrix
     # splits row-wise into the dim_b matrices pi(b) lambda(g) of one g
     fibres = _fibres(rep, algebra[:, None]) / np.sqrt(n)
-    cols = np.array([group.table[group.inverse(g)] for g in range(n)])  # [g, k] = g^-1 k
-    products = _enlarged(fibres, cols).reshape(n * dim_b, cc.tilde.hdim, cc.tilde.hdim)
+    products = _enlarged(fibres, group._quotients).reshape(n * dim_b, cc.tilde.hdim, cc.tilde.hdim)
     return _tensor_view(ObjectUniverse(universe.objects, cc.tilde), products)

@@ -9,6 +9,10 @@ package: a singular value, residual or defect ``x`` of something of size
 ``scale`` is zero when ``relative(x, scale) <= tol``.  The cut is relative
 to the scale but never below ``tol``, so that a numerically zero matrix (say
 a constraint stack of rounding errors) reads as zero, not as structure.
+
+Rank cuts are owned by ``cut_rank``; every pass/fail verdict is owned by
+``within``, which decides ``relative(x, scale) <= tol`` from two exact
+bounds before it computes a scale or an operator norm.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ __all__ = [
     "operator_norm",
     "operator_norms",
     "relative",
+    "within",
     "cut_rank",
     "batches",
 ]
@@ -97,6 +102,48 @@ def batches(count: int, entries: int) -> list[slice]:
 def relative(x, scale):
     """``x / max(1, scale)``, elementwise: what tolerances are compared with."""
     return x / np.maximum(1.0, scale)
+
+
+def within(x, scale, tol: float, *, mats=None) -> np.ndarray:
+    """Elementwise ``relative(x, scale) <= tol``, computing only what two exact bounds leave open.
+
+    ``x`` is an array of defects, or None when the defects are the operator
+    norms of the ``(..., m, n)`` stack ``mats`` of defect matrices.
+    ``scale`` is an array that broadcasts against them, or a callable that
+    returns one; it is called only when the bounds leave a verdict open.
+
+    - (i) ``relative(x, s) <= x``, so a defect ``x <= tol`` passes whatever
+      its scale.
+    - (ii) ``||X||_2 <= ||X||_F``, so a defect matrix whose Frobenius norm is
+      at most ``tol / 2`` passes with no SVD.  The factor 1/2 keeps the
+      rounding of the two computed norms from flipping a verdict at the cut.
+
+    An SVD is taken only of the matrices (ii) leaves open, each giving the
+    value it gives in any batch; a certified matrix keeps its Frobenius
+    norm as its defect, which (i) then passes.  A defect matrix with a
+    non-finite entry fails, as does a NaN defect; an overflowing Frobenius
+    sum certifies nothing and leaves its matrix to the SVD.
+    """
+    if mats is None:
+        x = np.asarray(x, dtype=np.float64)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.asarray(np.linalg.norm(mats, axis=(-2, -1)))  # Frobenius: at least ||X||_2
+        # (ii): a Frobenius norm within tol / 2 stands for its operator norm; a
+        # NaN one (from a NaN entry) is left to fail
+        open_ = x > tol / 2
+        if open_.any():
+            left = mats[open_]
+            finite = np.isfinite(left).all(axis=(-2, -1))
+            norms = np.full(len(left), np.inf)
+            norms[finite] = operator_norms(left[finite])
+            x[open_] = norms
+    ok = x <= tol
+    if not ok.all():
+        s = scale() if callable(scale) else scale
+        with np.errstate(invalid="ignore"):  # inf / inf: an infinite defect fails
+            ok = ok | (relative(x, s) <= tol)
+    return ok
 
 
 def cut_rank(s: np.ndarray, tol: float) -> int:

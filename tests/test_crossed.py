@@ -160,6 +160,35 @@ def test_group_index_lookup():
         Z2.index(5)
 
 
+BAD_INDICES = [1.7, 1.0, np.float64(1.0), True, np.True_, None, 1 + 0j]
+
+
+def test_group_index_takes_integers_and_labels_only():
+    c3 = cyclic_group(3)
+    rep = regular_rep(c3)
+    cc = CrossedContext(Context(3), c3)
+    f = random_arrow(np.random.default_rng(8), I, I, cc.base)
+    for g in (2, np.int64(2), np.uint8(2), "r2"):
+        assert c3.index(g) == 2
+        assert_array_equal(rep.mat(g), rep.mats[2])
+        assert_array_equal(act(g, f, rep).mat, act(2, f, rep).mat)
+        assert_array_equal(lambda_embed(g, cc).mat, lambda_embed(2, cc).mat)
+    assert covariance_residuals(f, rep, cc, [np.int64(1), "r2"]).tolist() == covariance_residuals(
+        f, rep, cc
+    )[[1, 2]].tolist()
+    calls = [
+        c3.index,
+        rep.mat,
+        lambda g: act(g, f, rep),
+        lambda g: lambda_embed(g, cc),
+        lambda g: covariance_residuals(f, rep, cc, [g]),
+    ]
+    for g in BAD_INDICES:
+        for call in calls:
+            with pytest.raises(ValueError, match="label or an integer index"):
+                call(g)
+
+
 def test_rep_validation():
     UnitaryRep(Z2, (np.eye(2), SX))  # valid
     with pytest.raises(ValueError):
@@ -227,7 +256,7 @@ def padded_rep(group, d, rng):
     return tuple(mats)
 
 
-def test_rep_validation_matches_element_loop():
+def test_rep_validation_matches_element_loop(monkeypatch):
     r = np.random.default_rng(5)
     cases = [(group, conjugated_regular_rep(group, r).mats) for group in (cyclic_group(4), symmetric_group(3))]
     # reps of hdim 8: the regular rep padded with trivial summands
@@ -259,6 +288,67 @@ def test_rep_validation_matches_element_loop():
                 with pytest.raises(ValueError) as err:
                     UnitaryRep(group, tuple(mats))
                 assert str(err.value) == want
+    # defects at fixed multiples of the 1e-10 cut, made of a rank-one
+    # projection (Frobenius norm = operator norm) or of the identity
+    # (Frobenius norm = sqrt(d) operator norm): a rank-one defect at most
+    # half the cut passes by its Frobenius bound, every other by the SVD
+    svds = []
+    monkeypatch.setattr(linalg, "operator_norms", counted(linalg.operator_norms, svds))
+    taken = set()
+    for group, base in cases:
+        d = base[0].shape[0]
+        for c in (0.3, 0.49, 0.51, 0.99, 1.01, 3.0):
+            eps = c * 1e-10
+            v = random_unitary(r, d)[:, :1]
+            for proj in (v @ v.conj().T, np.eye(d)):
+                # a phase breaks only the table; a stretch by 1 + eps/2 breaks
+                # unitarity by eps + eps^2/4
+                for defect in (np.eye(d) + (np.exp(1j * eps) - 1) * proj, np.eye(d) + eps / 2 * proj):
+                    mats = list(base)
+                    k = int(r.integers(group.order))
+                    mats[k] = mats[k] @ defect
+                    want = rep_error_by_loop(group, mats)
+                    before = len(svds)
+                    if want is None:
+                        UnitaryRep(group, tuple(mats))
+                    else:
+                        with pytest.raises(ValueError) as err:
+                            UnitaryRep(group, tuple(mats))
+                        assert str(err.value) == want
+                    taken.add((want is None, len(svds) > before))
+    assert taken == {(True, False), (True, True), (False, True)}
+
+
+def counted(fn, calls):
+    """``fn``, appending its first argument to ``calls`` on each call."""
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+SVD_HOME = getattr(np.linalg, "_linalg", None) or importlib.import_module("numpy.linalg.linalg")
+
+
+def test_valid_reps_are_built_without_an_svd(monkeypatch):
+    svds = []
+    monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd, svds))
+    monkeypatch.setattr(SVD_HOME, "svd", counted(SVD_HOME.svd, svds))
+    r = np.random.default_rng(13)
+    for group in (cyclic_group(5), symmetric_group(3), symmetric_group(4)):
+        regular_rep(group)
+        trivial_rep(group, 3)
+        conjugated_regular_rep(group, r)
+        small_rep(group, r)
+    assert svds == []
+    # the same count sees the SVD of a rep whose defect the bound leaves open
+    mats = list(regular_rep(Z2).mats)
+    mats[1] = mats[1] * np.exp(3e-10j)
+    with pytest.raises(ValueError, match="table"):
+        UnitaryRep(Z2, tuple(mats))
+    assert svds
 
 
 def test_rep_validation_in_single_row_blocks_matches_element_loop(monkeypatch):
@@ -815,3 +905,32 @@ def test_covariance_and_crossed_product_skip_the_enlarged_embeddings(monkeypatch
         assert covariance_residual(g, f, rep, cc) <= 1e-10
     cat = crossed_product([f], rep, ObjectUniverse((I, X2), ctx), auto_close=True)
     assert cat.universe.ctx == cc.tilde
+
+
+@pytest.mark.parametrize("group", ["C3", "S3"])
+def test_crossed_product_orbit_is_per_generator_concatenation(group, monkeypatch):
+    # the orbit is twisted in one call, then put in generator, g, block
+    # order: the very array that a call per generator concatenates
+    solved = []
+    solve = commutant_module._hidden_commutant
+
+    def spied(blocks, *args):
+        solved.append(blocks)
+        return solve(blocks, *args)
+
+    monkeypatch.setattr(commutant_module, "_hidden_commutant", spied)
+    r = np.random.default_rng(14)
+    rep = conjugated_regular_rep(GROUPS[group], r)
+    ctx = Context(rep.hdim)
+    a, b = Obj("A", 2), Obj("B", 3)
+    sparse = np.zeros((3 * ctx.hdim, 2 * ctx.hdim), dtype=complex)
+    sparse[: ctx.hdim, ctx.hdim :] = random_matrix(r, ctx.hdim, ctx.hdim)  # one nonzero block of six
+    zero = Arrow(I, a, ctx, np.zeros((2 * ctx.hdim, ctx.hdim)))
+    gens = star_closure([random_arrow(r, I, I, ctx), random_arrow(r, a, b, ctx), Arrow(a, b, ctx, sparse), zero])
+    crossed_product(gens, rep, ObjectUniverse((I, a, b), ctx))
+    h = ctx.hdim
+    unit = Arrow(I, I, ctx, np.eye(h))
+    want = np.concatenate(
+        [crossed._twist(rep._stack, commutant_module._blocks([f], h)).reshape(-1, h, h) for f in [*gens, unit]]
+    )
+    assert np.array_equal(solved[0], want)

@@ -22,6 +22,7 @@ from vncat import Obj, ObjectUniverse, classical_commutant, cli, cstar_residuals
 from vncat import cyclic_group, regular_rep, scenario, symmetric_group
 from vncat.category import unit_obj
 from vncat.commutant import HiddenAlgebra
+from vncat.linalg import relative
 from vncat.cli import main
 
 category_module = importlib.import_module("vncat.category")
@@ -1440,3 +1441,70 @@ def test_vn_check_matches_the_classical_oracle(blocks, seed, kind, ends, offset)
     assert code == (0 if not want else 1)
     if kind == "closure":
         assert code == 0
+
+
+def scaled_doc(size, rng):
+    """hdim 3, objects I and A, a random f: I -> A of norm about ``size`` and its dagger, C3 by a conjugated rep."""
+    w = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    rep = [w @ m @ w.conj().T for m in regular_rep(cyclic_group(3)).mats]
+    f = size * (rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+    return base_doc(
+        hdim=3,
+        objects=[{"name": "I", "dim": 1}, {"name": "A", "dim": 2}],
+        generators=[
+            {"dom": "I", "cod": "A", "matrix": matrix_json(f)},
+            {"dom": "A", "cod": "I", "matrix": matrix_json(f.conj().T)},
+        ],
+        group={"elements": ["e", "r1", "r2"], "table": [[(i + j) % 3 for j in range(3)] for i in range(3)]},
+        rep=[matrix_json(m) for m in rep],
+    )
+
+
+TOL_SWEEP = np.geomspace(1e-16, 1e-2, 43).tolist()
+
+
+@pytest.mark.parametrize("size", [1e-2, 1.0, 1e5])
+def test_routed_command_verdicts_keep_the_relative_cut(size, monkeypatch):
+    # every tol of the sweep: the verdict is relative(x, s) <= tol with the
+    # scale the command had before its verdicts went through linalg.within;
+    # at size 1e5 some tols pass a residual only by its scale
+    sc = parse_scenario(scaled_doc(size, np.random.default_rng(int(size * 100))))
+    gens = sc.generators
+    norms = {f: f.norm() for f in gens}
+    seen = []
+    defect = cli.central_defect
+
+    def recorded(f):
+        seen.append(f)
+        return defect(f)
+
+    monkeypatch.setattr(cli, "central_defect", recorded)
+    by_scale = 0
+    for tol in TOL_SWEEP:
+        cov = cli._cmd_covariance(sc, tol, "none", None)
+        x = cov["max_residual"]
+        assert cov["pass"] == (relative(x, max(norms.values())) <= tol)
+        by_scale += cov["pass"] and x > tol
+        cstar = cli._cmd_cstar_check(sc, tol, "none", None)
+        pairs = [(s, t) for s in gens for t in gens if t.cod == s.dom]
+        scale = max(max(norms[s] * norms[t], norms[s] ** 2) for s, t in pairs)
+        assert cstar["pass"] == all(relative(w, scale) <= tol for w in cstar["max_residuals"].values())
+        by_scale += cstar["pass"] and max(cstar["max_residuals"].values()) > tol
+        seen.clear()
+        centre = cli._cmd_centre(sc, tol, "none", None)
+        assert centre["pass"] == all(relative(defect(f), f.norm()) <= tol for f in seen)
+    if size > 1e3:
+        assert by_scale > 0
+    if size < 1:  # every scale is below 1, so relative(x, s) is x itself
+        assert by_scale == 0
+
+
+def test_a_passing_covariance_reads_no_arrow_norm(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("read an arrow's norm")
+
+    monkeypatch.setattr(Arrow, "norm", refuse)
+    doc = dict(scaled_doc(1.0, np.random.default_rng(3)), commands=["covariance"])
+    out = tmp_path / "r.json"
+    assert run_scenario(write_doc(tmp_path, doc), str(out)) == 0
+    assert json.loads(out.read_text())["results"][0]["pass"] is True
