@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, kron, operator_norm, operator_norms, swap_perm, within
+from .linalg import as_integer, as_matrix, kron, operator_norm, operator_norms, swap_perm, within
 
 __all__ = [
     "Context",
@@ -61,6 +61,7 @@ class Context:
     hdim: int
 
     def __post_init__(self):
+        object.__setattr__(self, "hdim", as_integer(self.hdim, "hdim"))
         if self.hdim < 1:
             raise ValueError("hdim must be a positive integer")
 
@@ -73,6 +74,7 @@ class Obj:
     dim: int
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", as_integer(self.dim, f"object {self.name!r} dim"))
         if self.dim < 1:
             raise ValueError(f"object {self.name!r} needs dim >= 1")
 

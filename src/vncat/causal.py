@@ -22,7 +22,7 @@ whatever the blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from .category import Context, block_view, interchange_norms
 from .category import interchange_residuals  # noqa: F401  (wrapped by bench/spans.py)
 from .commutant import HomSubspace, group_by_hom, subspace_contains
-from .linalg import batches, operator_norms, relative
+from .linalg import as_integer, batches, operator_norms, relative, within
 
 __all__ = [
     "Event",
@@ -64,8 +64,9 @@ class DoubleCone:
     hi: Event
 
     def __post_init__(self):
-        lo = Event(int(self.lo[0]), int(self.lo[1]))
-        hi = Event(int(self.hi[0]), int(self.hi[1]))
+        (t0, x0), (t1, x1) = self.lo, self.hi
+        lo = Event(as_integer(t0, "cone coordinate t"), as_integer(x0, "cone coordinate x"))
+        hi = Event(as_integer(t1, "cone coordinate t"), as_integer(x1, "cone coordinate x"))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if not causal_leq(lo, hi):
@@ -80,6 +81,8 @@ class LatticeBounds:
     xmax: int
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, as_integer(getattr(self, f.name), f.name))
         if self.tmin > self.tmax or self.xmin > self.xmax:
             raise ValueError("empty lattice bounds")
 
@@ -274,6 +277,6 @@ def check_causality(net: CausalNet, tol: float = 1e-9) -> CausalityReport:
             k = int(tops.argmax())  # the first maximum, in combinations order
             if worst is None or tops[k] > worst[2]:
                 worst = (cone_of[ia[k]], cone_of[ib[k]], float(tops[k]))
-        bad = tops > tol
+        bad = ~within(tops, 1.0, tol)  # the residuals are relative already
         violations += zip(cone_of[ia[bad]].tolist(), cone_of[ib[bad]].tolist(), tops[bad].tolist())
     return CausalityReport(not violations, worst, tuple(violations))

@@ -42,10 +42,10 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .category import Arrow, central_defect, cstar_arrow_residuals, cstar_submult, identity_arrow
+from .category import central_defect, cstar_arrow_residuals, cstar_submult, identity_arrow
 from .commutant import FinPremonCat, HiddenAlgebra, _tensor_view, _vn_report
-from .commutant import commutant, span_category
-from .commutant import double_commutant, is_von_neumann  # noqa: F401  (wrapped by bench/spans.py)
+from .commutant import span_category
+from .commutant import commutant, double_commutant, is_von_neumann  # noqa: F401  (wrapped by bench/spans.py)
 from .commutant import endo_algebra  # noqa: F401  (wrapped by bench/spans.py)
 from .causal import check_causality, check_isotony
 from .crossed import CrossedContext, covariance_residuals, crossed_product
@@ -77,12 +77,12 @@ def _attach_cat(entry: dict, cat: FinPremonCat, emit: str) -> dict:
 
 
 def _cmd_centre(sc: Scenario, tol: float, emit: str, hidden: HiddenAlgebra) -> dict:
-    h, unit = sc.ctx.hdim, sc.universe.unit
-    units = np.eye(h * h).reshape(h, h, h, h)  # units[a, b] is the matrix unit E_ab
-    # pair_swap_family's S, not its h^4-entry arrows: for i < j, E_ji then E_ij as unit endos
-    ends = [p for i in range(h) for j in range(i + 1, h) for p in ((j, i), (i, j))]
-    family = [Arrow(unit, unit, sc.ctx, units[p]) for p in ends]
-    cat = commutant(family, sc.universe, tol)
+    h = sc.ctx.hdim
+    units = np.eye(h * h, dtype=np.complex128).reshape(h, h, h, h)  # units[a, b] is the matrix unit E_ab
+    # pair_swap_family's S, closed under dagger: for i < j, E_ji then E_ij
+    ends = np.array([p for i in range(h) for j in range(i + 1, h) for p in ((j, i), (i, j))], dtype=np.intp)
+    swaps = units[tuple(ends.reshape(-1, 2).T)]
+    cat = _tensor_view(sc.universe, HiddenAlgebra((), sc.ctx, tol, lambda *_: swaps).commutant)
     arrows = cat.all_arrows()
     defects = [central_defect(f) for f in arrows]
     ok = all(within(d, f.norm, tol) for d, f in zip(defects, arrows))
@@ -470,13 +470,13 @@ def run_scenario(
         # the generators' hidden algebra, shared by this run's commands alone
         hidden = HiddenAlgebra(sc.generators, sc.ctx, effective_tol)
         results = []
-        for cmd in sc.commands:
+        for i, cmd in enumerate(sc.commands):
             start = time.perf_counter()
             try:
                 entry = _RUNNERS[cmd](sc, effective_tol, emit_bases, hidden)
             except ValueError as e:
                 # engine-level input rejection (e.g. generators not dagger-closed)
-                raise ScenarioError(f"$.commands[{sc.commands.index(cmd)}]", str(e)) from None
+                raise ScenarioError(f"$.commands[{i}]", str(e)) from None
             if timings:
                 entry["wall_ms"] = round((time.perf_counter() - start) * 1e3, 3)
             results.append(entry)

@@ -300,8 +300,9 @@ class HiddenAlgebra:
     """The star-closed hidden blocks S of one generator set, with S' and S'' solved once each.
 
     ``blocks_of`` reads S from the generators and the daggers their spans
-    miss, whether or not ``checked`` lets the set through.  Each part is
-    computed when first read, and kept by this value alone.
+    miss (or returns a fixed star-closed S), whether or not ``checked`` lets
+    the set through.  Each part is computed when first read, and kept by
+    this value alone; every S' and S'' of the package is solved here.
     """
 
     def __init__(self, gens: Sequence[Arrow], ctx: Context, tol: float, blocks_of=_blocks):
@@ -388,7 +389,7 @@ def is_von_neumann(cat: FinPremonCat, tol: float = 1e-9) -> VnReport:
     homs = cat.homs.values()
     s = _nonzero([block_view(hom.mats, h) if hom.factor is None else hom.factor for hom in homs], h)
     s = np.concatenate([s, s.conj().transpose(0, 2, 1)])
-    return _vn_report(cat, _hidden_commutant(_hidden_commutant(s, h, tol), h, tol))
+    return _vn_report(cat, HiddenAlgebra((), cat.universe.ctx, tol, lambda *_: s).bicommutant)
 
 
 def _vn_report(cat: FinPremonCat, bicommutant: np.ndarray) -> VnReport:

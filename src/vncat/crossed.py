@@ -24,14 +24,14 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, repeat
 
 import numpy as np
 
 from .category import Arrow, Context, unit_obj
 from .commutant import FinPremonCat, HiddenAlgebra, ObjectUniverse, _blocks, _tensor_view
 from .commutant import double_commutant  # noqa: F401  (wrapped by bench/spans.py)
-from .linalg import as_matrix, batches, kron, operator_norms, within
+from .linalg import as_integer, as_matrix, batches, is_integer, kron, operator_norms, within
 
 __all__ = [
     "FiniteGroup",
@@ -65,7 +65,8 @@ class FiniteGroup:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "table", tuple(tuple(r) for r in self.table))
+        what = repeat("a multiplication table entry")
+        object.__setattr__(self, "table", tuple(tuple(map(as_integer, r, what)) for r in self.table))
         n = len(self.elements)
         if n == 0:
             raise ValueError("group needs at least one element")
@@ -123,8 +124,7 @@ class FiniteGroup:
                 return self.elements.index(g)
             except ValueError:
                 raise ValueError(f"unknown group element {g!r}") from None
-        # a bool has __index__ too, but True is no group element
-        if isinstance(g, (bool, np.bool_)) or not hasattr(g, "__index__"):
+        if not is_integer(g):
             raise ValueError(f"group element must be a label or an integer index, not {g!r}")
         i = operator.index(g)
         if not (0 <= i < self.order):
@@ -137,6 +137,7 @@ def trivial_group() -> FiniteGroup:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
+    n = as_integer(n, "a cyclic group's order")
     if n < 1:
         raise ValueError("cyclic group needs n >= 1")
     labels = tuple("e" if k == 0 else f"r{k}" for k in range(n))
@@ -146,6 +147,7 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 def symmetric_group(n: int) -> FiniteGroup:
     """Permutations of n points; composition applies the right factor first."""
+    n = as_integer(n, "a symmetric group's degree")
     if not 1 <= n <= 6:
         raise ValueError("symmetric group supported for 1 <= n <= 6")
     perms = np.array(sorted(permutations(range(n))), dtype=np.int64).reshape(-1, n)
@@ -265,10 +267,10 @@ def regular_rep(group: FiniteGroup) -> UnitaryRep:
 
 
 def _translation(group: FiniteGroup, g: int) -> np.ndarray:
+    """The permutation matrix of left multiplication by ``g``: a one at (g j, j) for every j."""
     n = group.order
     p = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        p[group.mul(g, j), j] = 1.0
+    p[group._table[g], np.arange(n)] = 1.0
     return p
 
 

@@ -13,14 +13,22 @@ a constraint stack of rounding errors) reads as zero, not as structure.
 Rank cuts are owned by ``cut_rank``; every pass/fail verdict is owned by
 ``within``, which decides ``relative(x, scale) <= tol`` from two exact
 bounds before it computes a scale or an operator norm.
+
+Inputs meet two rules: ``as_matrix`` for matrices, and ``is_integer`` for
+every integer (a dim, an endpoint, a table entry), which ``as_integer``
+stores as a Python int.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
 __all__ = [
     "as_matrix",
+    "is_integer",
+    "as_integer",
     "kron",
     "swap_perm",
     "nullspace",
@@ -44,6 +52,31 @@ def as_matrix(a) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def is_integer(v) -> bool:
+    """Whether ``v`` is an integer input: an int or a numpy integer, as ``operator.index`` takes, but no bool.
+
+    Floats, strings and None are no integers, even when they hold a whole number.
+    """
+    if type(v) is int:
+        return True
+    if isinstance(v, (bool, np.bool_)):
+        return False
+    try:
+        operator.index(v)
+    except TypeError:
+        return False
+    return True
+
+
+def as_integer(v, what: str) -> int:
+    """``v`` as a Python int when ``is_integer(v)``; otherwise a ValueError naming ``what``."""
+    if type(v) is int:
+        return v
+    if not is_integer(v):
+        raise ValueError(f"{what} must be an integer, not {v!r}")
+    return operator.index(v)
 
 
 def kron(a, b) -> np.ndarray:

@@ -28,6 +28,7 @@ Top-level keys:
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -37,6 +38,7 @@ from .category import Arrow, Context, Obj
 from .causal import CausalNet, DoubleCone, Event, LatticeBounds
 from .commutant import ObjectUniverse
 from .crossed import FiniteGroup, UnitaryRep
+from .linalg import is_integer
 
 __all__ = ["ScenarioError", "Scenario", "parse_scenario", "load_scenario", "COMMANDS"]
 
@@ -104,10 +106,6 @@ def _built(path: str, make, *args):
         raise ScenarioError(path, str(e)) from None
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -122,15 +120,16 @@ def _valid_tol(tol) -> bool:
 
 def _get_int(doc, key, path, minimum=None):
     v = doc.get(key)
-    _expect(_is_int(v), f"{path}.{key}", "must be an integer")
+    _expect(is_integer(v), f"{path}.{key}", "must be an integer")
+    v = operator.index(v)
     if minimum is not None:
         _expect(v >= minimum, f"{path}.{key}", f"must be >= {minimum}")
     return v
 
 
 def _int_pair(v, path, message) -> list:
-    _expect(isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)), path, message)
-    return v
+    _expect(isinstance(v, list) and len(v) == 2 and all(map(is_integer, v)), path, message)
+    return list(map(operator.index, v))
 
 
 def _parse_entry(v, path) -> complex:
@@ -306,7 +305,7 @@ def _cost_table(h: int, universe: dict, objects: dict, shapes: list, order: int,
 def parse_scenario(doc, emit_bases: str = "full") -> Scenario:
     """Validate, build and echo each section of ``doc`` in one pass, then charge its commands."""
     _expect(isinstance(doc, dict), "$", "scenario must be a JSON object")
-    _expect(_is_int(doc.get("schema")) and doc["schema"] == 1, "$.schema", "must be the integer 1")
+    _expect(is_integer(doc.get("schema")) and doc["schema"] == 1, "$.schema", "must be the integer 1")
     hdim = _get_int(doc, "hdim", "$", minimum=1)
     ctx = Context(hdim)
     normalized = {"schema": 1, "hdim": hdim}
@@ -404,7 +403,7 @@ def parse_scenario(doc, emit_bases: str = "full") -> Scenario:
         _expect(
             isinstance(table, list)
             and len(table) == n
-            and all(isinstance(r, list) and len(r) == n and all(map(_is_int, r)) for r in table),
+            and all(isinstance(r, list) and len(r) == n and all(map(is_integer, r)) for r in table),
             "$.group.table",
             f"must be a {n} x {n} table of element indices",
         )
@@ -453,10 +452,13 @@ def parse_scenario(doc, emit_bases: str = "full") -> Scenario:
         "$.commands",
         "must be a non-empty list",
     )
+    listed = set()  # a command's entry is deterministic, so a repeat would only run it again
     for i, cmd in enumerate(raw_commands):
         p = f"$.commands[{i}]"
         _expect(isinstance(cmd, str), p, "must be a command name")
         _expect(cmd in COMMANDS, p, f"unknown command {cmd!r}; known: {', '.join(COMMANDS)}")
+        _expect(cmd not in listed, p, f"duplicate command {cmd!r}")
+        listed.add(cmd)
         if cmd in _NEEDS_GENERATORS:
             _expect(bool(generators), p, f"command {cmd!r} needs a non-empty generators section")
         if cmd in _NEEDS_REP:

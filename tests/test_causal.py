@@ -193,6 +193,23 @@ def test_causality_scale_is_relative():
     assert check_causality(net, 1e-8).passed
 
 
+def test_causality_verdicts_at_the_cut_match_the_plain_comparison():
+    # the verdicts go through linalg.within at scale 1: at tol equal to a
+    # residual, and one ulp either side, the violations are those above tol
+    r = np.random.default_rng(3)
+    cones = [DoubleCone(Event(0, x), Event(1, x)) for x in range(-4, 5, 2)]
+    net = CausalNet(BOUNDS, CTX, {c: [Arrow(I, I, CTX, r.standard_normal((2, 2)))] for c in cones})
+    every = check_causality(net, 0.0).violations
+    assert len(every) == 10 and len({res for _, _, res in every}) == 10
+    for _, _, res in every:
+        for tol in (np.nextafter(res, 0.0), res, np.nextafter(res, 1.0)):
+            report = check_causality(net, tol)
+            want = tuple(v for v in every if v[2] > tol)
+            assert report.violations == want
+            assert report.passed == (not want)
+            assert report.worst == check_causality(net, 0.0).worst
+
+
 def lattice_cones(tmax, xmax):
     events = all_events(range(tmax + 1), range(xmax + 1))
     return [DoubleCone(lo, hi) for lo in events for hi in events if causal_leq(lo, hi)]

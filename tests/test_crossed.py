@@ -855,6 +855,20 @@ def test_crossed_product_solves_on_the_base_hidden_space(monkeypatch):
     assert passes == [3, 2, 1]
 
 
+@pytest.mark.parametrize("group", ["trivial", "C5", "S4"])
+def test_translations_are_the_exact_permutation_matrices(group):
+    # left multiplication by g, as the 0/1 matrix with a one at (g j, j)
+    group = {"trivial": trivial_group(), "C5": cyclic_group(5), "S4": symmetric_group(4)}[group]
+    n = group.order
+    cc = CrossedContext(BASE, group)
+    for g, u in enumerate(regular_rep(group).mats):
+        want = np.zeros((n, n), dtype=complex)
+        for j in range(n):
+            want[group.mul(g, j), j] = 1.0
+        assert np.array_equal(u, want)
+        assert np.array_equal(lambda_embed(g, cc).mat, np.kron(np.eye(BASE.hdim), want))
+
+
 REPS = {
     "trivial": lambda group, rng: trivial_rep(group, 2),
     "regular": lambda group, rng: regular_rep(group),

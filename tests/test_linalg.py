@@ -7,17 +7,22 @@ from numpy.testing import assert_allclose
 from vncat import (
     Arrow,
     Context,
+    DoubleCone,
+    FiniteGroup,
+    LatticeBounds,
     Obj,
     arrow_close,
     central_defect,
     central_factor,
+    cyclic_group,
     kron,
     nullspace,
     operator_norm,
     swap_perm,
+    symmetric_group,
 )
 from vncat import linalg
-from vncat.linalg import relative, within
+from vncat.linalg import as_integer, is_integer, relative, within
 
 
 def test_kron_entry_layout():
@@ -60,6 +65,60 @@ def test_swap_perm_inverse_exact():
 def test_swap_perm_trivial_factor_is_identity():
     assert np.array_equal(swap_perm(1, 5), np.eye(5, dtype=complex))
     assert np.array_equal(swap_perm(5, 1), np.eye(5, dtype=complex))
+
+
+@pytest.mark.parametrize("v", [True, False, np.True_, 2.0, 1.5, np.float64(2.0), 1 + 0j, "3", None, [3]])
+def test_is_integer_rejects_all_but_integers(v):
+    assert not is_integer(v)
+    with pytest.raises(ValueError, match="^v must be an integer"):
+        as_integer(v, "v")
+
+
+@pytest.mark.parametrize("v", [0, -3, 2**70, np.int8(3), np.int64(-3), np.uint64(2**63)])
+def test_as_integer_stores_ints_and_numpy_integers_as_int(v):
+    assert is_integer(v)
+    assert type(as_integer(v, "v")) is int and as_integer(v, "v") == v
+
+
+# every integer input of the package, given a bool, float or string
+INTEGER_INPUTS = {
+    "cone endpoints": lambda: DoubleCone((0.9, 0.2), (1.7, True)),
+    "group table": lambda: FiniteGroup(("e", "a"), ((0, 1.7), (True, 0))),
+    "object dim": lambda: Obj("A", 1.5),
+    "hdim bool": lambda: Context(True),
+    "hdim float": lambda: Context(2.0),
+    "lattice bounds": lambda: LatticeBounds(0.5, 3.9, -1, 1),
+    "lattice bound bool": lambda: LatticeBounds(0, True, 0, 1),
+    "cyclic order": lambda: cyclic_group(2.0),
+    "cyclic order text": lambda: cyclic_group("3"),
+    "symmetric degree": lambda: symmetric_group(True),
+    "group index": lambda: cyclic_group(2).index(1.0),
+}
+
+
+@pytest.mark.parametrize("make", INTEGER_INPUTS.values(), ids=INTEGER_INPUTS)
+def test_non_integer_inputs_raise(make):
+    with pytest.raises(ValueError, match="integer"):
+        make()
+
+
+def test_numpy_integer_inputs_are_stored_as_ints():
+    n = np.int64
+    cone = DoubleCone((n(0), np.int8(0)), (np.uint8(1), n(1)))
+    values = [
+        Context(n(2)).hdim,
+        Obj("A", np.int16(2)).dim,
+        *cone.lo,
+        *cone.hi,
+        *vars(LatticeBounds(n(0), n(1), n(-1), np.uint8(1))).values(),
+        *FiniteGroup(("e", "a"), np.array([[0, 1], [1, 0]])).table[1],
+        cyclic_group(n(3)).order,
+        symmetric_group(np.int8(3)).order,
+        cyclic_group(3).index(np.uint8(2)),
+    ]
+    assert all(type(v) is int for v in values)
+    assert values == [2, 2, 0, 0, 1, 1, 0, 1, -1, 1, 1, 0, 3, 6, 2]
+    assert Context(n(2)) == Context(2) and hash(Context(n(2))) == hash(Context(2))
 
 
 def test_nullspace_known_kernel():

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from vncat import Arrow, Context, LatticeBounds, ScenarioError, load_scenario, parse_scenario, run_scenario
 from vncat import Obj, ObjectUniverse, classical_commutant, cli, cstar_residuals, double_commutant, pair_swap_family
 from vncat import cyclic_group, regular_rep, scenario, symmetric_group
+from vncat import crossed_product, dagger, is_von_neumann, span_category
 from vncat.category import unit_obj
 from vncat.commutant import HiddenAlgebra
 from vncat.linalg import relative
@@ -667,8 +668,8 @@ def test_s6_covariance_exits_2_before_checking_the_rep(tmp_path, capsys, monkeyp
     assert capsys.readouterr().err == "scenario error: $.group: " + OVER_SIZE + "\n"
 
 
-def random_cost_doc(rng, cmd):
-    """A small random scenario that runs ``cmd``, with a dagger-closed generator set."""
+def random_cost_doc(rng, *cmds):
+    """A small random scenario that runs ``cmds``, with a dagger-closed generator set."""
     h = int(rng.integers(1, 6))
     dims = [1] + sorted(rng.choice([2, 3, 4, 5], size=int(rng.integers(0, 3)), replace=False).tolist())
     objects = [{"name": f"X{i}", "dim": d} for i, d in enumerate(dims)]
@@ -677,14 +678,14 @@ def random_cost_doc(rng, cmd):
         dom, cod = rng.choice(len(dims), size=2)
         m = rng.standard_normal((dims[cod] * h, dims[dom] * h, 2))
         gens.append({"name": f"g{k}", "dom": f"X{dom}", "cod": f"X{cod}", "matrix": m.tolist()})
-    doc = base_doc(hdim=h, objects=objects, generators=gens, dagger_close=True, commands=[cmd])
-    if cmd in ("crossed-product", "covariance"):
+    doc = base_doc(hdim=h, objects=objects, generators=gens, dagger_close=True, commands=list(cmds))
+    if {"crossed-product", "covariance"} & set(cmds):
         # C_n acting by the phases u(r^k) = diag(w^(k m_j))
         n = int(rng.integers(2, 5))
         phases = rng.integers(0, n, size=h)
         rep = [np.diag(np.exp(2j * np.pi * k * phases / n)) for k in range(n)]
         doc.update(cyclic_doc(n), hdim=h, rep=[np.stack([u.real, u.imag], -1).tolist() for u in rep])
-    if cmd == "causality":
+    if "causality" in cmds:
         net = unit_cones_doc(int(rng.integers(2, 40)))["net"]
         for cone in net["cones"]:
             cone["generators"] = [g["name"] for g in gens if rng.random() < 0.5]
@@ -693,11 +694,11 @@ def random_cost_doc(rng, cmd):
 
 
 def assert_estimate_bounds_the_peak(tmp_path, monkeypatch, doc, emit):
-    """The peak of a run is at most 16 bytes per entry of its command's charge, plus 1 MiB."""
-    (cmd,) = doc["commands"]
+    """The peak of a run is at most 16 bytes per entry of its commands' charges, plus 1 MiB per command."""
+    cmds = doc["commands"]
     charged = []
     table = scenario._cost_table
-    monkeypatch.setattr(scenario, "_cost_table", lambda *a: charged.append(table(*a)[cmd]) or table(*a))
+    monkeypatch.setattr(scenario, "_cost_table", lambda *a: charged.append(table(*a)) or table(*a))
     path, out = write_doc(tmp_path, doc), str(tmp_path / "r.json")
     assert run_scenario(path, out, emit_bases=emit) in (0, 1)  # warm-up
     tracemalloc.start()
@@ -706,8 +707,26 @@ def assert_estimate_bounds_the_peak(tmp_path, monkeypatch, doc, emit):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    estimate = max(entries for _, entries, _ in charged[-1])
-    assert peak <= 16 * estimate + 2**20, (emit, estimate, peak)
+    estimate = sum(max(entries for _, entries, _ in charged[-1][cmd]) for cmd in cmds)
+    assert peak <= 16 * estimate + 2**20 * len(cmds), (cmds, emit, estimate, peak)
+
+
+@pytest.mark.parametrize(
+    "doc,at",
+    [
+        (universe_doc(6, [2, 3], ["commutant", "commutant"]), 1),
+        (base_doc(commands=["centre", "vn-check", "commutant", "vn-check", *["commutant"] * 1000]), 3),
+    ],
+)
+def test_a_command_listed_twice_exits_2_at_its_second_listing(tmp_path, capsys, doc, at):
+    # a command's entry is deterministic, so a repeat would only run it
+    # again, and it was charged once: 32 commutants under full wrote 218 MiB
+    path = write_doc(tmp_path, doc)
+    start = time.perf_counter()
+    assert run_scenario(path, str(tmp_path / "r.json"), emit_bases="full") == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err == f"scenario error: $.commands[{at}]: duplicate command {doc['commands'][at]!r}\n"
 
 
 @pytest.mark.parametrize("cmd", scenario.COMMANDS)
@@ -716,6 +735,16 @@ def test_cost_estimate_bounds_the_peak_allocation(tmp_path, monkeypatch, cmd):
     for draw in range(6):
         emit = ("none", "dims", "full")[draw % 3]
         assert_estimate_bounds_the_peak(tmp_path, monkeypatch, random_cost_doc(rng, cmd), emit)
+
+
+@pytest.mark.parametrize("draw", range(12))
+def test_cost_estimates_bound_the_peak_of_several_commands(tmp_path, monkeypatch, draw):
+    # the charges of distinct commands add up: each runs once, and its
+    # entry is kept until the report is written
+    rng = np.random.default_rng([draw, 25])
+    cmds = rng.choice(scenario.COMMANDS, size=int(rng.integers(2, 5)), replace=False).tolist()
+    emit = ("none", "dims", "full")[draw % 3]
+    assert_estimate_bounds_the_peak(tmp_path, monkeypatch, random_cost_doc(rng, *cmds), emit)
 
 
 def hermitian_unit_generator(rng, h):
@@ -1050,6 +1079,35 @@ def test_centre_solves_the_pair_swap_blocks(tmp_path, monkeypatch, h):
     assert run_scenario(write_doc(tmp_path, doc), str(tmp_path / "r.json")) == 0
     want = commutant_module._blocks(pair_swap_family(Context(h)), h)
     assert len(seen) == 1 and seen[0].dtype == want.dtype and np.array_equal(seen[0], want)
+
+
+def test_every_hidden_solve_is_a_hidden_algebra_property(tmp_path, monkeypatch):
+    # S' and S'' have one owner: whatever asks for them, only the two
+    # HiddenAlgebra properties call the solve
+    owners = {getattr(HiddenAlgebra, name).func.__code__: name for name in ("commutant", "bicommutant")}
+    callers = []
+    solve = commutant_module._hidden_commutant
+
+    def spied(*args):
+        code = sys._getframe(1).f_code
+        callers.append(owners.get(code, code.co_name))
+        return solve(*args)
+
+    monkeypatch.setattr(commutant_module, "_hidden_commutant", spied)
+    out = str(tmp_path / "r.json")
+    doc = base_doc(hdim=3, objects=CENTRE_OBJECTS, commands=["centre"])
+    assert run_scenario(write_doc(tmp_path, doc), out) == 0
+    ctx = Context(2)
+    universe = ObjectUniverse((unit_obj(), Obj("A", 2)), ctx)
+    f = Arrow(unit_obj(), Obj("A", 2), ctx, np.arange(8).reshape(4, 2))
+    gens = [f, dagger(f)]
+    commutant_module.commutant(gens, universe)
+    double_commutant(gens, universe)
+    is_von_neumann(span_category(gens, universe))
+    crossed_product(gens, regular_rep(cyclic_group(2)), universe)
+    for golden in GOLDENS:
+        assert run_scenario(str(golden), out, emit_bases="full") in (0, 1)
+    assert set(callers) == {"commutant", "bicommutant"}
 
 
 def test_centre_builds_no_pair_swap_arrows(tmp_path):
