@@ -16,10 +16,11 @@ A report is laid out exactly as ``json.dumps(report, indent=2)`` lays it
 out, by ``_encode``: one walk of the report that gives every value the
 stdlib encoder's text, and the one owner of that layout.  It takes a
 report's own value types (exact str, int, float, bool and None, lists,
-str-keyed dicts and two holders) and raises TypeError on anything else.
+str-keyed dicts and three holders) and raises TypeError on anything else.
 The holders take their layout from it, as the text of a small skeleton
-split at its holes (``_layout``): a net's echoed cone list (``_ConeEcho``),
-filled in by one format call, and each basis stack of ``--emit-bases full``
+split at its holes (``_layout``): a net's echoed cone list (``_ConeEcho``)
+and each echoed generator matrix and rep stack (``_ListEcho``), each filled
+in by one format call, and each basis stack of ``--emit-bases full``
 (``MatrixJson``), rendered from its array one innermost row at a time.
 Each is written at its place, never joined into the rest of the report.
 The writer emits ASCII bytes to a binary handle, and a basis stack goes
@@ -38,6 +39,7 @@ import os
 import stat
 import sys
 import time
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -77,12 +79,11 @@ def _attach_cat(entry: dict, cat: FinPremonCat, emit: str) -> dict:
 
 
 def _cmd_centre(sc: Scenario, tol: float, emit: str, hidden: HiddenAlgebra) -> dict:
+    # the commutant of End(H)'s off-diagonal matrix units (pair_swap_family's
+    # blocks) is C 1_H at every h: s E_ij = E_ij s forces s_ii = s_jj and
+    # every other entry of rows and columns i, j to 0
     h = sc.ctx.hdim
-    units = np.eye(h * h, dtype=np.complex128).reshape(h, h, h, h)  # units[a, b] is the matrix unit E_ab
-    # pair_swap_family's S, closed under dagger: for i < j, E_ji then E_ij
-    ends = np.array([p for i in range(h) for j in range(i + 1, h) for p in ((j, i), (i, j))], dtype=np.intp)
-    swaps = units[tuple(ends.reshape(-1, 2).T)]
-    cat = _tensor_view(sc.universe, HiddenAlgebra((), sc.ctx, tol, lambda *_: swaps).commutant)
+    cat = _tensor_view(sc.universe, np.eye(h, dtype=np.complex128)[None] / np.sqrt(h))
     arrows = cat.all_arrows()
     defects = [central_defect(f) for f in arrows]
     ok = all(within(d, f.norm, tol) for d, f in zip(defects, arrows))
@@ -305,12 +306,40 @@ class _ConeEcho:
         return [text.encode("ascii")]
 
 
+class _ListEcho:
+    """Stands in a report for an echoed matrix or stack of them: nested lists of ``[re, im]`` floats.
+
+    ``pieces`` fills the layout of a hole skeleton of the same shape,
+    memoized per shape and depth, by one format call with each part's
+    ``float.__repr__``: echoed parts are finite, so that is the stdlib's text.
+    """
+
+    __slots__ = ("lists",)
+
+    def __init__(self, lists: list):
+        self.lists = lists
+
+    def pieces(self, level: int) -> list:
+        """The lists' indented JSON, nested ``level`` deep, as one piece of ASCII bytes."""
+        shape, first, parts = (), self.lists, self.lists
+        while type(first) is list:
+            shape += (len(first),)
+            first = first[0] if first else None
+        for _ in shape[1:]:
+            parts = chain.from_iterable(parts)
+        return [(_filled_layout(shape, level) % tuple(map(float.__repr__, parts))).encode("ascii")]
+
+
 def _echo(normalized: dict) -> dict:
-    """``normalized`` with the net's cone list as a ``_ConeEcho``."""
-    if "net" not in normalized:
-        return normalized
-    net = normalized["net"]
-    return dict(normalized, net=dict(net, cones=_ConeEcho(net["cones"])))
+    """``normalized`` with each echoed matrix and the rep stack as a ``_ListEcho``, and the net's cone list as a ``_ConeEcho``."""
+    echo = dict(normalized)
+    if "generators" in echo:
+        echo["generators"] = [dict(g, matrix=_ListEcho(g["matrix"])) for g in echo["generators"]]
+    if "rep" in echo:
+        echo["rep"] = _ListEcho(echo["rep"])
+    if "net" in echo:
+        echo["net"] = dict(echo["net"], cones=_ConeEcho(echo["net"]["cones"]))
+    return echo
 
 
 def _write_report(report: dict, write) -> None:
@@ -362,6 +391,20 @@ def _cone_of(names: int) -> dict:
     return {"lo": [_HOLE, _HOLE], "hi": [_HOLE, _HOLE], "generators": [_HOLE] * names}
 
 
+def _holes(shape: tuple):
+    """Nested lists of ``shape``, every leaf a hole."""
+    return [_holes(shape[1:])] * shape[0] if shape else _HOLE
+
+
+@functools.lru_cache(maxsize=64)
+def _filled_layout(shape: tuple, level: int) -> str:
+    """The text of ``_holes(shape)`` nested ``level`` deep, each hole a ``%s``: a format string.
+
+    Shapes vary more than ranks do, so this memo is bounded.
+    """
+    return _text(_holes(shape), level).replace("\0", "%s")
+
+
 @functools.cache
 def _layout(skeleton, n: int, level: int) -> tuple:
     """The text of ``skeleton(n)`` nested ``level`` deep, split at its holes.
@@ -382,7 +425,7 @@ def _encode(value, level: int, out: list, write) -> None:
     """Append the indented JSON of ``value``, nested ``level`` deep, to ``out``.
 
     A report holds the exact scalar types of ``_SCALAR_TEXT``, lists, dicts
-    with str keys and the two holders, and each gets the stdlib encoder's
+    with str keys and the three holders, and each gets the stdlib encoder's
     text.  A holder's pieces are written straight to ``write``, after what
     ``out`` has collected so far.  Anything else raises TypeError.
     """
@@ -412,7 +455,7 @@ def _encode(value, level: int, out: list, write) -> None:
             _encode(item, level + 1, out, write)
             prefix = "," + nl
         out.append(nl[:-2] + "}")
-    elif type(value) in (MatrixJson, _ConeEcho):
+    elif type(value) in (MatrixJson, _ConeEcho, _ListEcho):
         write("".join(out).encode("ascii"))
         out.clear()
         pieces = value.pieces(level)

@@ -8,13 +8,20 @@ commutes with every block of g.  The commutant of a generator set is
 therefore M_{dD x dB} (x) S' at every hom pair, where S is the set of all
 generator blocks and S' its classical commutant in End(H); the double
 commutant is M_{dD x dB} (x) S''.  S' is the kernel of one stacked linear
-system, found by SVD.
+system, found by SVD.  The system's rows are taken max(h, 2**16 // (4 h^4))
+matrices at a time, each chunk folded into one triangular QR factor, so a
+crossed product's orbit at h <= 4 takes one QR.  For dim S' > 2, S'' is the
+commutant of one generic pair {x, x*}, x a fixed-seed combination of the S'
+basis: that commutant holds S'', and equals it once each of its matrices
+commutes with each S' basis element (another pair, and after a few the
+whole S' basis, otherwise).
 
 Bases of S' are orthonormal in the trace inner product, ordered by the SVD
 and phase-normalized so the largest-magnitude entry of each basis matrix is
-real positive; the basis of hom(B, D) is kron(E_db, s) over the matrix
-units E_db (row-major) and the basis elements s.  Identical inputs
-therefore produce identical bases.
+real positive (a one-dim commutant is C 1, written exactly as 1 / sqrt(h));
+the basis of hom(B, D) is kron(E_db, s) over the matrix units E_db
+(row-major) and the basis elements s.  Identical inputs therefore produce
+identical bases.
 
 A hom space reads as a ``(k, dD*h, dB*h)`` stack of basis matrices,
 ``HomSubspace.mats``.  A computed category holds only the algebra A of
@@ -30,6 +37,7 @@ dagger of another.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -37,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .category import Arrow, Context, Obj, block_view, dagger
-from .linalg import as_matrix, cut_rank, kron, nullspace, within
+from .linalg import as_matrix, batches, cut_rank, kron, nullspace, within
 
 __all__ = [
     "ObjectUniverse",
@@ -282,18 +290,51 @@ def _hidden_commutant(mats: np.ndarray, h: int, tol: float) -> np.ndarray:
     On column-stacked s, vec(s m) = (m.T (x) I) vec(s) and vec(m s) =
     (I (x) m) vec(s); the basis is the kernel of those rows stacked over
     every m, with no rows at all leaving the whole of End(H).  The stack is
-    taken h matrices at a time and kept as its triangular QR factor, which
-    has the stack's singular values and kernel in at most h^2 rows, so
-    memory stays O(h^5) however many matrices come in.
+    taken ``max(h, 2**16 // (4 h^4))`` matrices at a time, so a chunk's four
+    temporaries hold about 2**16 entries below h = 7 and 4 h^5 from there on,
+    and kept as its triangular QR factor, which has the stack's singular
+    values and kernel in at most h^2 rows; memory stays bounded however many
+    matrices come in.  A chunk of exactly zero rows (matrices of C 1) takes
+    no QR.  The identity commutes with every m, so a one-dim commutant is
+    C 1, and its basis is written exactly as 1 / sqrt(h).
     """
     eye = np.eye(h)
     r = np.zeros((0, h * h), dtype=np.complex128)
-    for start in range(0, len(mats), h):
-        chunk = mats[start : start + h]
+    step = max(h, 2**16 // (4 * h**4))
+    for start in range(0, len(mats), step):
+        chunk = mats[start : start + step]
         rows = np.einsum("kba,ij->kaibj", chunk, eye) - np.einsum("ab,kij->kaibj", eye, chunk)
-        r = np.linalg.qr(np.vstack([r, rows.reshape(-1, h * h)]), mode="r")
-    kern = _phase_normalize(nullspace(r, tol))
-    return _unvecs(kern, h, h)
+        if rows.any():
+            r = np.linalg.qr(np.vstack([r, rows.reshape(-1, h * h)]), mode="r")
+    kern = nullspace(r, tol)
+    if kern.shape[1] == 1:
+        return np.eye(h, dtype=np.complex128)[None] / np.sqrt(h)
+    return _unvecs(_phase_normalize(kern), h, h)
+
+
+_PAIRS = 3  # generic {x, x*} pairs tried before S'' is solved from the whole S' basis
+
+
+@functools.cache
+def _generic(k: int) -> np.ndarray:
+    """Fixed complex coefficients, ``(_PAIRS, k)``, of the generic elements of a k-dim S'."""
+    c = np.random.default_rng(k).standard_normal((_PAIRS, 2 * k)).view(np.complex128)
+    c.setflags(write=False)
+    return c
+
+
+def _commute(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    """Whether each matrix of the (k, h, h) stack ``a`` commutes with each of ``b``, by ``within``.
+
+    Both are orthonormal bases, so every commutator is at most 2 in norm and
+    its defect is read at scale 1.
+    """
+    h = a.shape[-1]
+    for part in batches(len(a), len(b) * h * h):
+        x = a[part, None]
+        if not within(None, 1.0, tol, mats=x @ b - b @ x).all():
+            return False
+    return True
 
 
 class HiddenAlgebra:
@@ -302,7 +343,9 @@ class HiddenAlgebra:
     ``blocks_of`` reads S from the generators and the daggers their spans
     miss (or returns a fixed star-closed S), whether or not ``checked`` lets
     the set through.  Each part is computed when first read, and kept by
-    this value alone; every S' and S'' of the package is solved here.
+    this value alone; every S' and S'' of the package is solved here.  Each
+    solve stacks its rows max(h, 2**16 // (4 h^4)) matrices per QR, and S''
+    comes from a generic {x, x*} pair of S' when dim S' > 2 (``bicommutant``).
     """
 
     def __init__(self, gens: Sequence[Arrow], ctx: Context, tol: float, blocks_of=_blocks):
@@ -330,8 +373,24 @@ class HiddenAlgebra:
 
     @cached_property
     def bicommutant(self) -> np.ndarray:
-        """Basis (k, h, h) of S'': S is dagger-closed, so S' is too and S'' = (S')'."""
-        return _hidden_commutant(self.commutant, self.h, self.tol)
+        """Basis (k, h, h) of S'': S is dagger-closed, so S' is too and S'' = (S')'.
+
+        For dim S' > 2, S'' is the commutant of {x, x*} for x = sum c_i s_i
+        over the S' basis, with fixed generic coefficients: that commutant
+        holds S'', and it is accepted once each of its matrices commutes
+        with each s_i.  A pair that fails adds another; after ``_PAIRS``,
+        S'' is solved from the whole S' basis.
+        """
+        ss = self.commutant
+        if len(ss) > 2:
+            xs = []
+            for c in _generic(len(ss)):
+                x = np.tensordot(c, ss, 1)
+                xs += [x, x.conj().T]
+                found = _hidden_commutant(np.array(xs), self.h, self.tol)
+                if _commute(found, ss, self.tol):
+                    return found
+        return _hidden_commutant(ss, self.h, self.tol)
 
 
 def _tensor_view(universe: ObjectUniverse, algebra: np.ndarray) -> FinPremonCat:

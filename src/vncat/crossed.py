@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from itertools import permutations, repeat
+from itertools import chain, permutations, repeat
 
 import numpy as np
 
@@ -65,8 +65,11 @@ class FiniteGroup:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        what = repeat("a multiplication table entry")
-        object.__setattr__(self, "table", tuple(tuple(map(as_integer, r, what)) for r in self.table))
+        table = tuple(map(tuple, self.table))
+        if not set(map(type, chain.from_iterable(table))) <= {int}:  # exact ints need no conversion
+            what = repeat("a multiplication table entry")
+            table = tuple(tuple(map(as_integer, r, what)) for r in table)
+        object.__setattr__(self, "table", table)
         n = len(self.elements)
         if n == 0:
             raise ValueError("group needs at least one element")
@@ -200,13 +203,14 @@ class UnitaryRep:
     validate: bool = True
 
     def __post_init__(self):
-        mats = tuple(as_matrix(m) for m in self.mats)
-        if len(mats) != self.group.order:
-            raise ValueError("need exactly one matrix per group element")
-        d = mats[0].shape[0]
-        if any(m.shape != (d, d) for m in mats):
+        stack = _square_stack(self.mats)
+        if stack is None:  # the first bad matrix, the count or the shapes, with its message
+            mats = tuple(as_matrix(m) for m in self.mats)
+            if len(mats) != self.group.order:
+                raise ValueError("need exactly one matrix per group element")
             raise ValueError("representation matrices must be square of one size")
-        stack = np.stack(mats)
+        if len(stack) != self.group.order:
+            raise ValueError("need exactly one matrix per group element")
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "mats", tuple(stack))
@@ -254,6 +258,16 @@ class UnitaryRep:
 
     def mat(self, g) -> np.ndarray:
         return self.mats[self.group.index(g)]
+
+
+def _square_stack(mats) -> np.ndarray | None:
+    """``mats`` as one finite ``(n, d, d)`` complex128 stack, converted at once; else None."""
+    try:
+        stack = np.array(mats, dtype=np.complex128)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        return None
+    ok = stack.ndim == 3 and stack.shape[1] == stack.shape[2] and np.isfinite(stack).all()
+    return stack if ok else None
 
 
 def trivial_rep(group: FiniteGroup, hdim: int) -> UnitaryRep:

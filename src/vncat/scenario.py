@@ -282,10 +282,11 @@ def _cost_table(h: int, universe: dict, objects: dict, shapes: list, order: int,
     over = f"needs over {_MAX_ENTRIES} complex entries (1 GiB)"
     whiskered = f"cstar-check whiskers a generator into a {n} x {n} matrix, past the size budget"
     paired = f"{cones} cones make over {_MAX_ENTRIES // 32} cone pairs"
-    chunk = max(4 * h**5, h**7 // 16)  # a hidden solve's QR chunk: h^3 + h^2 by h^2, from four h^5 stacks
+    # a hidden solve's QR chunk: at least 2**16 entries, and h^3 + h^2 by h^2 from four h^5 stacks
+    chunk = max(4 * h**5, h**7 // 16, 2**16)
     solve = [("$.hdim", chunk, over)]
     return {
-        "centre": [("$.hdim", max(chunk, h**8 // 16), over), (obj, held * stacks, over)],  # S': h - 1 chunks
+        "centre": [(obj, held * stacks, over)],
         "commutant": solve + [(obj, text * stacks, over)],
         "double-commutant": solve + [(obj, text * stacks, over)],
         "vn-check": solve,

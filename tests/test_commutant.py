@@ -705,3 +705,99 @@ def test_invariance_laws(blocks, ends, scale, seed):
 
     # the double commutant is closed
     assert double_commutant(closure.all_arrows(), uni).dims() == closure.dims()
+
+
+# -- the hidden solve: one QR per chunk, S'' from a generic pair ----------------
+
+# blocks (n_k, m_k) of S = (+)_k M_{n_k} (x) 1_{m_k} at h = 2-8; S'' = S, of
+# dim sum n_k^2.  The first is End(H), so S' = C 1; the second C 1, so S' = End(H)
+GENERIC_ALGEBRAS = [
+    [(3, 1)],
+    [(1, 4)],
+    [(1, 2)],
+    [(2, 1)],
+    [(1, 1), (1, 2)],
+    [(2, 2)],
+    [(1, 1), (2, 1), (1, 2)],
+    [(1, 3), (3, 1)],
+    [(2, 3)],
+    [(1, 1)] * 5,
+    [(1, 8)],
+    [(2, 1), (1, 3), (3, 1)],
+]
+
+
+def _star_closed_elements(r, blocks, u, count):
+    """``count`` elements of the block algebra in the basis ``u``, closed under dagger in span."""
+    out = []
+    while len(out) < count:
+        a = _algebra_element(r, blocks, u)
+        out += [a, a.conj().T] if count - len(out) > 1 else [a + a.conj().T]
+    return np.array(out)
+
+
+def _same_span(a, b):
+    """Whether two orthonormal (k, h, h) bases span one subspace."""
+    return len(a) == len(b) and bool(_in_span(_vecs(a), _vecs(b), 1e-9).all())
+
+
+@pytest.mark.parametrize("blocks", GENERIC_ALGEBRAS, ids=str)
+def test_bicommutant_from_a_generic_pair_equals_the_whole_solve(blocks):
+    h = sum(n * m for n, m in blocks)
+    r = np.random.default_rng(60 + h + len(blocks))
+    s = _star_closed_elements(r, blocks, random_unitary(r, h), 4)
+    hidden = HiddenAlgebra((), Context(h), 1e-9, lambda *_: s)
+    whole = commutant_module._hidden_commutant(hidden.commutant, h, 1e-9)
+    assert len(hidden.bicommutant) == sum(n * n for n, _ in blocks)
+    assert _same_span(hidden.bicommutant, whole)
+
+
+@pytest.mark.parametrize("rows,solves", [([0, 1, 2], 3), ([0, 0, 0], 5)], ids=["extra-pair", "fallback"])
+def test_a_degenerate_generic_element_still_gives_the_bicommutant(monkeypatch, rows, solves):
+    # S = C 1 at h = 3, so S' = End(H) with the matrix units as its basis and
+    # S'' = C 1.  Coefficients that pick a matrix unit make x = E_ii, whose
+    # {x, x*} commutant C (+) M_2 is too large: the check rejects it, and the
+    # next pair (rows[1] generic) or the whole-basis solve gives S''
+    h, solve, calls = 3, commutant_module._hidden_commutant, []
+    generic = commutant_module._generic(h * h)
+    units = np.eye(h * h, dtype=complex)
+    coefficients = np.array([generic[i] if i else units[0] for i in rows])
+    monkeypatch.setattr(commutant_module, "_generic", lambda k: coefficients)
+    monkeypatch.setattr(commutant_module, "_hidden_commutant", lambda *a: calls.append(len(a[0])) or solve(*a))
+    s = np.eye(h, dtype=complex)[None]
+    hidden = HiddenAlgebra((), Context(h), 1e-9, lambda *_: s)
+    assert len(hidden.commutant) == h * h
+    assert _same_span(hidden.bicommutant, s)
+    assert len(calls) == solves and calls[-1] == (h * h if solves == 5 else 4)
+
+
+@pytest.mark.parametrize("h", [2, 3, 5, 7, 8])
+def test_hidden_solve_across_chunk_boundaries_matches_classical(h):
+    # 3h + 1 blocks: four of the h-block chunks of old, one chunk below h = 7
+    r = np.random.default_rng(80 + h)
+    blocks = [(1, 1), (1, h - 1)] if h > 2 else [(1, 1), (1, 1)]
+    s = _star_closed_elements(r, blocks, random_unitary(r, h), 3 * h + 1)
+    got = commutant_module._hidden_commutant(s, h, 1e-9)
+    assert _same_span(got, np.array(classical_commutant(list(s))))
+
+
+@pytest.mark.parametrize("h", [2, 3, 4])
+def test_each_orbit_solve_takes_one_qr(monkeypatch, h):
+    # the crossed product's orbit of 5h blocks goes through one QR; S' is
+    # C 1, so the S'' solve's rows are exactly zero and take none
+    qrs, solves = [], []
+    qr, solve = np.linalg.qr, commutant_module._hidden_commutant
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qrs.append(1) or qr(*a, **k))
+
+    def spied(mats, *rest):
+        start = len(qrs)
+        out = solve(mats, *rest)
+        solves.append((len(mats), len(qrs) - start, len(out)))
+        return out
+
+    monkeypatch.setattr(commutant_module, "_hidden_commutant", spied)
+    ctx = Context(h)
+    universe = ObjectUniverse((Obj("I", 1),), ctx)
+    gens = random_closed_set(np.random.default_rng(h), universe, 2)
+    crossed_product(gens, regular_rep(cyclic_group(h)), universe)
+    assert solves == [(5 * h, 1, 1), (1, 0, h * h)]

@@ -211,6 +211,27 @@ def test_rep_validation():
     assert bad.hdim == 2
 
 
+@pytest.mark.parametrize(
+    "mats,message",
+    [
+        ((np.eye(2),), "need exactly one matrix per group element"),
+        ((), "need exactly one matrix per group element"),
+        ((np.eye(2), np.eye(3), np.eye(2)), "need exactly one matrix per group element"),
+        ((np.eye(2), np.eye(3)), "square of one size"),
+        ((np.ones((2, 3)), np.ones((2, 3))), "square of one size"),
+        ((np.eye(2), np.diag([np.nan, 1.0])), "matrix entries must be finite"),
+        ((np.eye(2), np.ones(2)), r"expected a 2-D matrix, got shape \(2,\)"),
+        ((np.eye(2), np.ones((1, 2, 2))), r"expected a 2-D matrix, got shape \(1, 2, 2\)"),
+        ((np.eye(2), None), r"expected a 2-D matrix, got shape \(\)"),
+    ],
+)
+def test_rep_rejections_keep_the_per_matrix_messages(mats, message):
+    # the stack is converted at once; a rejected one is walked matrix by
+    # matrix, so the first bad matrix, the count or the shapes is named
+    with pytest.raises(ValueError, match=message):
+        UnitaryRep(Z2, mats)
+
+
 def test_rep_validation_names_first_failing_pair():
     # a tiny phase on r2 keeps every matrix unitary but breaks r1 * r1 = r2,
     # the first failing pair in row-major order

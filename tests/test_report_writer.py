@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vncat import parse_scenario, run_scenario
-from vncat.cli import MatrixJson, _ConeEcho, _write_report
+from vncat.cli import MatrixJson, _ConeEcho, _ListEcho, _write_report
 from vncat.scenario import _matrix_json
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -320,6 +320,24 @@ def test_holders_at_mixed_depths_match_stdlib():
         out = io.BytesIO()
         _write_report(tree, out.write)
         assert out.getvalue() == (json.dumps(want, indent=2) + "\n").encode()
+
+
+ECHO_PARTS = [-0.0, 5e-324, 1e308, -1e308, 0.1 + 0.2, 1.0, 0.0, -2.5]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 2), (1, 1, 1), (4, 3, 3), (2, 1, 5)])
+@pytest.mark.parametrize("path", [[], ["item"], ["value", "item", "value"], ["item"] * 3 + ["value"]])
+def test_echoed_matrices_match_stdlib_at_any_depth(shape, path):
+    # generator matrices are 2-D, a rep stack 3-D; every part is finite
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    size = 2 * int(np.prod(shape))
+    parts = np.array((ECHO_PARTS * size)[:size])
+    rng.shuffle(parts)
+    m = parts.view(np.complex128).reshape(shape)
+    lists = _matrix_json(m)
+    out = io.BytesIO()
+    _write_report(place(_ListEcho(lists), path), out.write)
+    assert out.getvalue() == (json.dumps(place(lists, path), indent=2) + "\n").encode()
 
 
 def test_write_report_frees_every_stack():

@@ -568,10 +568,15 @@ def at_hdim(cmd, h):
     return base_doc(hdim=h, commands=[cmd])
 
 
+def centre_doc(dim):
+    """centre at hdim 2 over I and an object of ``dim``."""
+    return base_doc(objects=[{"name": "I", "dim": 1}, {"name": "A", "dim": dim}], commands=["centre"])
+
+
 UNIT_GENERATOR = [{"dom": "I", "cod": "I", "matrix": [[1]]}]
 COST_ROWS = {
-    # h^8 / 16 for the h - 1 QR chunks of the S' solve of the h(h - 1) matrix units
-    "centre": (at_hdim("centre", 14), "$.hdim", at_hdim("centre", 13)),
+    # the (1 + n^2)^2 h^4 entries of every hom's stack at h = 2, n = 46 and 45
+    "centre": (centre_doc(46), "$.objects[1].dim", centre_doc(45)),
     # h^7 / 16 for one QR chunk of a hidden solve
     "commutant": (at_hdim("commutant", 20), "$.hdim", at_hdim("commutant", 19)),
     "double-commutant": (at_hdim("double-commutant", 20), "$.hdim", at_hdim("double-commutant", 19)),
@@ -605,6 +610,17 @@ def test_every_command_has_a_cost_row(tmp_path, capsys, cmd):
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err.startswith(f"scenario error: {path}: ")
     parse_scenario(edge, "dims")
+
+
+def test_double_commutant_of_nothing_solves_one_generic_pair(tmp_path):
+    # S' = End(H): S'' = C 1 from one {x, x*} pair, not from the h^2 matrix
+    # units of S' (over 5 s at h = 19 when solved from all of them)
+    out = tmp_path / "r.json"
+    path = write_doc(tmp_path, base_doc(hdim=19, commands=["double-commutant"]))
+    start = time.perf_counter()
+    assert run_scenario(path, str(out)) == 0
+    assert time.perf_counter() - start < 1
+    assert json.loads(out.read_text())["results"][0]["dims"] == [{"dom": "I", "cod": "I", "dim": 1}]
 
 
 def causality_pair_doc(side):
@@ -1066,19 +1082,21 @@ def test_centre_golden_dims(tmp_path):
 CENTRE_OBJECTS = [{"name": "I", "dim": 1}, {"name": "A", "dim": 2}, {"name": "B", "dim": 3}]
 
 
-@pytest.mark.parametrize("h", range(1, 7))
+@pytest.mark.parametrize("h", range(1, 14))
 def test_centre_solves_the_pair_swap_blocks(tmp_path, monkeypatch, h):
-    # the hidden solve gets the non-zero blocks of the pair-swap family, bit
-    # for bit and in the same order, so S' is the family's
-    seen = []
-    solve = commutant_module._hidden_commutant
-    monkeypatch.setattr(
-        commutant_module, "_hidden_commutant", lambda mats, *rest: seen.append(mats) or solve(mats, *rest)
-    )
+    # the oracle of the closed form: the hidden solve's S' of the pair-swap
+    # family's blocks is C 1_H, written as I / sqrt(h); centre runs no solve
+    blocks = commutant_module._blocks(pair_swap_family(Context(h)), h)
+    solved = commutant_module._hidden_commutant(blocks, h, 1e-9)
+    assert np.array_equal(solved, np.eye(h)[None] / np.sqrt(h))
+    monkeypatch.setattr(commutant_module, "_hidden_commutant", None)
     doc = base_doc(hdim=h, objects=CENTRE_OBJECTS, commands=["centre"])
-    assert run_scenario(write_doc(tmp_path, doc), str(tmp_path / "r.json")) == 0
-    want = commutant_module._blocks(pair_swap_family(Context(h)), h)
-    assert len(seen) == 1 and seen[0].dtype == want.dtype and np.array_equal(seen[0], want)
+    out = tmp_path / "r.json"
+    assert run_scenario(write_doc(tmp_path, doc), str(out)) == 0
+    (entry,) = json.loads(out.read_text())["results"]
+    sizes = {o["name"]: o["dim"] for o in CENTRE_OBJECTS}
+    assert entry["pass"] is True and entry["max_factor_defect"] < 1e-15
+    assert all(d["dim"] == sizes[d["dom"]] * sizes[d["cod"]] for d in entry["dims"])
 
 
 def test_every_hidden_solve_is_a_hidden_algebra_property(tmp_path, monkeypatch):
