@@ -21,11 +21,12 @@ The holders take their layout from it, as the text of a small skeleton
 split at its holes (``_layout``): a net's echoed cone list (``_ConeEcho``)
 and each echoed generator matrix and rep stack (``_ListEcho``), each filled
 in by one format call, and each basis stack of ``--emit-bases full``
-(``MatrixJson``), rendered from its array one innermost row at a time.
+(``MatrixJson``), rendered from the factor A of its hom M_{dD x dB} (x) A.
 Each is written at its place, never joined into the rest of the report.
-The writer emits ASCII bytes to a binary handle, and a basis stack goes
-out in writes of at most ``_CHUNK`` pieces (rows and the separators between
-them), so no stack's text is ever held or encoded whole and a ``full``
+The writer emits ASCII bytes to a binary handle.  A's rows are formatted
+once per report; each row of the stack is a zero prefix, A's row and a zero
+suffix, or the one zero row, and about ``_CHUNK`` rows are joined per write.
+So no dense stack is built, no stack's text is held whole, and a ``full``
 run's memory does not grow with its report text.
 """
 
@@ -39,12 +40,12 @@ import os
 import stat
 import sys
 import time
-from itertools import chain
+from itertools import chain, product
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .category import central_defect, cstar_arrow_residuals, cstar_submult, identity_arrow
+from .category import Arrow, central_defect, cstar_arrow_residuals, cstar_submult, identity_arrow
 from .commutant import FinPremonCat, HiddenAlgebra, _tensor_view, _vn_report
 from .commutant import span_category
 from .commutant import commutant, double_commutant, is_von_neumann  # noqa: F401  (wrapped by bench/spans.py)
@@ -58,7 +59,7 @@ from .scenario import Scenario, ScenarioError, _valid_tol, load_scenario
 __all__ = ["main", "run_scenario"]
 
 _DEFAULT_TOL = 1e-9
-_CHUNK = 1024  # holder pieces joined per write: about 0.7 MB of an hdim-7 basis stack
+_CHUNK = 128  # basis-stack rows joined per write: about 0.2 MB of an hdim-7 stack
 _EMIT_BASES = ("none", "dims", "full")
 
 
@@ -71,23 +72,24 @@ def _attach_cat(entry: dict, cat: FinPremonCat, emit: str) -> dict:
     if emit in ("dims", "full"):
         entry["dims"] = [{"dom": d.name, "cod": c.name, "dim": n} for d, c, n in cat.dims()]
     if emit == "full":
-        entry["bases"] = [
-            {"dom": d.name, "cod": c.name, "matrices": MatrixJson(cat.homs[(d, c)].mats)}
-            for d, c in cat.universe.pairs()
-        ]
+        entry["bases"] = []
+        for d, c in cat.universe.pairs():  # a computed hom from its factor, a dense one whole
+            f = cat.homs[(d, c)]
+            stack = MatrixJson(f.mats) if f.factor is None else MatrixJson(f.factor, (c.dim, d.dim))
+            entry["bases"].append({"dom": d.name, "cod": c.name, "matrices": stack})
     return entry
 
 
 def _cmd_centre(sc: Scenario, tol: float, emit: str, hidden: HiddenAlgebra) -> dict:
     # the commutant of End(H)'s off-diagonal matrix units (pair_swap_family's
     # blocks) is C 1_H at every h: s E_ij = E_ij s forces s_ii = s_jj and
-    # every other entry of rows and columns i, j to 0
-    h = sc.ctx.hdim
+    # every other entry of rows and columns i, j to 0.  Each arrow E_pq (x) a
+    # has the defect and norm of a, so the unit endo-arrow a decides them all.
+    h, unit = sc.ctx.hdim, sc.universe.unit
     cat = _tensor_view(sc.universe, np.eye(h, dtype=np.complex128)[None] / np.sqrt(h))
-    arrows = cat.all_arrows()
-    defects = [central_defect(f) for f in arrows]
-    ok = all(within(d, f.norm, tol) for d, f in zip(defects, arrows))
-    entry = {"command": "centre", "pass": ok, "max_factor_defect": max(defects, default=0.0)}
+    a = Arrow(unit, unit, sc.ctx, cat.homs[(unit, unit)].factor[0])
+    defect = central_defect(a)
+    entry = {"command": "centre", "pass": bool(within(defect, a.norm, tol)), "max_factor_defect": defect}
     return _attach_cat(entry, cat, emit)
 
 
@@ -209,73 +211,70 @@ _RUNNERS = {
 
 
 class MatrixJson:
-    """Stands in a report for ``_matrix_json(mats)``: one matrix, or a stack of them.
+    """Stands in a report for ``_matrix_json`` of the stack of kron(E_db, a), (d, b) on a grid, a in a factor.
 
-    ``pieces`` renders it from the array as ASCII bytes, one innermost row
-    at a time, between the layout pieces of a skeleton of the same rank:
-    the head, the rows and the separators between them, and the tail.
-    Full-basis stacks are matrix units tensored with hidden blocks, so
-    nearly all their entries are an exact ``0+0j``: every all-zero row is
-    one shared object, and distinct values are sorted and formatted only
-    among the non-zero parts.
+    ``factor`` is a ``(k, r, c)`` stack A and ``grid`` is (dD, dB); the
+    stack's matrices run over (d, b, a) in row-major order.  A dense stack,
+    or one matrix, is its own factor on the 1 x 1 grid.  ``pieces`` renders
+    the stack from A alone: each of its rows is A's row between a zero
+    prefix and a zero suffix, or the one all-zero row, all shared objects,
+    and about ``_CHUNK`` rows are joined per write.  A's rows are formatted
+    once per report and kept in ``memo``: each distinct float and entry
+    once, each row joined once.
     """
 
-    __slots__ = ("mats",)
+    __slots__ = ("factor", "grid")
 
-    def __init__(self, mats):
-        self.mats = np.asarray(mats, dtype=np.complex128)
+    def __init__(self, factor, grid=(1, 1)):
+        self.factor, self.grid = np.asarray(factor, dtype=np.complex128), grid
 
-    def pieces(self, level: int) -> list:
-        """The value's indented JSON, nested ``level`` deep, as a list of ASCII bytes."""
-        m = self.mats
-        if m.size == 0:
-            return [_text(m.real.tolist(), level).encode("ascii")]  # no leaves: _matrix_json(m)
-        # The skeleton's pieces: the head, the text inside an entry, the
-        # text between two entries where w trailing axes wrap (piece
-        # 2**(w + 1), since entry 2**w is the first such), and the tail.
-        pieces = [p.encode("ascii") for p in _layout(_stack_of, m.ndim, level)]
-        seps = [pieces[2 ** (w + 1)] for w in range(m.ndim)]
-        # Parts are keyed by their bit patterns, so -0.0 and NaN payloads
-        # stay apart from +0.0 and from each other.  A part whose bits are 0
-        # takes code 0, and so does the entry 0+0j; only the other parts and
-        # entries, in rows with any non-zero bits, are sorted.
-        cols = m.shape[-1]
-        parts = np.ascontiguousarray(m).view(np.uint64).reshape(-1, 2 * cols)
-        live = parts.any(axis=1)
-        parts = parts[live]
-        nonzero = parts != 0
-        floats, part_inv = np.unique(parts[nonzero], return_inverse=True)
-        part_code = np.zeros(parts.shape, dtype=np.intp)
-        part_code[nonzero] = part_inv + 1
-        radix = len(floats) + 1
-        entry_code = part_code[:, 0::2] * radix + part_code[:, 1::2]
-        nonzero = entry_code != 0
-        entries, entry_inv = np.unique(entry_code[nonzero], return_inverse=True)
-        code = np.zeros(entry_code.shape, dtype=np.intp)
-        code[nonzero] = entry_inv + 1
-        # each distinct float gets the stdlib's own text (NaN and Infinity
-        # included), each distinct entry one leaf
-        texts = [_float_text(x).encode("ascii") for x in floats.view(np.float64).tolist()]
-        words = np.array([b"0.0", *texts], dtype=object)
-        re_word, im_word = np.divmod(np.concatenate([[0], entries]), radix)
-        leaves = words[re_word] + pieces[1] + words[im_word]
-        # Between rows r and r + 1, w counts the last axis and each product
-        # of the axes before it, from the last one back, that divides r + 1.
-        wraps = np.ones(len(live) - 1, dtype=np.intp)
-        period = 1
-        for size in m.shape[-2:0:-1]:
-            period *= size
-            wraps[period - 1 :: period] += 1
-        # a row is its leaves joined by the w = 0 separator; every all-zero
-        # row is one shared object (assigned as a scalar, so not copied)
-        text = np.empty(2 * len(live) + 1, dtype=object)
-        text[0] = pieces[0]
-        rows = text[1::2]
-        rows[...] = seps[0].join([leaves[0]] * cols)
-        rows[live] = [seps[0].join(row) for row in leaves[code].tolist()]
-        text[2:-1:2] = np.array(seps, dtype=object)[wraps]
-        text[-1] = pieces[-1]
-        return text.tolist()
+    def pieces(self, level: int, memo: dict):
+        """The stack's indented JSON, nested ``level`` deep, as chunks of ASCII bytes."""
+        a, (dd, db) = self.factor, self.grid
+        k, r, c = (a if a.ndim == 3 else a[None]).shape
+        shape = (dd * db * k, dd * r, db * c)[3 - a.ndim :]
+        if 0 in shape:  # no leaves: _matrix_json of the zero stack
+            yield _text(np.zeros(shape).tolist(), level).encode("ascii")
+            return
+        # the skeleton's head, text inside an entry, separators between
+        # entries (s0), rows (s1) and matrices (sk), and its tail: the text
+        # where w trailing axes wrap is piece 2**(w + 1), as entry 2**w is the first such
+        head, inner, *_, tail = pieces = [p.encode("ascii") for p in _layout(_stack_of, a.ndim, level)]
+        s0, s1, sk = (pieces[2 ** (w + 1)] for w in (0, 1, a.ndim - 1))
+        key = (id(a), level)
+        if key not in memo:
+            # parts by bit pattern, so -0.0 and NaN payloads stay apart
+            floats, part = np.unique(np.ascontiguousarray(a).view(np.uint64), return_inverse=True)
+            texts = [_float_text(x).encode("ascii") for x in floats.view(np.float64).tolist()]
+            words = np.array(texts, dtype=object)
+            entries, leaf = np.unique(part.reshape(-1, 2) @ [len(floats), 1], return_inverse=True)
+            leaves = words[entries // len(floats)] + inner + words[entries % len(floats)]
+            # kept with A itself, so no other array can take its id while the memo lives
+            memo[key] = (a, [s0.join(row) for row in leaves[leaf].reshape(-1, c).tolist()])
+        rows, zero = memo[key][1], b"0.0" + inner + b"0.0"
+        # Each row is led by its separator: A's row, in block column b, by a
+        # zero prefix and then a zero suffix.  The zero rows above and below
+        # A's block rows are joined once per stack.  A matrix's first row is
+        # led by sk, or by the head in the first matrix, not by s1.
+        z = s1 + s0.join([zero] * (db * c))
+        above = [b""] + [sk + z[len(s1) :] + z * (d * r - 1) for d in range(1, dd)]
+        below = [z * ((dd - 1 - d) * r) for d in range(dd)]
+        pre = [(zero + s0) * (b * c) for b in range(db)]
+        bands = [[s1 + p, None, (s0 + zero) * ((db - 1 - b) * c)] * r for b, p in enumerate(pre)]
+        out, lead, count = [], head, 0
+        for d, b, j in product(range(dd), range(db), range(k)):
+            out.append(above[d])
+            at = len(out)
+            out += bands[b]
+            out[at + 1 :: 3] = rows[j * r : j * r + r]
+            if not d:
+                out[at] = lead + pre[b]
+            out.append(below[d])
+            lead, count = sk, count + dd * r
+            if count >= _CHUNK:
+                yield b"".join(out)
+                out, count = [], 0
+        yield b"".join(out + [tail])
 
 
 class _ConeEcho:
@@ -291,7 +290,7 @@ class _ConeEcho:
     def __init__(self, cones: list):
         self.cones = cones
 
-    def pieces(self, level: int) -> list:
+    def pieces(self, level: int, memo: dict) -> list:
         """The list's indented JSON, nested ``level`` deep, as one piece of ASCII bytes."""
         if not self.cones:
             return [b"[]"]
@@ -319,7 +318,7 @@ class _ListEcho:
     def __init__(self, lists: list):
         self.lists = lists
 
-    def pieces(self, level: int) -> list:
+    def pieces(self, level: int, memo: dict) -> list:
         """The lists' indented JSON, nested ``level`` deep, as one piece of ASCII bytes."""
         shape, first, parts = (), self.lists, self.lists
         while type(first) is list:
@@ -346,9 +345,9 @@ def _write_report(report: dict, write) -> None:
     """Write ``json.dumps(report, indent=2) + "\\n"`` as ASCII bytes, each holder as what it stands for.
 
     One walk of the report collects its text in a list.  At each holder the
-    text so far goes to ``write``, then the holder's own pieces, at most
-    ``_CHUNK`` of them joined per call, so a basis stack's text is never
-    held whole.  A report without holders is one call.
+    text so far goes to ``write``, then the holder's own chunks, a basis
+    stack's of about ``_CHUNK`` rows each, so its text is never held whole.
+    A report without holders is one call.
     """
     write((_text(report, 0, write) + "\n").encode("ascii"))
 
@@ -417,17 +416,18 @@ def _layout(skeleton, n: int, level: int) -> tuple:
 def _text(value, level: int, write=None) -> str:
     """The indented JSON of ``value`` nested ``level`` deep, past what its holders wrote."""
     out: list = []
-    _encode(value, level, out, write)
+    _encode(value, level, out, write, {})
     return "".join(out)
 
 
-def _encode(value, level: int, out: list, write) -> None:
+def _encode(value, level: int, out: list, write, memo: dict) -> None:
     """Append the indented JSON of ``value``, nested ``level`` deep, to ``out``.
 
     A report holds the exact scalar types of ``_SCALAR_TEXT``, lists, dicts
     with str keys and the three holders, and each gets the stdlib encoder's
     text.  A holder's pieces are written straight to ``write``, after what
-    ``out`` has collected so far.  Anything else raises TypeError.
+    ``out`` has collected so far; ``memo`` holds the text holders share.
+    Anything else raises TypeError.
     """
     text = _SCALAR_TEXT.get(type(value))
     if text is not None:
@@ -439,10 +439,10 @@ def _encode(value, level: int, out: list, write) -> None:
         nl = "\n" + "  " * (level + 1)
         sep = "," + nl
         out.append("[" + nl)
-        _encode(value[0], level + 1, out, write)
+        _encode(value[0], level + 1, out, write, memo)
         for item in value[1:]:
             out.append(sep)
-            _encode(item, level + 1, out, write)
+            _encode(item, level + 1, out, write, memo)
         out.append(nl[:-2] + "]")
     elif type(value) is dict:
         if not value:
@@ -452,15 +452,14 @@ def _encode(value, level: int, out: list, write) -> None:
         prefix = "{" + nl
         for key, item in value.items():
             out.append(prefix + encode_basestring_ascii(key) + ": ")
-            _encode(item, level + 1, out, write)
+            _encode(item, level + 1, out, write, memo)
             prefix = "," + nl
         out.append(nl[:-2] + "}")
     elif type(value) in (MatrixJson, _ConeEcho, _ListEcho):
         write("".join(out).encode("ascii"))
         out.clear()
-        pieces = value.pieces(level)
-        for i in range(0, len(pieces), _CHUNK):
-            write(b"".join(pieces[i : i + _CHUNK]))
+        for chunk in value.pieces(level, memo):
+            write(chunk)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

@@ -275,8 +275,9 @@ def _cost_table(h: int, universe: dict, objects: dict, shapes: list, order: int,
     widest = max(universe.values(), key=lambda o: o.dim)
     obj = f"$.objects[{list(objects).index(widest.name)}].dim"
     n = widest.dim * max(map(max, shapes), default=0)  # the widest whisker's side
-    stacks = sum(o.dim**2 for o in universe.values()) ** 2 * h**4  # every hom's dense basis stack
-    text = 32 * full  # a stack written out: itself, and up to ~31 entries' bytes of text per entry
+    homs = sum(o.dim**2 for o in universe.values()) ** 2  # every hom's entries per factor entry
+    stacks = homs * h**4  # every hom's basis stack, for a factor of up to h^2 matrices
+    text = 32 * full  # bounds the text a stack writes, 32 entries' bytes per entry; no dense copy is held
     held = max(1, text)  # a stack the command holds, written out or not
     products = order**3 * h**4  # the crossed product's |G| dim B <= |G| h^2 products, of side h |G|
     over = f"needs over {_MAX_ENTRIES} complex entries (1 GiB)"
@@ -286,7 +287,7 @@ def _cost_table(h: int, universe: dict, objects: dict, shapes: list, order: int,
     chunk = max(4 * h**5, h**7 // 16, 2**16)
     solve = [("$.hdim", chunk, over)]
     return {
-        "centre": [(obj, held * stacks, over)],
+        "centre": [(obj, held * homs * h**2, over)],  # its factor is C 1
         "commutant": solve + [(obj, text * stacks, over)],
         "double-commutant": solve + [(obj, text * stacks, over)],
         "vn-check": solve,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vncat import parse_scenario, run_scenario
+from vncat import HomSubspace, parse_scenario, run_scenario
 from vncat.cli import MatrixJson, _ConeEcho, _ListEcho, _write_report
 from vncat.scenario import _matrix_json
 
@@ -97,8 +97,8 @@ def test_full_bases_sized_report_has_stdlib_layout(tmp_path):
     assert zero_rows.mean() > 0.9 and not zero_rows.all()
 
 
-def test_full_report_is_never_held_whole(tmp_path):
-    # the full_bases/h7 shape: a 20 MB report, nearly all of it basis stacks
+def h7_scenario(tmp_path):
+    """The full_bases/h7 shape: a 20 MB ``full`` report, nearly all of it basis stacks."""
     objects = [{"name": "I", "dim": 1}, {"name": "X2", "dim": 2}, {"name": "X3", "dim": 3}]
     diagonal = np.diag([1.25, 2.5, 1.25, 1.25, 2.5, 1.25, 2.5])  # values repeated 4 and 3 times
     doc = {
@@ -110,6 +110,11 @@ def test_full_report_is_never_held_whole(tmp_path):
     }
     src = tmp_path / "scenario.json"
     src.write_text(json.dumps(doc))
+    return src
+
+
+def test_full_report_is_never_held_whole(tmp_path):
+    src = h7_scenario(tmp_path)
     out = tmp_path / "report.json"
     assert run_scenario(str(src), str(out), emit_bases="full") == 0  # warm-up
     tracemalloc.start()
@@ -121,6 +126,24 @@ def test_full_report_is_never_held_whole(tmp_path):
     size = out.stat().st_size
     assert code == 0 and size > 2**24
     assert peak < size / 2
+
+
+def test_full_commutant_is_written_from_its_factor(tmp_path, monkeypatch):
+    # no hom's dense stack is built: the writer holds A's text and one chunk
+    # of rows (5.3 MB when every stack was built and walked, 0.76 MB from A)
+    reads = []
+    monkeypatch.setattr(HomSubspace, "mats", property(lambda hom: reads.append(hom)))
+    src = h7_scenario(tmp_path)
+    out = tmp_path / "report.json"
+    assert run_scenario(str(src), str(out), emit_bases="full") == 0  # warm-up
+    tracemalloc.start()
+    try:
+        code = run_scenario(str(src), str(out), emit_bases="full")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and reads == []
+    assert peak < 1.5 * 2**20
 
 
 def test_scenario_strings_cannot_forge_markers(tmp_path):
@@ -341,11 +364,17 @@ def test_echoed_matrices_match_stdlib_at_any_depth(shape, path):
 
 
 def test_write_report_frees_every_stack():
+    # dense stacks, and a factor that hom pairs share: the text built from
+    # it once per report goes with the write
     stack = np.arange(12, dtype=np.complex128).reshape(3, 2, 2)
     start = sys.getrefcount(stack)
     gc.disable()
     try:
         _write_report({"bases": [MatrixJson(stack), MatrixJson(stack)]}, io.BytesIO().write)
+        assert sys.getrefcount(stack) == start
+        bases = [MatrixJson(stack, grid) for grid in [(1, 1), (2, 3), (3, 2)]]
+        start = sys.getrefcount(stack)
+        _write_report({"bases": bases}, io.BytesIO().write)
         assert sys.getrefcount(stack) == start
     finally:
         gc.enable()
@@ -355,7 +384,11 @@ def test_write_report_leaves_no_cycles():
     # the report's own structure is a tree, and the writer adds no cycle
     # that would keep its pieces alive until the cyclic collector runs
     stack = np.arange(8, dtype=np.complex128).reshape(2, 2, 2)
-    report = {"scenario": {"name": "x", "m": [[1.5, -0.0]]}, "results": [{"basis": MatrixJson(stack)}]}
+    shared = [{"matrices": MatrixJson(stack, grid)} for grid in [(1, 2), (2, 2), (2, 1)]]
+    report = {
+        "scenario": {"name": "x", "m": [[1.5, -0.0]]},
+        "results": [{"basis": MatrixJson(stack)}, {"bases": shared}],
+    }
     gc.collect()
     gc.disable()
     try:
@@ -363,6 +396,43 @@ def test_write_report_leaves_no_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def kron_stack(a, dd, db):
+    """The dense stack kron(E_db, a), (d, b, a) row-major, each block placed, not multiplied."""
+    k, r, c = a.shape
+    mats = np.zeros((dd, db, k, dd * r, db * c), dtype=complex)
+    for d in range(dd):
+        for b in range(db):
+            mats[d, b, :, d * r : (d + 1) * r, b * c : (b + 1) * c] = a
+    return mats.reshape(-1, dd * r, db * c)
+
+
+SPARSE_PARTS = [np.uint64(bits).view(np.float64) for bits in NAN_BITS] + [
+    0.0, -0.0, 5e-324, np.inf, -np.inf, 0.1 + 0.2, -2.5,
+]
+
+
+@st.composite
+def factors(draw):
+    """A (k, r, c) factor, k 0-4 and sides 1-5, whose rows are each all zero or sparse."""
+    k, r, c = draw(st.integers(0, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    a = np.zeros((k * r, 2 * c))
+    for row in a:
+        if draw(st.booleans()):
+            for i in draw(st.lists(st.integers(0, 2 * c - 1), min_size=1, max_size=3)):
+                row[i] = draw(st.sampled_from(SPARSE_PARTS) | st.floats())
+    return a.view(np.complex128).reshape(k, r, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=factors(), dd=st.integers(1, 3), db=st.integers(1, 3), depth=st.integers(0, 4), data=st.data())
+def test_factor_text_matches_stdlib_of_its_dense_stack(a, dd, db, depth, data):
+    path = data.draw(st.lists(st.sampled_from(["item", "value"]), min_size=depth, max_size=depth))
+    out = io.BytesIO()
+    _write_report(place(MatrixJson(a, (dd, db)), path), out.write)
+    want = json.dumps(place(_matrix_json(kron_stack(a, dd, db)), path), indent=2) + "\n"
+    assert out.getvalue() == want.encode()
 
 
 STRINGS = st.text() | st.sampled_from(["", "\u0000", '"', "\\", '"\\\u0000"', "é→∂\U0001d49c", "\ud800"])

@@ -22,7 +22,7 @@ from vncat import Obj, ObjectUniverse, classical_commutant, cli, cstar_residuals
 from vncat import cyclic_group, regular_rep, scenario, symmetric_group
 from vncat import crossed_product, dagger, is_von_neumann, span_category
 from vncat.category import unit_obj
-from vncat.commutant import HiddenAlgebra
+from vncat.commutant import FinPremonCat, HiddenAlgebra
 from vncat.linalg import relative
 from vncat.cli import main
 
@@ -575,8 +575,8 @@ def centre_doc(dim):
 
 UNIT_GENERATOR = [{"dom": "I", "cod": "I", "matrix": [[1]]}]
 COST_ROWS = {
-    # the (1 + n^2)^2 h^4 entries of every hom's stack at h = 2, n = 46 and 45
-    "centre": (centre_doc(46), "$.objects[1].dim", centre_doc(45)),
+    # the (1 + n^2)^2 h^2 entries of every hom's stack of C 1 at h = 2, n = 64 and 63
+    "centre": (centre_doc(64), "$.objects[1].dim", centre_doc(63)),
     # h^7 / 16 for one QR chunk of a hidden solve
     "commutant": (at_hdim("commutant", 20), "$.hdim", at_hdim("commutant", 19)),
     "double-commutant": (at_hdim("double-commutant", 20), "$.hdim", at_hdim("double-commutant", 19)),
@@ -1126,6 +1126,20 @@ def test_every_hidden_solve_is_a_hidden_algebra_property(tmp_path, monkeypatch):
     for golden in GOLDENS:
         assert run_scenario(str(golden), out, emit_bases="full") in (0, 1)
     assert set(callers) == {"commutant", "bicommutant"}
+
+
+def test_centre_at_hdim_64_is_fast(tmp_path, monkeypatch):
+    # one h x h defect decides every arrow: no arrow of the category is built
+    monkeypatch.setattr(FinPremonCat, "all_arrows", None)
+    path = write_doc(tmp_path, base_doc(hdim=64, objects=CENTRE_OBJECTS, commands=["centre"]))
+    out = tmp_path / "r.json"
+    start = time.perf_counter()
+    assert run_scenario(path, str(out), emit_bases="dims") == 0
+    assert time.perf_counter() - start < 1
+    (entry,) = json.loads(out.read_text())["results"]
+    sizes = {o["name"]: o["dim"] for o in CENTRE_OBJECTS}
+    assert entry["pass"] is True and entry["max_factor_defect"] < 1e-15
+    assert all(d["dim"] == sizes[d["dom"]] * sizes[d["cod"]] for d in entry["dims"])
 
 
 def test_centre_builds_no_pair_swap_arrows(tmp_path):
