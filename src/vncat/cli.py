@@ -25,9 +25,10 @@ in by one format call, and each basis stack of ``--emit-bases full``
 Each is written at its place, never joined into the rest of the report.
 The writer emits ASCII bytes to a binary handle.  A's rows are formatted
 once per report; each row of the stack is a zero prefix, A's row and a zero
-suffix, or the one zero row, and about ``_CHUNK`` rows are joined per write.
-So no dense stack is built, no stack's text is held whole, and a ``full``
-run's memory does not grow with its report text.
+suffix, each block row of zeros one shared piece, and whole matrices are
+joined per write until they reach ``_CHUNK`` rows.  So no dense stack is
+built, and past A's row texts (a dense stack's own) the writer holds one
+chunk: a ``full`` run's memory grows with its factors, not its report text.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .scenario import Scenario, ScenarioError, _valid_tol, load_scenario
 __all__ = ["main", "run_scenario"]
 
 _DEFAULT_TOL = 1e-9
-_CHUNK = 128  # basis-stack rows joined per write: about 0.2 MB of an hdim-7 stack
+_CHUNK = 128  # basis-stack rows per write, in whole matrices: about 0.2 MB of an hdim-7 stack
 _EMIT_BASES = ("none", "dims", "full")
 
 
@@ -72,10 +73,10 @@ def _attach_cat(entry: dict, cat: FinPremonCat, emit: str) -> dict:
     if emit in ("dims", "full"):
         entry["dims"] = [{"dom": d.name, "cod": c.name, "dim": n} for d, c, n in cat.dims()]
     if emit == "full":
-        entry["bases"] = []
+        entry["bases"], rows = [], {}  # the row texts of the one factor of _tensor_view's homs
         for d, c in cat.universe.pairs():  # a computed hom from its factor, a dense one whole
             f = cat.homs[(d, c)]
-            stack = MatrixJson(f.mats) if f.factor is None else MatrixJson(f.factor, (c.dim, d.dim))
+            stack = MatrixJson(f.mats) if f.factor is None else MatrixJson(f.factor, (c.dim, d.dim), rows)
             entry["bases"].append({"dom": d.name, "cod": c.name, "matrices": stack})
     return entry
 
@@ -217,18 +218,20 @@ class MatrixJson:
     stack's matrices run over (d, b, a) in row-major order.  A dense stack,
     or one matrix, is its own factor on the 1 x 1 grid.  ``pieces`` renders
     the stack from A alone: each of its rows is A's row between a zero
-    prefix and a zero suffix, or the one all-zero row, all shared objects,
-    and about ``_CHUNK`` rows are joined per write.  A's rows are formatted
-    once per report and kept in ``memo``: each distinct float and entry
-    once, each row joined once.
+    prefix and a zero suffix, each block row of zeros one piece, all shared
+    objects, and whole matrices are joined per write until they reach
+    ``_CHUNK`` rows.  A's row texts are built at its first write and kept in
+    ``rows`` by depth, a dict that the holders of one factor share: each
+    distinct float and entry is formatted once, each row joined once.
     """
 
-    __slots__ = ("factor", "grid")
+    __slots__ = ("factor", "grid", "rows")
 
-    def __init__(self, factor, grid=(1, 1)):
+    def __init__(self, factor, grid=(1, 1), rows=None):
         self.factor, self.grid = np.asarray(factor, dtype=np.complex128), grid
+        self.rows = {} if rows is None else rows
 
-    def pieces(self, level: int, memo: dict):
+    def pieces(self, level: int):
         """The stack's indented JSON, nested ``level`` deep, as chunks of ASCII bytes."""
         a, (dd, db) = self.factor, self.grid
         k, r, c = (a if a.ndim == 3 else a[None]).shape
@@ -241,35 +244,31 @@ class MatrixJson:
         # where w trailing axes wrap is piece 2**(w + 1), as entry 2**w is the first such
         head, inner, *_, tail = pieces = [p.encode("ascii") for p in _layout(_stack_of, a.ndim, level)]
         s0, s1, sk = (pieces[2 ** (w + 1)] for w in (0, 1, a.ndim - 1))
-        key = (id(a), level)
-        if key not in memo:
+        if level not in self.rows:
             # parts by bit pattern, so -0.0 and NaN payloads stay apart
             floats, part = np.unique(np.ascontiguousarray(a).view(np.uint64), return_inverse=True)
             texts = [_float_text(x).encode("ascii") for x in floats.view(np.float64).tolist()]
             words = np.array(texts, dtype=object)
             entries, leaf = np.unique(part.reshape(-1, 2) @ [len(floats), 1], return_inverse=True)
             leaves = words[entries // len(floats)] + inner + words[entries % len(floats)]
-            # kept with A itself, so no other array can take its id while the memo lives
-            memo[key] = (a, [s0.join(row) for row in leaves[leaf].reshape(-1, c).tolist()])
-        rows, zero = memo[key][1], b"0.0" + inner + b"0.0"
-        # Each row is led by its separator: A's row, in block column b, by a
-        # zero prefix and then a zero suffix.  The zero rows above and below
-        # A's block rows are joined once per stack.  A matrix's first row is
+            self.rows[level] = [s0.join(row) for row in leaves[leaf].reshape(-1, c).tolist()]
+        rows, zero = self.rows[level], b"0.0" + inner + b"0.0"
+        # Each row of A's block is led by its separator and a zero prefix,
+        # then A's row and a zero suffix, in block column b; each zero block
+        # row above or below it is one shared piece.  A matrix's first row is
         # led by sk, or by the head in the first matrix, not by s1.
-        z = s1 + s0.join([zero] * (db * c))
-        above = [b""] + [sk + z[len(s1) :] + z * (d * r - 1) for d in range(1, dd)]
-        below = [z * ((dd - 1 - d) * r) for d in range(dd)]
+        zb = (s1 + s0.join([zero] * (db * c))) * r
+        zk = sk + zb[len(s1) :]
         pre = [(zero + s0) * (b * c) for b in range(db)]
         bands = [[s1 + p, None, (s0 + zero) * ((db - 1 - b) * c)] * r for b, p in enumerate(pre)]
         out, lead, count = [], head, 0
         for d, b, j in product(range(dd), range(db), range(k)):
-            out.append(above[d])
             at = len(out)
+            out += [zb] * d
             out += bands[b]
-            out[at + 1 :: 3] = rows[j * r : j * r + r]
-            if not d:
-                out[at] = lead + pre[b]
-            out.append(below[d])
+            out[at + d + 1 :: 3] = rows[j * r : j * r + r]
+            out += [zb] * (dd - 1 - d)
+            out[at] = zk if d else lead + pre[b]
             lead, count = sk, count + dd * r
             if count >= _CHUNK:
                 yield b"".join(out)
@@ -290,7 +289,7 @@ class _ConeEcho:
     def __init__(self, cones: list):
         self.cones = cones
 
-    def pieces(self, level: int, memo: dict) -> list:
+    def pieces(self, level: int) -> list:
         """The list's indented JSON, nested ``level`` deep, as one piece of ASCII bytes."""
         if not self.cones:
             return [b"[]"]
@@ -318,7 +317,7 @@ class _ListEcho:
     def __init__(self, lists: list):
         self.lists = lists
 
-    def pieces(self, level: int, memo: dict) -> list:
+    def pieces(self, level: int) -> list:
         """The lists' indented JSON, nested ``level`` deep, as one piece of ASCII bytes."""
         shape, first, parts = (), self.lists, self.lists
         while type(first) is list:
@@ -346,7 +345,7 @@ def _write_report(report: dict, write) -> None:
 
     One walk of the report collects its text in a list.  At each holder the
     text so far goes to ``write``, then the holder's own chunks, a basis
-    stack's of about ``_CHUNK`` rows each, so its text is never held whole.
+    stack's of whole matrices and about ``_CHUNK`` rows each.
     A report without holders is one call.
     """
     write((_text(report, 0, write) + "\n").encode("ascii"))
@@ -416,17 +415,17 @@ def _layout(skeleton, n: int, level: int) -> tuple:
 def _text(value, level: int, write=None) -> str:
     """The indented JSON of ``value`` nested ``level`` deep, past what its holders wrote."""
     out: list = []
-    _encode(value, level, out, write, {})
+    _encode(value, level, out, write)
     return "".join(out)
 
 
-def _encode(value, level: int, out: list, write, memo: dict) -> None:
+def _encode(value, level: int, out: list, write) -> None:
     """Append the indented JSON of ``value``, nested ``level`` deep, to ``out``.
 
     A report holds the exact scalar types of ``_SCALAR_TEXT``, lists, dicts
     with str keys and the three holders, and each gets the stdlib encoder's
     text.  A holder's pieces are written straight to ``write``, after what
-    ``out`` has collected so far; ``memo`` holds the text holders share.
+    ``out`` has collected so far.
     Anything else raises TypeError.
     """
     text = _SCALAR_TEXT.get(type(value))
@@ -439,10 +438,10 @@ def _encode(value, level: int, out: list, write, memo: dict) -> None:
         nl = "\n" + "  " * (level + 1)
         sep = "," + nl
         out.append("[" + nl)
-        _encode(value[0], level + 1, out, write, memo)
+        _encode(value[0], level + 1, out, write)
         for item in value[1:]:
             out.append(sep)
-            _encode(item, level + 1, out, write, memo)
+            _encode(item, level + 1, out, write)
         out.append(nl[:-2] + "]")
     elif type(value) is dict:
         if not value:
@@ -452,13 +451,13 @@ def _encode(value, level: int, out: list, write, memo: dict) -> None:
         prefix = "{" + nl
         for key, item in value.items():
             out.append(prefix + encode_basestring_ascii(key) + ": ")
-            _encode(item, level + 1, out, write, memo)
+            _encode(item, level + 1, out, write)
             prefix = "," + nl
         out.append(nl[:-2] + "}")
     elif type(value) in (MatrixJson, _ConeEcho, _ListEcho):
         write("".join(out).encode("ascii"))
         out.clear()
-        for chunk in value.pieces(level, memo):
+        for chunk in value.pieces(level):
             write(chunk)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -287,7 +287,9 @@ def _cost_table(h: int, universe: dict, objects: dict, shapes: list, order: int,
     chunk = max(4 * h**5, h**7 // 16, 2**16)
     solve = [("$.hdim", chunk, over)]
     return {
-        "centre": [(obj, held * homs * h**2, over)],  # its factor is C 1
+        # its factor is C 1; first the unit arrow's h x h temporaries and two
+        # SVDs at most, its defect's and, if the bounds leave it open, its norm's
+        "centre": [("$.hdim", max(h**3 // 8, 8 * h**2), over), (obj, held * homs * h**2, over)],
         "commutant": solve + [(obj, text * stacks, over)],
         "double-commutant": solve + [(obj, text * stacks, over)],
         "vn-check": solve,

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vncat import HomSubspace, parse_scenario, run_scenario
-from vncat.cli import MatrixJson, _ConeEcho, _ListEcho, _write_report
+from vncat.cli import MatrixJson, _ConeEcho, _ListEcho, _text, _write_report
 from vncat.scenario import _matrix_json
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -364,18 +364,26 @@ def test_echoed_matrices_match_stdlib_at_any_depth(shape, path):
 
 
 def test_write_report_frees_every_stack():
-    # dense stacks, and a factor that hom pairs share: the text built from
-    # it once per report goes with the write
+    # dense stacks, and a factor that hom pairs share: the writer keeps no
+    # reference to either, and the row text built from the factor once
+    # lives on its holders, as bytes alone, and goes with them
     stack = np.arange(12, dtype=np.complex128).reshape(3, 2, 2)
     start = sys.getrefcount(stack)
     gc.disable()
     try:
         _write_report({"bases": [MatrixJson(stack), MatrixJson(stack)]}, io.BytesIO().write)
         assert sys.getrefcount(stack) == start
-        bases = [MatrixJson(stack, grid) for grid in [(1, 1), (2, 3), (3, 2)]]
+        rows = {}
+        bases = [MatrixJson(stack, grid, rows) for grid in [(1, 1), (2, 3), (3, 2)]]
         start = sys.getrefcount(stack)
+        _write_report({"bases": bases[:1]}, io.BytesIO().write)
+        (built,) = rows.values()
         _write_report({"bases": bases}, io.BytesIO().write)
         assert sys.getrefcount(stack) == start
+        assert list(rows.values()) == [built] and rows[2] is built
+        assert {type(row) for row in built} == {bytes}
+        del bases
+        assert sys.getrefcount(rows) == 2  # this name's, and the call's
     finally:
         gc.enable()
 
@@ -384,7 +392,8 @@ def test_write_report_leaves_no_cycles():
     # the report's own structure is a tree, and the writer adds no cycle
     # that would keep its pieces alive until the cyclic collector runs
     stack = np.arange(8, dtype=np.complex128).reshape(2, 2, 2)
-    shared = [{"matrices": MatrixJson(stack, grid)} for grid in [(1, 2), (2, 2), (2, 1)]]
+    rows = {}
+    shared = [{"matrices": MatrixJson(stack, grid, rows)} for grid in [(1, 2), (2, 2), (2, 1)]]
     report = {
         "scenario": {"name": "x", "m": [[1.5, -0.0]]},
         "results": [{"basis": MatrixJson(stack)}, {"bases": shared}],
@@ -393,9 +402,30 @@ def test_write_report_leaves_no_cycles():
     gc.disable()
     try:
         _write_report(report, io.BytesIO().write)
-        assert gc.collect() == 0
+        assert rows and gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_wide_grid_is_written_a_few_matrices_at_a_time():
+    # whole matrices are joined until they reach _CHUNK rows, and each zero
+    # block row is one shared piece: neither the chunks nor the writer's
+    # own memory grow with the grid's dD^2 block rows of zeros
+    a = np.ones((2, 2, 2), dtype=np.complex128)
+    dd, k, r = 64, 2, 2
+    matrix = len(_text(_matrix_json(kron_stack(a, dd, 1)[0]), 2))  # one matrix's text
+    sizes = []
+    tracemalloc.start()
+    try:
+        for chunk in MatrixJson(a, (dd, 1)).pieces(1):
+            sizes.append(len(chunk))
+            del chunk
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a matrix has dd r = 128 rows, so each is one write, and then the tail
+    assert len(sizes) == dd * k + 1 and max(sizes) < 1.1 * matrix
+    assert peak < 4 * matrix
 
 
 def kron_stack(a, dd, db):

@@ -612,6 +612,18 @@ def test_every_command_has_a_cost_row(tmp_path, capsys, cmd):
     parse_scenario(edge, "dims")
 
 
+def test_centre_charges_its_unit_arrow_svds_first(tmp_path, capsys):
+    # two SVDs of side h at most, h^3 / 8 entries: h = 813 is past the budget
+    # in every mode, though its stacks of C 1 would fit; h = 812 is not
+    over = base_doc(hdim=813, commands=["centre"])
+    start = time.perf_counter()
+    assert run_scenario(write_doc(tmp_path, over), str(tmp_path / "r.json"), emit_bases="none") == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith("scenario error: $.hdim: ")
+    for emit in cli._EMIT_BASES:
+        parse_scenario(base_doc(hdim=812, commands=["centre"]), emit)
+
+
 def test_double_commutant_of_nothing_solves_one_generic_pair(tmp_path):
     # S' = End(H): S'' = C 1 from one {x, x*} pair, not from the h^2 matrix
     # units of S' (over 5 s at h = 19 when solved from all of them)
