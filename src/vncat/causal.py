@@ -8,12 +8,17 @@ asks nested cones to have nested spans, and causality asks every arrow pair
 across spacelike cones to interchange, each pair measured once.
 
 Both checks get the cone relations of all pairs at once by comparing the
-stacked endpoints, a block of cone rows at a time (``linalg.batches``).  A
-net stacks its endpoints once, when it is built, in light-cone coordinates
-(t + x, t - x), where the causal order is two comparisons.  Causality hands
-the ordered arrow pairs that occur to the stacked kernel
-``interchange_norms``, one call per pair of block shapes and batch, whose
-values equal ``interchange_residuals`` bit for bit.  A cone pair's value is
+stacked endpoints, a block of cone rows at a time (``linalg.batches``), the
+rows of cones with arrows only.  A net stacks its endpoints once, when it is
+built, in light-cone coordinates (t + x, t - x), where the causal order is
+two comparisons.  Isotony decides each distinct (inner span, outer span)
+pair of a hom once: a block's inner arrows against one outer span go through
+one ``_in_span`` against its ``_range``, taken once per distinct outer span,
+and against an empty span their norms decide.  Causality takes each block's
+spacelike mask once and hands the ordered arrow pairs that occur to the
+stacked kernel ``interchange_norms``, one call per pair of block shapes and
+batch, whose values equal ``interchange_residuals`` bit for bit; a zero
+difference (a commuting pair) takes no SVD.  A cone pair's value is
 the largest residual over its arrow pairs, 0.0 when either cone is empty.
 ``worst`` is the first pair with the largest value in ``combinations``
 order, and None when no pair is spacelike; ``violations`` keep that order,
@@ -22,14 +27,16 @@ whatever the blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .category import Context, block_view, interchange_norms
 from .category import interchange_residuals  # noqa: F401  (wrapped by bench/spans.py)
-from .commutant import HomSubspace, group_by_hom, subspace_contains
+from .commutant import _in_span, _range, _vecs, group_by_hom
+from .commutant import subspace_contains  # noqa: F401  (wrapped by bench/spans.py)
 from .linalg import as_integer, batches, operator_norms, relative, within
 
 __all__ = [
@@ -56,21 +63,21 @@ def causal_leq(p: Event, q: Event) -> bool:
     return q[0] - p[0] >= abs(q[1] - p[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DoubleCone:
-    """All events between two causally comparable endpoints."""
+    """All events between two causally comparable endpoints, each given as a (t, x) pair."""
 
     lo: Event
     hi: Event
 
-    def __post_init__(self):
-        (t0, x0), (t1, x1) = self.lo, self.hi
-        lo = Event(as_integer(t0, "cone coordinate t"), as_integer(x0, "cone coordinate x"))
-        hi = Event(as_integer(t1, "cone coordinate t"), as_integer(x1, "cone coordinate x"))
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if not causal_leq(lo, hi):
-            raise ValueError(f"cone endpoints are not causally ordered: {lo} -> {hi}")
+    def __init__(self, lo, hi):
+        (t0, x0), (t1, x1) = lo, hi
+        if not type(t0) is type(x0) is type(t1) is type(x1) is int:  # exact ints need no conversion
+            t0, x0, t1, x1 = map(as_integer, (t0, x0, t1, x1), ("cone coordinate t", "cone coordinate x") * 2)
+        object.__setattr__(self, "lo", tuple.__new__(Event, (t0, x0)))  # Event(t0, x0), past its Python-level __new__
+        object.__setattr__(self, "hi", tuple.__new__(Event, (t1, x1)))
+        if t1 - t0 < abs(x1 - x0):  # not causal_leq(lo, hi)
+            raise ValueError(f"cone endpoints are not causally ordered: {self.lo} -> {self.hi}")
 
 
 @dataclass(frozen=True)
@@ -85,9 +92,6 @@ class LatticeBounds:
             object.__setattr__(self, f.name, as_integer(getattr(self, f.name), f.name))
         if self.tmin > self.tmax or self.xmin > self.xmax:
             raise ValueError("empty lattice bounds")
-
-    def contains(self, e: Event) -> bool:
-        return self.tmin <= e[0] <= self.tmax and self.xmin <= e[1] <= self.xmax
 
 
 def cone_events(cone: DoubleCone) -> list[Event]:
@@ -121,17 +125,19 @@ class CausalNet:
     assignments: dict
 
     def __post_init__(self):
+        (tmin, tmax, xmin, xmax), ctx = astuple(self.bounds), self.ctx
         norm = {}
-        for cone, arrows in self.assignments.items():
+        for k, (cone, arrows) in enumerate(self.assignments.items()):
             if not isinstance(cone, DoubleCone):
-                cone = DoubleCone(Event(*cone[0]), Event(*cone[1]))
-            if not (self.bounds.contains(cone.lo) and self.bounds.contains(cone.hi)):
+                cone = DoubleCone(*cone)
+            (t0, x0), (t1, x1) = cone.lo, cone.hi  # t0 <= t1
+            if not (tmin <= t0 and t1 <= tmax and xmin <= x0 <= xmax and xmin <= x1 <= xmax):
                 raise ValueError(f"cone {cone.lo} -> {cone.hi} leaves the lattice bounds")
-            arrows = tuple(arrows)
-            for a in arrows:
-                if a.ctx != self.ctx:
-                    raise ValueError("net arrows must share the net context")
-            norm[cone] = arrows
+            norm[cone] = tuple(arrows)
+            if len(norm) == k:  # a cone met before, under another key
+                raise ValueError(f"duplicate cone {cone.lo} -> {cone.hi}")
+        if any(a.ctx != ctx for a in set(chain.from_iterable(norm.values()))):  # each distinct arrow once
+            raise ValueError("net arrows must share the net context")
         object.__setattr__(self, "assignments", norm)
         object.__setattr__(self, "_ends", _endpoints(list(norm)))
 
@@ -161,7 +167,7 @@ def _endpoints(cones: list[DoubleCone]) -> tuple[np.ndarray, np.ndarray]:
     past that.
     """
     coords = [v for c in cones for v in (*c.lo, *c.hi)]
-    dtype = np.int64 if all(abs(v) < 2**61 for v in coords) else object
+    dtype = np.int64 if max(map(abs, coords), default=0) < 2**61 else object
     t, x = np.array(coords, dtype=dtype).reshape(-1, 2, 2).T
     ends = np.stack([t + x, t - x])  # (u or v, lo or hi, cone)
     return ends[:, 0], ends[:, 1]
@@ -179,59 +185,68 @@ def _spacelike_rows(lo: np.ndarray, hi: np.ndarray, rows: slice) -> np.ndarray:
     return apart & (np.arange(lo.shape[1]) > np.arange(rows.start, rows.stop)[:, None])
 
 
-def _nested_rows(lo: np.ndarray, hi: np.ndarray, rows: slice) -> np.ndarray:
-    """(inner, outer) with inner in ``rows`` and outer another cone holding it."""
+def _nested_rows(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(inner, outer) with inner in ``rows``, an index array, and outer another cone holding it."""
     inside = _leq(lo[:, None, :], lo[:, rows, None]) & _leq(hi[:, rows, None], hi[:, None, :])
-    own = np.arange(rows.start, rows.stop)
-    inside[own - rows.start, own] = False
+    inside[np.arange(len(rows)), rows] = False
     return inside
 
 
 def check_isotony(net: CausalNet, tol: float = 1e-9) -> IsotonyReport:
     """Nested cones must carry nested generator spans, hom pair by hom pair."""
-    cones = net.cones()
-    spans = [
-        {hom: tuple(arrows) for hom, arrows in group_by_hom(assigned).items()}
-        for assigned in net.assignments.values()
-    ]
+    cones, assigned = net.cones(), list(net.assignments.values())
     lo, hi = net._ends
-    contains = {}  # (inner arrows, outer arrows) of one hom -> verdict
+    spans: dict = {}  # cone index -> {hom: arrows}, for the cones of nested pairs
+    ranges: dict = {}  # outer arrows -> orthonormal columns of their span
+    contains: dict = {}  # (inner arrows, outer arrows) of one hom -> verdict
     violations = []
-    for rows in batches(len(cones), len(cones)):
-        inner_idx, outer_idx = np.nonzero(_nested_rows(lo, hi, rows))
-        for i, o in zip((inner_idx + rows.start).tolist(), outer_idx.tolist()):
+    full = np.flatnonzero(list(map(len, assigned)))  # an empty inner cone holds no span to check
+    for part in batches(len(full), len(cones)):
+        inner_idx, outer_idx = np.nonzero(_nested_rows(lo, hi, full[part]))
+        pairs = list(zip(full[part][inner_idx].tolist(), outer_idx.tolist()))
+        for c in set(chain.from_iterable(pairs)) - spans.keys():
+            spans[c] = {hom: tuple(arrows) for hom, arrows in group_by_hom(assigned[c]).items()}
+        undecided: dict = {}  # (hom, outer arrows) -> the inner arrows to decide against them
+        for i, o in pairs:
+            for hom, small in spans[i].items():
+                big = spans[o].get(hom, ())
+                if (small, big) not in contains:
+                    undecided.setdefault((hom, big), {})[small] = None
+        for (hom, big), smalls in undecided.items():
+            cols = list(dict.fromkeys(chain.from_iterable(smalls)))  # each distinct inner arrow once
+            vs = _vecs([a.mat for a in cols])
+            if big and big not in ranges:
+                ranges[big] = _range(_vecs([a.mat for a in big]), tol)
+            # the empty span has no columns: there a vector's own norm decides
+            held = dict(zip(cols, _in_span(ranges[big] if big else vs[:, :0], vs, tol).tolist()))
+            contains.update({(small, big): all(map(held.__getitem__, small)) for small in smalls})
+        for i, o in pairs:
             for (dom, cod), small in spans[i].items():
-                key = (small, spans[o].get((dom, cod), ()))
-                if key not in contains:
-                    contains[key] = subspace_contains(
-                        HomSubspace(dom, cod, [a.mat for a in key[1]]),
-                        HomSubspace(dom, cod, [a.mat for a in small]),
-                        tol,
-                    )
-                if not contains[key]:
+                if not contains[small, spans[o].get((dom, cod), ())]:
                     violations.append((cones[i], cones[o], dom.name, cod.name))
     return IsotonyReport(not violations, tuple(violations))
 
 
 def check_causality(net: CausalNet, tol: float = 1e-9) -> CausalityReport:
     """Every arrow pair across spacelike-separated cones must interchange."""
-    cones = net.cones()
-    n = len(cones)
-    cone_of = np.fromiter(cones, dtype=object, count=n)
-    lo, hi = net._ends
+    cones, (lo, hi) = net.cones(), net._ends
     index: dict = {}  # distinct arrows, by identity
     members = [[index.setdefault(a, len(index)) for a in arrows] for arrows in net.assignments.values()]
-    arrows = list(index)
-    counts = np.array([len(ids) for ids in members], dtype=np.intp)
+    counts = np.array(list(map(len, members)), dtype=np.intp)
+    full = np.flatnonzero(counts)  # a pair with an empty cone is worth 0.0: only cones with arrows are compared
+    cone_of = np.fromiter(cones, dtype=object, count=len(cones))[full]
+    counts, n, arrows = counts[full], len(full), list(index)
     flat = np.array([i for ids in members for i in ids], dtype=np.intp)
     incidence = np.zeros((n, len(arrows)))
     incidence[np.repeat(np.arange(n), counts), flat] = 1.0
     blocks = batches(n, max(n, len(flat)))  # a cone row's widest temporary
+    # each block's spacelike mask, kept for both passes: one bool per pair of cones with arrows
+    apart = [_spacelike_rows(lo[:, full], hi[:, full], rows) for rows in blocks]
 
     # ordered arrow pairs (f of the earlier cone, g of the later) that occur
     occurs = np.zeros((len(arrows), len(arrows)), dtype=bool)
-    for rows in blocks:
-        occurs |= incidence[rows].T @ (_spacelike_rows(lo, hi, rows) @ incidence) > 0
+    for rows, mask in zip(blocks, apart):
+        occurs |= incidence[rows].T @ (mask @ incidence) > 0
     # the arrows of one block shape form one stack, and the pairs that occur
     # between two stacks are measured by the stacked kernel, in batches
     kinds: dict = {}  # matrix shape -> indices of its arrows
@@ -259,18 +274,14 @@ def check_causality(net: CausalNet, tol: float = 1e-9) -> CausalityReport:
                 values = interchange_norms(fs[slot[i]], gs[slot[j]])
                 residual[i, j] = relative(values, norms[i] * norms[j])
 
-    # a cone pair's worst value is its largest residual, 0.0 when either cone
-    # is empty: maxima over each cone's run of ``flat``
-    full = np.flatnonzero(counts)
-    starts = (np.cumsum(counts) - counts)[full]
-    row_top = np.zeros((n, len(arrows)))
-    row_top[full] = np.maximum.reduceat(residual[flat], starts, axis=0)
+    # a cone pair's worst value is its largest residual: maxima over each cone's run of ``flat``
+    starts = np.cumsum(counts) - counts
+    row_top = np.maximum.reduceat(residual[flat], starts, axis=0)
     worst = None
     violations = []
-    for rows in blocks:
-        pair_top = np.zeros((rows.stop - rows.start, n))
-        pair_top[:, full] = np.maximum.reduceat(row_top[rows][:, flat], starts, axis=1)
-        ia, ib = np.nonzero(_spacelike_rows(lo, hi, rows))
+    for rows, mask in zip(blocks, apart):
+        pair_top = np.maximum.reduceat(row_top[rows][:, flat], starts, axis=1)
+        ia, ib = np.nonzero(mask)
         tops = pair_top[ia, ib]
         ia += rows.start
         if len(tops):
@@ -279,4 +290,10 @@ def check_causality(net: CausalNet, tol: float = 1e-9) -> CausalityReport:
                 worst = (cone_of[ia[k]], cone_of[ib[k]], float(tops[k]))
         bad = ~within(tops, 1.0, tol)  # the residuals are relative already
         violations += zip(cone_of[ia[bad]].tolist(), cone_of[ib[bad]].tolist(), tops[bad].tolist())
+    if worst is None or worst[2] == 0.0:  # every pair is worth 0.0: the first spacelike pair of all cones
+        for rows in batches(len(cones), len(cones)):
+            ia, ib = np.nonzero(_spacelike_rows(lo, hi, rows))
+            if len(ia):
+                worst = (cones[rows.start + ia[0]], cones[ib[0]], 0.0)
+                break
     return CausalityReport(not violations, worst, tuple(violations))

@@ -18,9 +18,10 @@ stdlib encoder's text, and the one owner of that layout.  It takes a
 report's own value types (exact str, int, float, bool and None, lists,
 str-keyed dicts and three holders) and raises TypeError on anything else.
 The holders take their layout from it, as the text of a small skeleton
-split at its holes (``_layout``): a net's echoed cone list (``_ConeEcho``)
-and each echoed generator matrix and rep stack (``_ListEcho``), each filled
-in by one format call, and each basis stack of ``--emit-bases full``
+split at its holes (``_layout``): a net's echoed cone list and a causality
+entry's isotony violations (``_RecordList``) and each echoed generator
+matrix and rep stack (``_ListEcho``), each filled in by one format call,
+and each basis stack of ``--emit-bases full``
 (``MatrixJson``), rendered from the factor A of its hom M_{dD x dB} (x) A.
 Each is written at its place, never joined into the rest of the report.
 The writer emits ASCII bytes to a binary handle.  A's rows are formatted
@@ -163,31 +164,19 @@ def _cmd_covariance(sc: Scenario, tol: float, emit: str, hidden: HiddenAlgebra) 
     }
 
 
-def _cone_json(cone) -> list:
-    return [[cone.lo.t, cone.lo.x], [cone.hi.t, cone.hi.x]]
-
-
 def _cmd_causality(sc: Scenario, tol: float, emit: str, hidden: HiddenAlgebra) -> dict:
     iso = check_isotony(sc.net, tol)
     cau = check_causality(sc.net, tol)
     worst = None
     if cau.worst is not None:
         ca, cb, r = cau.worst
-        worst = {"cone_a": _cone_json(ca), "cone_b": _cone_json(cb), "residual": r}
+        worst = {"cone_a": [list(ca.lo), list(ca.hi)], "cone_b": [list(cb.lo), list(cb.hi)], "residual": r}
     return {
         "command": "causality",
         "pass": iso.passed and cau.passed,
         "isotony": {
             "pass": iso.passed,
-            "violations": [
-                {
-                    "inner": _cone_json(inner),
-                    "outer": _cone_json(outer),
-                    "dom": dom,
-                    "cod": cod,
-                }
-                for inner, outer, dom, cod in iso.violations
-            ],
+            "violations": _violation_list(iso.violations),
         },
         "causality": {
             "pass": cau.passed,
@@ -276,32 +265,41 @@ class MatrixJson:
         yield b"".join(out + [tail])
 
 
-class _ConeEcho:
-    """Stands in a report for the net's echoed cone list.
+class _RecordList:
+    """Stands in a report for a list of records: a net's echoed cones or its isotony violations.
 
-    ``pieces`` joins one cone layout per count of generator names into the
-    list's frame and fills them by one format call, with each coordinate's
-    ``int.__repr__`` and each name's ``encode_basestring_ascii``.
+    Record i is ``skeleton(keys[i])``, its holes filled from ``args`` in
+    order: ints by ``%d``, names as their ``encode_basestring_ascii`` text.
+    ``pieces`` joins one layout per key into the list's frame and fills the
+    whole list by one format call.
     """
 
-    __slots__ = ("cones",)
+    __slots__ = ("skeleton", "keys", "args")
 
-    def __init__(self, cones: list):
-        self.cones = cones
+    def __init__(self, skeleton, keys: list, args: list):
+        self.skeleton, self.keys, self.args = skeleton, keys, args
 
     def pieces(self, level: int) -> list:
         """The list's indented JSON, nested ``level`` deep, as one piece of ASCII bytes."""
-        if not self.cones:
+        if not self.keys:
             return [b"[]"]
-        counts = [len(c["generators"]) for c in self.cones]
-        layouts = {k: "%s".join(_layout(_cone_of, k, level + 1)) for k in set(counts)}
-        args = []
-        for c in self.cones:
-            args += map(int.__repr__, c["lo"] + c["hi"])
-            args += map(encode_basestring_ascii, c["generators"])
+        layouts = {k: _format(self.skeleton, k, level + 1) for k in set(self.keys)}
         head, sep, tail = _layout(_stack_of, 0, level)
-        text = (head + sep.join(map(layouts.__getitem__, counts)) + tail) % tuple(args)
-        return [text.encode("ascii")]
+        return [((head + sep.join(map(layouts.__getitem__, self.keys)) + tail) % tuple(self.args)).encode("ascii")]
+
+
+def _cone_echo(cones: list) -> _RecordList:
+    """The net's echoed cone list, of ``{"lo", "hi", "generators"}`` dicts, keyed by name count."""
+    enc = encode_basestring_ascii
+    args = [v for c in cones for v in (*c["lo"], *c["hi"], *map(enc, c["generators"]))]
+    return _RecordList(_cone_of, [len(c["generators"]) for c in cones], args)
+
+
+def _violation_list(violations: tuple) -> _RecordList:
+    """``IsotonyReport.violations``: (inner cone, outer cone, dom name, cod name) tuples."""
+    enc = encode_basestring_ascii
+    args = [v for i, o, d, c in violations for v in (*i.lo, *i.hi, *o.lo, *o.hi, enc(d), enc(c))]
+    return _RecordList(_violation_of, [0] * len(violations), args)
 
 
 class _ListEcho:
@@ -325,18 +323,18 @@ class _ListEcho:
             first = first[0] if first else None
         for _ in shape[1:]:
             parts = chain.from_iterable(parts)
-        return [(_filled_layout(shape, level) % tuple(map(float.__repr__, parts))).encode("ascii")]
+        return [(_format(_holes, shape, level) % tuple(map(float.__repr__, parts))).encode("ascii")]
 
 
 def _echo(normalized: dict) -> dict:
-    """``normalized`` with each echoed matrix and the rep stack as a ``_ListEcho``, and the net's cone list as a ``_ConeEcho``."""
+    """``normalized`` with each echoed matrix and the rep stack as a ``_ListEcho``, and the net's cone list as a ``_RecordList``."""
     echo = dict(normalized)
     if "generators" in echo:
         echo["generators"] = [dict(g, matrix=_ListEcho(g["matrix"])) for g in echo["generators"]]
     if "rep" in echo:
         echo["rep"] = _ListEcho(echo["rep"])
     if "net" in echo:
-        echo["net"] = dict(echo["net"], cones=_ConeEcho(echo["net"]["cones"]))
+        echo["net"] = dict(echo["net"], cones=_cone_echo(echo["net"]["cones"]))
     return echo
 
 
@@ -363,10 +361,10 @@ def _float_text(x: float) -> str:
 
 
 class _Hole:
-    """A skeleton's leaf, written as NUL: no layout holds one, as every string escapes it."""
+    """A skeleton's leaf, written as NUL, or as SOH for an int (``_INT``): every string escapes both."""
 
 
-_HOLE = _Hole()
+_HOLE, _INT = _Hole(), _Hole()
 
 # the texts of the JSON scalar types, by exact type, and of a skeleton's hole
 _SCALAR_TEXT = {
@@ -375,7 +373,7 @@ _SCALAR_TEXT = {
     bool: lambda b: "true" if b else "false",
     int: int.__repr__,
     float: _float_text,
-    _Hole: lambda _: "\0",
+    _Hole: lambda hole: "\1" if hole is _INT else "\0",
 }
 
 
@@ -385,8 +383,13 @@ def _stack_of(ndim: int) -> list:
 
 
 def _cone_of(names: int) -> dict:
-    """An echoed cone with ``names`` generator names, every value a hole."""
-    return {"lo": [_HOLE, _HOLE], "hi": [_HOLE, _HOLE], "generators": [_HOLE] * names}
+    """An echoed cone with ``names`` generator names: int holes, then text holes."""
+    return {"lo": [_INT, _INT], "hi": [_INT, _INT], "generators": [_HOLE] * names}
+
+
+def _violation_of(_) -> dict:
+    """An isotony violation: its cones' int holes, then text holes."""
+    return {"inner": [[_INT, _INT]] * 2, "outer": [[_INT, _INT]] * 2, "dom": _HOLE, "cod": _HOLE}
 
 
 def _holes(shape: tuple):
@@ -395,12 +398,12 @@ def _holes(shape: tuple):
 
 
 @functools.lru_cache(maxsize=64)
-def _filled_layout(shape: tuple, level: int) -> str:
-    """The text of ``_holes(shape)`` nested ``level`` deep, each hole a ``%s``: a format string.
+def _format(skeleton, n, level: int) -> str:
+    """The text of ``skeleton(n)`` nested ``level`` deep as a format string: ``%s`` at text holes, ``%d`` at int holes.
 
-    Shapes vary more than ranks do, so this memo is bounded.
+    Echoed shapes vary more than ranks do, so this memo is bounded.
     """
-    return _text(_holes(shape), level).replace("\0", "%s")
+    return _text(skeleton(n), level).replace("\0", "%s").replace("\1", "%d")
 
 
 @functools.cache
@@ -454,7 +457,7 @@ def _encode(value, level: int, out: list, write) -> None:
             _encode(item, level + 1, out, write)
             prefix = "," + nl
         out.append(nl[:-2] + "}")
-    elif type(value) in (MatrixJson, _ConeEcho, _ListEcho):
+    elif type(value) in (MatrixJson, _RecordList, _ListEcho):
         write("".join(out).encode("ascii"))
         out.clear()
         for chunk in value.pieces(level):

@@ -113,12 +113,18 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
 
     The batched SVD makes the same LAPACK call on each matrix whatever the
     stack around it, so a value does not depend on how matrices are batched.
+    An exactly zero matrix (an empty one too) gets 0.0 with no SVD: the
+    value LAPACK gives it, -0.0 entries included.
     """
     if not np.isfinite(stack).all():
         raise ValueError("matrix entries must be finite")
-    if 0 in stack.shape[-2:]:
-        return np.zeros(stack.shape[:-2])
-    return np.linalg.norm(stack, 2, axis=(-2, -1))
+    live = stack.any(axis=(-2, -1))
+    if stack.size and live.all():  # no copy of a stack without zero matrices
+        return np.linalg.norm(stack, 2, axis=(-2, -1))
+    norms = np.zeros(live.shape)
+    if live.any():
+        norms[live] = np.linalg.norm(stack[live], 2, axis=(-2, -1))
+    return norms
 
 
 def batches(count: int, entries: int) -> list[slice]:

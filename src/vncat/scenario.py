@@ -35,7 +35,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .category import Arrow, Context, Obj
-from .causal import CausalNet, DoubleCone, Event, LatticeBounds
+from .causal import CausalNet, DoubleCone, LatticeBounds
 from .commutant import ObjectUniverse
 from .crossed import FiniteGroup, UnitaryRep
 from .linalg import is_integer
@@ -211,7 +211,7 @@ def _walk_net(raw_cones: list, bounds: LatticeBounds, ctx: Context, generators: 
         _expect(isinstance(c, dict), p, "must be an object")
         lo = _int_pair(c.get("lo"), f"{p}.lo", "must be [t, x] integers")
         hi = _int_pair(c.get("hi"), f"{p}.hi", "must be [t, x] integers")
-        cone = _built(p, DoubleCone, Event(*lo), Event(*hi))
+        cone = _built(p, DoubleCone, lo, hi)
         _expect(cone not in assignments, p, "duplicate cone")
         cone_gens = c.get("generators", [])
         _expect(isinstance(cone_gens, list), f"{p}.generators", "must be a list of generator names")
@@ -247,9 +247,9 @@ def _bulk_net(raw_cones: list, bounds: LatticeBounds, ctx: Context, generators: 
     if not set(map(type, chain.from_iterable(ends))) <= {int}:
         return None
     try:
-        cones = list(map(DoubleCone, los, his))
-        assignments = dict(zip(cones, [tuple(map(generators.__getitem__, ns)) for ns in names]))
-        if len(assignments) < len(cones):  # a duplicate cone
+        keys = list(zip(map(tuple, los), map(tuple, his)))  # CausalNet makes each a cone
+        assignments = dict(zip(keys, [tuple(map(generators.__getitem__, ns)) for ns in names]))
+        if len(assignments) < len(keys):  # a duplicate cone
             return None
         net = CausalNet(bounds, ctx, assignments)
     except ValueError:
@@ -407,7 +407,9 @@ def parse_scenario(doc, emit_bases: str = "full") -> Scenario:
         _expect(
             isinstance(table, list)
             and len(table) == n
-            and all(isinstance(r, list) and len(r) == n and all(map(is_integer, r)) for r in table),
+            and all(isinstance(r, list) and len(r) == n for r in table)
+            # the entry types as one set, entry by entry only past exact ints
+            and (set(map(type, chain(*table))) <= {int} or all(map(is_integer, chain(*table)))),
             "$.group.table",
             f"must be a {n} x {n} table of element indices",
         )

@@ -121,6 +121,35 @@ def test_net_validation():
     assert net2.cones() == [cone]
 
 
+def test_cone_coordinates_convert_in_order():
+    # exact ints are kept, other integers become ints, and the first
+    # coordinate that is no integer, in (t, x) order lo then hi, is named
+    cone = DoubleCone((np.int64(0), 0), Event(np.int8(1), 1))
+    assert cone == DoubleCone(Event(0, 0), Event(1, 1))
+    assert [type(v) for v in (*cone.lo, *cone.hi)] == [int] * 4
+    assert type(cone.lo) is Event and cone.hi == Event(t=1, x=1)
+    with pytest.raises(ValueError, match=r"cone coordinate x must be an integer, not 0\.5"):
+        DoubleCone((0, 0.5), (1.5, 1))
+    with pytest.raises(ValueError, match=r"cone coordinate t must be an integer, not True"):
+        DoubleCone((0, 0), (True, 1))
+    with pytest.raises(ValueError, match=r"not causally ordered: Event\(t=0, x=0\) -> Event\(t=1, x=2\)"):
+        DoubleCone((0, 0), (1, 2))
+    with pytest.raises(ValueError, match="share the net context"):
+        CausalNet(BOUNDS, CTX, {cone: [pair_swap(0, 1, CTX), pair_swap(0, 1, Context(3))]})
+
+
+def test_net_rejects_a_cone_under_two_keys():
+    # a tuple key and a DoubleCone key of one cone: the later key's arrows
+    # would replace the earlier's, so the net refuses both
+    f, g = pair_swap(0, 1, CTX), central_arrow(np.eye(1), I, I, CTX)
+    cone = DoubleCone(Event(0, 0), Event(1, 1))
+    with pytest.raises(ValueError, match=r"duplicate cone Event\(t=0, x=0\) -> Event\(t=1, x=1\)"):
+        CausalNet(BOUNDS, CTX, {((0, 0), (1, 1)): [f], cone: [g]})
+    with pytest.raises(ValueError, match="duplicate cone"):
+        CausalNet(BOUNDS, CTX, {cone: [f], ((0, 0), (1, 1)): [f]})
+    assert CausalNet(BOUNDS, CTX, {((0, 0), (1, 1)): [f]}).assignments == {cone: (f,)}
+
+
 def central(mat22, rng=None):
     return central_arrow(np.asarray(mat22, dtype=complex), I, I, CTX)
 
@@ -292,6 +321,40 @@ def test_net_checks_match_brute_force_on_random_nets(seed):
     for tol in (1e-9, 0.5):
         assert check_causality(net, tol) == causality_by_brute_force(net, tol)
     assert check_isotony(net) == isotony_by_brute_force(net, 1e-9)
+
+
+def test_isotony_takes_one_range_per_distinct_outer_span(monkeypatch):
+    ranges, decided = [], []
+    take, in_span = causal._range, causal._in_span
+
+    def counted(cols, tol):
+        ranges.append(cols.tobytes())
+        return take(cols, tol)
+
+    def spanned(q, vs, tol):
+        decided.append((q.shape[1], vs.shape[1]))
+        return in_span(q, vs, tol)
+
+    monkeypatch.setattr(causal, "_range", counted)
+    monkeypatch.setattr(causal, "_in_span", spanned)
+    z = Arrow(I, I, CTX, np.diag([1.0, -1.0]))
+    c, s = central([[2.0]]), pair_swap(0, 1, CTX)
+    # the outer span {z, c} holds four cones, a second outer span {z} two;
+    # the swap's hom is empty in every cone around it, which takes no range
+    outer = DoubleCone(Event(0, 0), Event(4, 0))
+    inner = [DoubleCone(Event(1, 0), Event(2, 0)), DoubleCone(Event(2, 0), Event(3, 0)), DoubleCone(Event(1, 0), Event(3, 0))]
+    assignments = {outer: [z, c], inner[0]: [z], inner[1]: [c], inner[2]: [z], DoubleCone(Event(1, 0), Event(4, 0)): [s]}
+    net = CausalNet(BOUNDS, CTX, assignments)
+    # blocks of one cone row, so a span is met again in later blocks
+    monkeypatch.setattr(linalg, "CHUNK_ENTRIES", len(assignments))
+    rep = check_isotony(net)
+    assert rep == isotony_by_brute_force(net, 1e-9)
+    assert not rep.passed
+    assert len(ranges) == len(set(ranges)) == 2  # {z, c} and {z}
+    # a block holds one inner cone, so each distinct (inner span, outer span)
+    # pair is one call: z and c in {z, c}, {z} and the empty span, and the
+    # swap in the empty span; the third inner cone's pairs are decided already
+    assert len(decided) == 7
 
 
 def test_causality_measures_each_arrow_pair_once(monkeypatch):

@@ -170,6 +170,46 @@ def test_operator_norm_matches_svd():
     assert_allclose(operator_norm(a), np.linalg.svd(a, compute_uv=False)[0])
 
 
+@pytest.mark.parametrize("shape", [(6, 3, 3), (2, 4, 3, 2), (5, 1, 4)])
+@pytest.mark.parametrize("seed", range(3))
+def test_operator_norms_match_numpy_bit_for_bit_with_zero_matrices(shape, seed):
+    # +0.0 and -0.0 zero matrices, mixed in with random ones, take no SVD
+    # and read exactly as LAPACK reads them
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    flat = stack.reshape(-1, *shape[-2:])
+    kinds = rng.integers(0, 3, size=len(flat))
+    flat[kinds == 1] = 0.0
+    flat[kinds == 2] = -0.0 - 0.0j
+    want = np.linalg.norm(stack, 2, axis=(-2, -1))
+    got = linalg.operator_norms(stack)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert linalg.operator_norms(flat[:1]).tobytes() == np.linalg.norm(flat[:1], 2, axis=(-2, -1)).tobytes()
+
+
+def test_operator_norms_take_no_svd_of_an_all_zero_stack(monkeypatch):
+    svds = []  # the stacks handed to the spectral norm, an SVD of each matrix
+    norm = np.linalg.norm
+
+    def counted(a, *args, **kwargs):
+        svds.append(a.shape)
+        return norm(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    zeros = np.zeros((4, 3, 3), dtype=complex)
+    zeros[1::2] *= -1.0
+    assert linalg.operator_norms(zeros).tobytes() == np.zeros(4).tobytes()
+    assert operator_norm(zeros[1]) == 0.0
+    assert linalg.operator_norms(np.zeros((3, 0, 2))).tolist() == [0.0] * 3
+    assert svds == []
+    # the matrices that are not zero go to the SVD, the zero ones stay out
+    mixed = zeros.copy()
+    mixed[2, 0, 1] = 3.0
+    assert linalg.operator_norms(mixed).tolist() == [0.0, 0.0, 3.0, 0.0]
+    assert svds == [(1, 3, 3)]
+
+
 # The identity factor of a bare matrix: wrap it as an arrow and read fhat back.
 
 

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vncat import HomSubspace, parse_scenario, run_scenario
-from vncat.cli import MatrixJson, _ConeEcho, _ListEcho, _text, _write_report
+from vncat import DoubleCone, Event, HomSubspace, parse_scenario, run_scenario
+from vncat.cli import MatrixJson, _cone_echo, _ListEcho, _text, _violation_list, _write_report
 from vncat.scenario import _matrix_json
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -334,15 +334,56 @@ def test_holders_at_mixed_depths_match_stdlib():
 
     plain = report(_matrix_json, list)
     for tree, want in [
-        (report(MatrixJson, _ConeEcho), plain),
-        (_ConeEcho(cones), cones),
+        (report(MatrixJson, _cone_echo), plain),
+        (_cone_echo(cones), cones),
         (MatrixJson(rank3), _matrix_json(rank3)),
-        ({"m": MatrixJson(rank2), "net": {"cones": _ConeEcho(cones)}},
+        ({"m": MatrixJson(rank2), "net": {"cones": _cone_echo(cones)}},
          {"m": _matrix_json(rank2), "net": {"cones": cones}}),
     ]:
         out = io.BytesIO()
         _write_report(tree, out.write)
         assert out.getvalue() == (json.dumps(want, indent=2) + "\n").encode()
+
+
+# negative coordinates, coordinates past 2**63 and names that need escaping
+ECHO_CONES = [
+    {"lo": [0, 0], "hi": [1, 1], "generators": []},
+    {"lo": [-3, -(2**64)], "hi": [9, -(2**64)], "generators": ["a%s%d"]},
+    {"lo": [2**63, -1], "hi": [2**63 + 4, 0], "generators": ["\0b", '"q', "é→∂", "\\", "%"]},
+]
+_c = [DoubleCone(c["lo"], c["hi"]) for c in ECHO_CONES]
+VIOLATIONS = ((_c[0], _c[2], "I", "%d"), (_c[1], _c[1], "\0x\n", "é→∂"), (_c[2], _c[0], '"H', "%s"))
+
+
+def violation_json(violations):
+    """What the causality entry would hold for ``violations`` as plain lists and dicts."""
+    return [
+        {"inner": [list(i.lo), list(i.hi)], "outer": [list(o.lo), list(o.hi)], "dom": d, "cod": c}
+        for i, o, d, c in violations
+    ]
+
+
+@pytest.mark.parametrize("depth", range(5))
+def test_cone_and_violation_lists_match_stdlib_at_depths_0_to_4(depth):
+    path = ["item", "value", "item", "value"][:depth]
+    for holder, plain in [
+        (_cone_echo(ECHO_CONES), ECHO_CONES),
+        (_cone_echo(ECHO_CONES[1:2]), ECHO_CONES[1:2]),
+        (_cone_echo([]), []),
+        (_violation_list(VIOLATIONS), violation_json(VIOLATIONS)),
+        (_violation_list(VIOLATIONS[:1]), violation_json(VIOLATIONS[:1])),
+        (_violation_list(()), []),
+    ]:
+        out = io.BytesIO()
+        _write_report(place(holder, path), out.write)
+        assert out.getvalue() == (json.dumps(place(plain, path), indent=2) + "\n").encode()
+    # both lists in one report, the deeper first: a layout kept under the
+    # wrong depth would show at the second
+    tree = [place(_violation_list(VIOLATIONS), path), {"cones": _cone_echo(ECHO_CONES)}, _violation_list(VIOLATIONS)]
+    plain = [place(violation_json(VIOLATIONS), path), {"cones": ECHO_CONES}, violation_json(VIOLATIONS)]
+    out = io.BytesIO()
+    _write_report(tree, out.write)
+    assert out.getvalue() == (json.dumps(plain, indent=2) + "\n").encode()
 
 
 ECHO_PARTS = [-0.0, 5e-324, 1e308, -1e308, 0.1 + 0.2, 1.0, 0.0, -2.5]
