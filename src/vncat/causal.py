@@ -13,13 +13,13 @@ rows of cones with arrows only.  A net stacks its endpoints once, when it is
 built, in light-cone coordinates (t + x, t - x), where the causal order is
 two comparisons.  Isotony decides each distinct (inner span, outer span)
 pair of a hom once: a block's inner arrows against one outer span go through
-one ``_in_span`` against its ``_range``, taken once per distinct outer span,
-and against an empty span their norms decide.  Causality takes each block's
-spacelike mask once and hands the ordered arrow pairs that occur to the
-stacked kernel ``interchange_norms``, one call per pair of block shapes and
-batch, whose values equal ``interchange_residuals`` bit for bit; a zero
-difference (a commuting pair) takes no SVD.  A cone pair's value is
-the largest residual over its arrow pairs, 0.0 when either cone is empty.
+one ``_in_span`` against its ``_span_range``, taken once per distinct outer
+span; an empty span has no columns, so there their norms decide.  Causality
+takes each block's spacelike mask once and hands the ordered arrow pairs that
+occur to the stacked kernel ``interchange_norms``, one call per pair of block
+shapes and batch, whose values equal ``interchange_residuals`` bit for bit; a
+zero difference (a commuting pair) takes no SVD.  A cone pair's value is the
+largest residual over its arrow pairs, 0.0 when either cone is empty.
 ``worst`` is the first pair with the largest value in ``combinations``
 order, and None when no pair is spacelike; ``violations`` keep that order,
 whatever the blocks.
@@ -35,7 +35,7 @@ import numpy as np
 
 from .category import Context, block_view, interchange_norms
 from .category import interchange_residuals  # noqa: F401  (wrapped by bench/spans.py)
-from .commutant import _in_span, _range, _vecs, group_by_hom
+from .commutant import _in_span, _span_range, _vecs, group_by_hom
 from .commutant import subspace_contains  # noqa: F401  (wrapped by bench/spans.py)
 from .linalg import as_integer, batches, operator_norms, relative, within
 
@@ -197,7 +197,7 @@ def check_isotony(net: CausalNet, tol: float = 1e-9) -> IsotonyReport:
     cones, assigned = net.cones(), list(net.assignments.values())
     lo, hi = net._ends
     spans: dict = {}  # cone index -> {hom: arrows}, for the cones of nested pairs
-    ranges: dict = {}  # outer arrows -> orthonormal columns of their span
+    ranges: dict = {}  # (hom, outer arrows) -> orthonormal columns of their span
     contains: dict = {}  # (inner arrows, outer arrows) of one hom -> verdict
     violations = []
     full = np.flatnonzero(list(map(len, assigned)))  # an empty inner cone holds no span to check
@@ -215,10 +215,9 @@ def check_isotony(net: CausalNet, tol: float = 1e-9) -> IsotonyReport:
         for (hom, big), smalls in undecided.items():
             cols = list(dict.fromkeys(chain.from_iterable(smalls)))  # each distinct inner arrow once
             vs = _vecs([a.mat for a in cols])
-            if big and big not in ranges:
-                ranges[big] = _range(_vecs([a.mat for a in big]), tol)
-            # the empty span has no columns: there a vector's own norm decides
-            held = dict(zip(cols, _in_span(ranges[big] if big else vs[:, :0], vs, tol).tolist()))
+            if (hom, big) not in ranges:
+                ranges[hom, big] = _span_range([a.mat for a in big], len(vs), tol)
+            held = dict(zip(cols, _in_span(ranges[hom, big], vs, tol).tolist()))
             contains.update({(small, big): all(map(held.__getitem__, small)) for small in smalls})
         for i, o in pairs:
             for (dom, cod), small in spans[i].items():

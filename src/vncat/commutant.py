@@ -203,6 +203,11 @@ def _range(cols: np.ndarray, tol: float) -> np.ndarray:
     return u[:, : cut_rank(s, tol)]
 
 
+def _span_range(span, rows: int, tol: float) -> np.ndarray:
+    """``_range`` of the vecs of ``span``; ``rows`` by 0 for the empty span (the zero space)."""
+    return _range(_vecs(span), tol) if len(span) else np.zeros((rows, 0), np.complex128)
+
+
 def span_basis(mats: Sequence[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:
     """Orthonormal basis (trace inner product) for the span of ``mats``, cut like ``nullspace``."""
     mats = [as_matrix(m) for m in mats]
@@ -226,7 +231,7 @@ def _in_span(q: np.ndarray, vs: np.ndarray, tol: float) -> np.ndarray:
 def _spanned(span, mats, tol: float) -> np.ndarray:
     """Per matrix of ``mats``: whether it lies in the span of ``span`` (empty: the zero space)."""
     vs = _vecs(mats)
-    return _in_span(_range(_vecs(span), tol) if len(span) else vs[:, :0], vs, tol)
+    return _in_span(_span_range(span, len(vs), tol), vs, tol)
 
 
 def group_by_hom(arrows: Sequence[Arrow]) -> dict:

@@ -119,8 +119,6 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     if not np.isfinite(stack).all():
         raise ValueError("matrix entries must be finite")
     live = stack.any(axis=(-2, -1))
-    if stack.size and live.all():  # no copy of a stack without zero matrices
-        return np.linalg.norm(stack, 2, axis=(-2, -1))
     norms = np.zeros(live.shape)
     if live.any():
         norms[live] = np.linalg.norm(stack[live], 2, axis=(-2, -1))

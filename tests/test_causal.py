@@ -1,3 +1,4 @@
+import importlib
 from itertools import combinations
 from unittest import mock
 
@@ -24,6 +25,8 @@ from vncat import (
 )
 from vncat import HomSubspace, causal, linalg, subspace_contains
 from vncat.commutant import group_by_hom
+
+commutant_module = importlib.import_module("vncat.commutant")
 
 CTX = Context(2)
 I = Obj("I", 1)
@@ -325,7 +328,7 @@ def test_net_checks_match_brute_force_on_random_nets(seed):
 
 def test_isotony_takes_one_range_per_distinct_outer_span(monkeypatch):
     ranges, decided = [], []
-    take, in_span = causal._range, causal._in_span
+    take, in_span = commutant_module._range, causal._in_span
 
     def counted(cols, tol):
         ranges.append(cols.tobytes())
@@ -335,7 +338,7 @@ def test_isotony_takes_one_range_per_distinct_outer_span(monkeypatch):
         decided.append((q.shape[1], vs.shape[1]))
         return in_span(q, vs, tol)
 
-    monkeypatch.setattr(causal, "_range", counted)
+    monkeypatch.setattr(commutant_module, "_range", counted)
     monkeypatch.setattr(causal, "_in_span", spanned)
     z = Arrow(I, I, CTX, np.diag([1.0, -1.0]))
     c, s = central([[2.0]]), pair_swap(0, 1, CTX)
@@ -348,13 +351,13 @@ def test_isotony_takes_one_range_per_distinct_outer_span(monkeypatch):
     # blocks of one cone row, so a span is met again in later blocks
     monkeypatch.setattr(linalg, "CHUNK_ENTRIES", len(assignments))
     rep = check_isotony(net)
-    assert rep == isotony_by_brute_force(net, 1e-9)
-    assert not rep.passed
     assert len(ranges) == len(set(ranges)) == 2  # {z, c} and {z}
     # a block holds one inner cone, so each distinct (inner span, outer span)
     # pair is one call: z and c in {z, c}, {z} and the empty span, and the
     # swap in the empty span; the third inner cone's pairs are decided already
     assert len(decided) == 7
+    assert rep == isotony_by_brute_force(net, 1e-9)
+    assert not rep.passed
 
 
 def test_causality_measures_each_arrow_pair_once(monkeypatch):
